@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nanobus/client"
+	"nanobus/internal/blob"
 	"nanobus/internal/server"
 )
 
@@ -233,7 +234,7 @@ func TestMultiBusMisalignedBatch(t *testing.T) {
 // downloaded envelope: the replayed tail must land on bit-identical
 // figures every time.
 func TestMultiBusCheckpointRestore(t *testing.T) {
-	_, hc, addr := newNBWPService(t, server.Config{Store: server.NewMemStore()})
+	_, hc, addr := newNBWPService(t, server.Config{Store: blob.NewMemStore()})
 	ctx := context.Background()
 	nc := dialNBWP(t, addr)
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"nanobus/client"
+	"nanobus/internal/blob"
 	"nanobus/internal/server"
 )
 
@@ -231,7 +232,7 @@ func TestNBWPAttachAcrossTransports(t *testing.T) {
 // replay from the acknowledged frontier. The final figures must be
 // bit-identical to an uninterrupted run of the same schedule.
 func TestNBWPReconnectReplay(t *testing.T) {
-	store := server.NewMemStore()
+	store := blob.NewMemStore()
 	_, _, addr := newNBWPService(t, server.Config{Store: store})
 	ctx := context.Background()
 	cfg := client.SessionConfig{Node: "90nm", IntervalCycles: 256}
@@ -310,7 +311,7 @@ func TestNBWPReconnectReplay(t *testing.T) {
 // completes once the client finishes. This is the protocol-level half of
 // the SIGTERM zero-loss guarantee.
 func TestNBWPDrainZeroLoss(t *testing.T) {
-	store := server.NewMemStore()
+	store := blob.NewMemStore()
 	srv, _, addr := newNBWPService(t, server.Config{Store: store})
 	ctx := context.Background()
 	nc := dialNBWP(t, addr)

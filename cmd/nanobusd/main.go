@@ -85,7 +85,7 @@ func realMain() int {
 	maxSessions := fs.Int("max-sessions", 0, "max concurrently open sessions (0 = default 1024)")
 	maxBatch := fs.Int("max-batch", 0, "max words per batch (0 = default 65536)")
 	maxPool := fs.Int("max-pool", 0, "max recycled simulators kept per configuration (0 = default 32)")
-	reqTimeout := fs.Duration("request-timeout", 0, "per-request timeout for step/result (0 = none)")
+	reqTimeout := fs.Duration("request-timeout", 0, "timeout for every session operation: HTTP request or NBWP frame (0 = none)")
 	acqTimeout := fs.Duration("acquire-timeout", 0, "max wait for a busy session before 409 (0 = default 1s)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long to wait for in-flight requests on shutdown")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = disabled)")
@@ -117,7 +117,7 @@ func realMain() int {
 	var store server.BlobStore
 	var local server.BlobStore
 	if *ckptDir != "" {
-		st, err := server.NewFSStore(*ckptDir)
+		st, err := blob.NewFSStore(*ckptDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "nanobusd: checkpoint store: %v\n", err)
 			return 1

@@ -7,7 +7,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -22,62 +21,6 @@ import (
 // configured store is a blob.Replicated fanning out to peer nodes, which
 // is how sessions survive the death of the node that wrote them.
 type BlobStore = blob.Store
-
-// ErrNoCheckpoint is the sentinel for "the store holds no checkpoint for
-// the id". The blob package reports the same condition as
-// blob.ErrNotFound; the server accepts either and maps both onto
-// CodeNoCheckpoint.
-var ErrNoCheckpoint = errors.New("server: no checkpoint for session")
-
-// noCheckpoint reports whether err means the store holds no envelope.
-func noCheckpoint(err error) bool {
-	return errors.Is(err, ErrNoCheckpoint) || errors.Is(err, blob.ErrNotFound)
-}
-
-// CheckpointStore is the pre-cluster store interface (Save/Load/Delete,
-// no context, no enumeration).
-//
-// Deprecated: implement blob.Store instead; it adds context propagation
-// (replicated stores cross the network) and List (replication GC). Wrap
-// a legacy implementation with AdaptCheckpointStore during migration.
-type CheckpointStore interface {
-	Save(id string, data []byte) error
-	Load(id string) ([]byte, error)
-	Delete(id string) error
-}
-
-// legacyStore adapts a CheckpointStore to the BlobStore interface.
-type legacyStore struct{ s CheckpointStore }
-
-func (l legacyStore) Put(_ context.Context, id string, data []byte) error { return l.s.Save(id, data) }
-
-func (l legacyStore) Get(_ context.Context, id string) ([]byte, error) {
-	data, err := l.s.Load(id)
-	if err != nil && noCheckpoint(err) {
-		return nil, fmt.Errorf("%w: %s", blob.ErrNotFound, id)
-	}
-	return data, err
-}
-
-// List is empty: legacy stores cannot enumerate, which only costs
-// replication GC coverage, never a restore.
-func (l legacyStore) List(context.Context) ([]string, error) { return nil, nil }
-
-func (l legacyStore) Delete(_ context.Context, id string) error { return l.s.Delete(id) }
-
-// AdaptCheckpointStore wraps a legacy CheckpointStore as a BlobStore so
-// pre-cluster store implementations keep working for one release while
-// they migrate to blob.Store.
-func AdaptCheckpointStore(s CheckpointStore) BlobStore { return legacyStore{s} }
-
-// NewMemStore builds an empty in-memory store. Kept as an alias for
-// blob.NewMemStore so pre-cluster callers compile unchanged.
-func NewMemStore() *blob.MemStore { return blob.NewMemStore() }
-
-// NewFSStore builds a filesystem store rooted at dir. Kept as an alias
-// for blob.NewFSStore so pre-cluster callers compile unchanged; the
-// on-disk layout (one <id>.nbse per session) is identical.
-func NewFSStore(dir string) (*blob.FSStore, error) { return blob.NewFSStore(dir) }
 
 // ValidateEnvelope reports whether data parses as a structurally sound
 // NBSE checkpoint envelope (magic, version, section lengths, CRC). It is
@@ -179,58 +122,30 @@ func decodeEnvelope(data []byte) (*envelope, error) {
 
 // --- POST /v1/sessions/{id}/checkpoint --------------------------------------
 
-func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request, sess *session) {
 	download := r.URL.Query().Get("download") == "1"
-	if s.cfg.Store == nil && !download {
-		writeError(w, http.StatusNotImplemented, CodeNoStore,
-			"no checkpoint store configured; use ?download=1 to fetch the envelope inline")
+	info, data, he := s.checkpointSession(r.Context(), sess, download)
+	if he != nil || !download {
+		replyJSON(w, info, he)
 		return
 	}
-	sess, sh, ok := s.find(r.PathValue("id"))
-	if !ok {
-		writeHTTPErr(w, s.notFoundErr(r.PathValue("id")))
-		return
-	}
-	sh.queue.Add(1)
-	defer sh.queue.Add(-1)
-	if err := s.acquireSession(r.Context(), sess); err != nil {
-		writeError(w, http.StatusConflict, CodeSessionBusy, "session busy: "+err.Error())
-		return
-	}
-	defer sess.release()
-	if sess.closed {
-		writeHTTPErr(w, s.closedErr(sess.id))
-		return
-	}
-	if sess.dirtySeq {
-		writeError(w, http.StatusConflict, CodeSeqConflict,
-			"a sequenced batch failed mid-apply; restore from a checkpoint first")
-		return
-	}
-	info, data, err := s.checkpointLocked(r.Context(), sess)
-	if err != nil {
-		he := asHTTPErr(err)
-		writeError(w, he.status, he.code, he.msg)
-		return
-	}
-	if download {
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("X-Nanobus-Checkpoint-Sha256", info.SHA256)
-		if _, err := w.Write(data); err != nil {
-			// Client went away mid-download; the store copy (if any) stands.
-			return
-		}
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("X-Nanobus-Checkpoint-Sha256", info.SHA256)
+	//nanolint:ignore droppederr the client went away mid-download; the store copy (if any) stands
+	_, _ = w.Write(data)
 }
 
 // checkpointLocked snapshots the session into an envelope and saves it to
-// the store (when configured). The caller must hold the session.
-func (s *Server) checkpointLocked(ctx context.Context, sess *session) (CheckpointInfo, []byte, error) {
+// the store (when configured); a session tainted by a failed sequenced
+// batch is refused. The caller must hold the session.
+func (s *Server) checkpointLocked(ctx context.Context, sess *session) (CheckpointInfo, []byte, *httpErr) {
+	if sess.dirtySeq {
+		return CheckpointInfo{}, nil, herr(http.StatusConflict, CodeSeqConflict,
+			"a sequenced batch failed mid-apply; restore from a checkpoint first")
+	}
 	blob, err := sess.snapshot()
 	if err != nil {
-		return CheckpointInfo{}, nil, err
+		return CheckpointInfo{}, nil, asHTTPErr(err)
 	}
 	env := envelope{
 		Seq:   sess.lastSeq.Load(),
@@ -243,7 +158,7 @@ func (s *Server) checkpointLocked(ctx context.Context, sess *session) (Checkpoin
 	stored := false
 	if s.cfg.Store != nil {
 		if err := s.cfg.Store.Put(ctx, sess.id, data); err != nil {
-			return CheckpointInfo{}, nil, err
+			return CheckpointInfo{}, nil, asHTTPErr(err)
 		}
 		stored = true
 	}
@@ -274,7 +189,7 @@ func (s *Server) maybeAutoCheckpoint(ctx context.Context, sess *session) {
 	if sess.simCycles()-sess.ckptCycles < s.cfg.AutoCheckpointCycles {
 		return
 	}
-	if _, _, err := s.checkpointLocked(ctx, sess); err != nil {
+	if _, _, he := s.checkpointLocked(ctx, sess); he != nil {
 		s.checkpointFailedTotal.Add(1)
 	}
 }
@@ -282,78 +197,26 @@ func (s *Server) maybeAutoCheckpoint(ctx context.Context, sess *session) {
 // --- PUT /v1/sessions/{id}/restore ------------------------------------------
 
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
+	req := restoreReq{id: r.PathValue("id")}
 	// An inline octet-stream body overrides the store: it is the
 	// ?download=1 envelope coming back.
-	var data []byte
 	if r.Header.Get("Content-Type") == "application/octet-stream" {
 		b, err := io.ReadAll(io.LimitReader(r.Body, maxEnvelopeBytes+1))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, CodeBadRequest, "read envelope: "+err.Error())
 			return
 		}
-		if len(b) > maxEnvelopeBytes {
-			writeError(w, http.StatusRequestEntityTooLarge, CodeBatchTooLarge,
-				fmt.Sprintf("envelope exceeds %d bytes", maxEnvelopeBytes))
-			return
-		}
-		data = b
+		req.envelope = b
 	}
-	if len(data) == 0 {
-		if s.cfg.Store == nil {
-			writeError(w, http.StatusNotImplemented, CodeNoStore,
-				"no checkpoint store configured and no inline envelope sent")
-			return
-		}
-		b, err := s.cfg.Store.Get(r.Context(), id)
-		if noCheckpoint(err) {
-			writeError(w, http.StatusNotFound, CodeNoCheckpoint, err.Error())
-			return
-		}
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
-			return
-		}
-		data = b
-	}
-	env, err := decodeEnvelope(data)
-	if err != nil {
-		he := asHTTPErr(err)
-		writeError(w, he.status, he.code, he.msg)
-		return
-	}
-
-	resp, he := s.restoreSession(r.Context(), id, env)
-	if he != nil {
-		writeError(w, he.status, he.code, he.msg)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	resp, he := s.restoreSession(r.Context(), req)
+	replyJSON(w, resp, he)
 }
 
-// restoreSession is the transport-neutral restore: a live session is
-// rewound in place, a missing one resurrected from the envelope. Both
-// PUT .../restore and the NBWP RESTORE frame reduce to it.
-func (s *Server) restoreSession(ctx context.Context, id string, env *envelope) (RestoreResponse, *httpErr) {
-	if sess, sh, ok := s.find(id); ok {
-		return s.restoreLive(ctx, sess, sh, env)
-	}
-	return s.resurrectFrom(id, env)
-}
-
-// restoreLive rewinds a live session to the envelope's state. This is
+// restoreLocked rewinds a live session to the envelope's state. This is
 // the recovery path for poisoned simulators and failed ?seq= batches: the
 // core Restore clears the poison and the seq counters rewind with it.
-func (s *Server) restoreLive(ctx context.Context, sess *session, sh *shard, env *envelope) (RestoreResponse, *httpErr) {
-	sh.queue.Add(1)
-	defer sh.queue.Add(-1)
-	if err := s.acquireSession(ctx, sess); err != nil {
-		return RestoreResponse{}, herr(http.StatusConflict, CodeSessionBusy, "session busy: "+err.Error())
-	}
-	defer sess.release()
-	if sess.closed {
-		return RestoreResponse{}, herr(http.StatusNotFound, CodeNotFound, "session closed")
-	}
+// The caller must hold the session.
+func (s *Server) restoreLocked(sess *session, env *envelope) (RestoreResponse, *httpErr) {
 	if !bytes.Equal(env.Cfg, sess.reqJSON) {
 		return RestoreResponse{}, herr(http.StatusConflict, CodeCheckpointMismatch,
 			"checkpoint configuration does not match the session")
@@ -377,13 +240,8 @@ func (s *Server) restoreLive(ctx context.Context, sess *session, sh *shard, env 
 // configuration and core blob, registering it under its original id so
 // clients resume against the same URL (or NBWP slot).
 func (s *Server) resurrectFrom(id string, env *envelope) (RestoreResponse, *httpErr) {
-	if s.draining.Load() {
-		return RestoreResponse{}, herr(http.StatusServiceUnavailable, CodeDraining, "server is draining")
-	}
-	if s.active.Add(1) > int64(s.cfg.MaxSessions) {
-		s.active.Add(-1)
-		return RestoreResponse{}, herr(http.StatusServiceUnavailable, CodeServerFull,
-			fmt.Sprintf("session limit %d reached", s.cfg.MaxSessions))
+	if he := s.admit(); he != nil {
+		return RestoreResponse{}, he
 	}
 	ok := false
 	defer func() {

@@ -9,8 +9,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"nanobus/client"
+	"nanobus/internal/blob"
 	"nanobus/internal/core"
 	"nanobus/internal/faultinject"
 	"nanobus/internal/server"
@@ -76,7 +78,7 @@ func sameResult(t *testing.T, a, b *client.Result) {
 }
 
 func TestCheckpointRestoreReplayBitIdentical(t *testing.T) {
-	_, c := newTestService(t, server.Config{Store: server.NewMemStore()})
+	_, c := newTestService(t, server.Config{Store: blob.NewMemStore()})
 	ctx := context.Background()
 
 	// Uninterrupted reference run: seqs 1..6 straight through.
@@ -171,7 +173,7 @@ func TestSeqDuplicateAndGap(t *testing.T) {
 
 func TestSeqConflictAfterMidBatchFailure(t *testing.T) {
 	defer faultinject.Reset()
-	_, c := newTestService(t, server.Config{Store: server.NewMemStore()})
+	_, c := newTestService(t, server.Config{Store: blob.NewMemStore()})
 	ctx := context.Background()
 
 	ref, err := c.CreateSession(ctx, ckptConfig())
@@ -234,7 +236,7 @@ func TestSeqConflictAfterMidBatchFailure(t *testing.T) {
 
 func TestResurrectionAcrossProcessRestart(t *testing.T) {
 	dir := t.TempDir()
-	store, err := server.NewFSStore(dir)
+	store, err := blob.NewFSStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +302,7 @@ func TestResurrectionAcrossProcessRestart(t *testing.T) {
 
 func TestRestoreResurrectsPoisonedSession(t *testing.T) {
 	defer faultinject.Reset()
-	_, c := newTestService(t, server.Config{Store: server.NewMemStore()})
+	_, c := newTestService(t, server.Config{Store: blob.NewMemStore()})
 	ctx := context.Background()
 	sess, err := c.CreateSession(ctx, ckptConfig())
 	if err != nil {
@@ -333,7 +335,7 @@ func TestRestoreResurrectsPoisonedSession(t *testing.T) {
 }
 
 func TestAutoCheckpoint(t *testing.T) {
-	store := server.NewMemStore()
+	store := blob.NewMemStore()
 	_, c := newTestService(t, server.Config{Store: store, AutoCheckpointCycles: 200})
 	ctx := context.Background()
 	sess, err := c.CreateSession(ctx, ckptConfig())
@@ -467,7 +469,7 @@ func TestRestoreRejectsCorruptAndMismatched(t *testing.T) {
 func TestFSStoreTruncatedSaveRejectedOnRestore(t *testing.T) {
 	defer faultinject.Reset()
 	dir := t.TempDir()
-	store, err := server.NewFSStore(dir)
+	store, err := blob.NewFSStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +506,7 @@ func TestFSStoreTruncatedSaveRejectedOnRestore(t *testing.T) {
 
 func TestDeleteRemovesStoredCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	store, err := server.NewFSStore(dir)
+	store, err := blob.NewFSStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +539,7 @@ func TestDeleteRemovesStoredCheckpoint(t *testing.T) {
 }
 
 func TestFSStoreRejectsHostileIDs(t *testing.T) {
-	store, err := server.NewFSStore(t.TempDir())
+	store, err := blob.NewFSStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,5 +550,54 @@ func TestFSStoreRejectsHostileIDs(t *testing.T) {
 		if _, err := store.Get(context.Background(), id); err == nil {
 			t.Errorf("Get(%q) accepted a hostile id", id)
 		}
+	}
+}
+
+// stallingStore is a checkpoint store whose Put and Delete block until
+// their context ends, like a replica that never answers.
+type stallingStore struct{ blob.Store }
+
+func (stallingStore) Put(ctx context.Context, _ string, _ []byte) error {
+	<-ctx.Done()
+	return ctx.Err()
+}
+
+func (stallingStore) Delete(ctx context.Context, _ string) error {
+	<-ctx.Done()
+	return ctx.Err()
+}
+
+// TestRequestTimeoutBoundsStoreCalls: with RequestTimeout set, checkpoint
+// and delete give up on a stalled store within a few multiples of it.
+func TestRequestTimeoutBoundsStoreCalls(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	_, c := newTestService(t, server.Config{
+		Store: stallingStore{blob.NewMemStore()}, RequestTimeout: timeout,
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	sess, err := c.CreateSession(ctx, ckptConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runSeq(t, sess, 1, 1)
+
+	start := time.Now()
+	_, err = sess.Checkpoint(ctx)
+	var ae *client.APIError
+	if !errors.As(err, &ae) || ae.Code != server.CodeCanceled {
+		t.Fatalf("checkpoint on a stalled store = %v, want %s", err, server.CodeCanceled)
+	}
+	if d := time.Since(start); d > 20*timeout {
+		t.Fatalf("checkpoint took %v with a %v RequestTimeout", d, timeout)
+	}
+
+	start = time.Now()
+	// The stored copy cannot be dropped, but the session is closed.
+	if err := sess.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 20*timeout {
+		t.Fatalf("delete took %v with a %v RequestTimeout", d, timeout)
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -111,11 +112,12 @@ type MigrateResponse struct {
 }
 
 // handleMigrate moves a session to another node: checkpoint here,
-// restore there, then redirect stragglers. The session's semaphore is
-// held across the whole move, so a racing STEP serializes behind it and
-// finds the session either still here (applied normally, before the
-// checkpoint) or moved (redirected, applied on the target) — there is no
-// interleaving in which a batch lands on both nodes.
+// restore there, then redirect stragglers. The session is held (under
+// the shared operation policy) across the whole move, so a racing STEP
+// serializes behind it and finds the session either still here (applied
+// normally, before the checkpoint) or moved (redirected, applied on the
+// target) — there is no interleaving in which a batch lands on both
+// nodes.
 func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	if s.ring == nil {
 		writeError(w, http.StatusNotImplemented, CodeBadRequest, "server is not in cluster mode")
@@ -137,60 +139,41 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	sess, sh, found := s.find(id)
-	if !found {
-		writeHTTPErr(w, s.notFoundErr(id))
+	sess, he := s.lookup(id)
+	if he != nil {
+		writeHTTPErr(w, he)
 		return
 	}
-	sh.queue.Add(1)
-	defer sh.queue.Add(-1)
-	if err := s.acquireSession(r.Context(), sess); err != nil {
-		writeError(w, http.StatusConflict, CodeSessionBusy, "session busy: "+err.Error())
-		return
-	}
-	defer sess.release()
-	if sess.closed {
-		writeHTTPErr(w, s.closedErr(sess.id))
-		return
-	}
-	if sess.dirtySeq {
-		writeError(w, http.StatusConflict, CodeSeqConflict,
-			"a sequenced batch failed mid-apply; restore from a checkpoint before migrating")
-		return
-	}
-
-	info, data, err := s.checkpointLocked(r.Context(), sess)
-	if err != nil {
-		writeHTTPErr(w, asHTTPErr(err))
-		return
-	}
-	if err := s.restoreOnPeer(r, target, id, data); err != nil {
-		writeError(w, http.StatusBadGateway, CodeInternal,
-			fmt.Sprintf("restore on %s: %v", target.Name, err))
-		return
-	}
-	// The target serves the session from here on. Record the move before
-	// deregistering so a request that misses the table finds the
-	// redirect, and keep the stored envelope — it is the target's
-	// replica now.
-	s.movedMu.Lock()
-	s.moved[id] = target.Name
-	s.movedMu.Unlock()
-	s.deregister(sess, sh)
-	s.migratedTotal.Add(1)
-	writeJSON(w, http.StatusOK, MigrateResponse{
-		ID:     id,
-		Target: target.Name,
-		Seq:    info.Seq,
-		Cycles: info.Cycles,
+	var resp MigrateResponse
+	he = s.withSession(r.Context(), sess, func(ctx context.Context) *httpErr {
+		info, data, he := s.checkpointLocked(ctx, sess)
+		if he != nil {
+			return he
+		}
+		if err := s.restoreOnPeer(ctx, target, id, data); err != nil {
+			return herr(http.StatusBadGateway, CodeInternal,
+				fmt.Sprintf("restore on %s: %v", target.Name, err))
+		}
+		// The target serves the session from here on. Record the move
+		// before deregistering so a request that misses the table finds
+		// the redirect, and keep the stored envelope — it is the target's
+		// replica now.
+		s.movedMu.Lock()
+		s.moved[id] = target.Name
+		s.movedMu.Unlock()
+		s.deregister(sess)
+		s.migratedTotal.Add(1)
+		resp = MigrateResponse{ID: id, Target: target.Name, Seq: info.Seq, Cycles: info.Cycles}
+		return nil
 	})
+	replyJSON(w, resp, he)
 }
 
 // restoreOnPeer pushes a checkpoint envelope to target's inline-restore
 // endpoint, resurrecting the session there.
-func (s *Server) restoreOnPeer(r *http.Request, target cluster.Node, id string, data []byte) error {
+func (s *Server) restoreOnPeer(ctx context.Context, target cluster.Node, id string, data []byte) error {
 	url := target.HTTP + "/v1/sessions/" + id + "/restore"
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPut, url, bytes.NewReader(data))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPut, url, bytes.NewReader(data))
 	if err != nil {
 		return err
 	}

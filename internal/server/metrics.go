@@ -88,7 +88,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	gauge("nanobusd_memo_hit_rate", "Hits over lookups across all harvested sessions.",
 		fmt.Sprintf("%.6f", hitRate))
 
-	fmt.Fprintf(&b, "# HELP nanobusd_shard_queue_depth Step/result/delete requests waiting for or holding a session.\n")
+	fmt.Fprintf(&b, "# HELP nanobusd_shard_queue_depth Session operations (HTTP requests, NBWP frames) waiting for or holding a session.\n")
 	fmt.Fprintf(&b, "# TYPE nanobusd_shard_queue_depth gauge\n")
 	for i, sh := range s.shards {
 		fmt.Fprintf(&b, "nanobusd_shard_queue_depth{shard=\"%d\"} %d\n", i, sh.queue.Load())

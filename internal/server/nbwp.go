@@ -18,14 +18,14 @@ import (
 	"nanobus/internal/nbwp"
 )
 
-// This file is the NBWP transport: the same session machinery as the v1
-// HTTP surface — shards, per-session semaphores, ?seq= write-ahead
-// idempotency, checkpoint stores, the simulator pool — behind persistent
-// framed TCP instead of per-batch requests. One goroutine serves each
-// connection, processing frames strictly in arrival order and answering
-// every client frame with exactly one ACK or ERROR frame, so pipelined
-// clients correlate responses by FIFO position. Throughput comes from
-// pipelining: the client streams STEP frames without waiting, acks
+// This file is the NBWP transport: a codec over the same session
+// operations as the v1 HTTP surface (ops.go) — frames are parsed into
+// typed requests and the replies encoded as ACK, SAMPLE and ERROR frames
+// — behind persistent framed TCP instead of per-batch requests. One
+// goroutine serves each connection, processing frames strictly in
+// arrival order and answering every client frame with exactly one ACK or
+// ERROR frame, so pipelined clients correlate responses by FIFO
+// position. Throughput comes from pipelining: the client streams STEP frames without waiting, acks
 // accumulate in the connection's buffered writer, and the writer is
 // flushed only when the read side would block — a full round-trip per
 // batch becomes one syscall per burst in each direction.
@@ -273,7 +273,7 @@ func (nc *nbwpConn) ackJSON(req nbwp.Header, v any) bool {
 
 // reply answers req with an ERROR frame carrying the v1 status and code.
 func (nc *nbwpConn) reply(req nbwp.Header, status int, code, msg string) bool {
-	return nc.replyWire(req, nbwp.WireError{Status: status, Code: code, Msg: msg})
+	return nc.replyErr(req, herr(status, code, msg))
 }
 
 // replyErr answers req with he, carrying the owner hint (as the same
@@ -286,13 +286,17 @@ func (nc *nbwpConn) replyErr(req nbwp.Header, he *httpErr) bool {
 			we.Owner = string(b)
 		}
 	}
-	return nc.replyWire(req, we)
-}
-
-func (nc *nbwpConn) replyWire(req nbwp.Header, we nbwp.WireError) bool {
 	nc.s.nbwpErrorsTotal.Add(1)
 	nc.payload = nbwp.AppendError(nc.payload[:0], we)
 	return nc.writeFrame(nbwp.Header{Type: nbwp.TypeError, Slot: req.Slot, Seq: req.Seq}, nc.payload)
+}
+
+// answer acks req with v as a JSON document, or answers he when set.
+func (nc *nbwpConn) answer(req nbwp.Header, v any, he *httpErr) bool {
+	if he != nil {
+		return nc.replyErr(req, he)
+	}
+	return nc.ackJSON(req, v)
 }
 
 // sendDrain broadcasts the unsolicited DRAIN frame once, flushing so it
@@ -324,15 +328,6 @@ func (nc *nbwpConn) slotSession(h nbwp.Header) (*session, *httpErr) {
 	return sess, nil
 }
 
-// reqCtx bounds one frame's work like the HTTP RequestTimeout does; the
-// returned cancel must run before the next frame.
-func (nc *nbwpConn) reqCtx() (context.Context, context.CancelFunc) {
-	if nc.s.cfg.RequestTimeout > 0 {
-		return context.WithTimeout(nc.ctx, nc.s.cfg.RequestTimeout)
-	}
-	return nc.ctx, func() {}
-}
-
 // --- OPEN --------------------------------------------------------------------
 
 func (nc *nbwpConn) handleOpen(h nbwp.Header, payload []byte) bool {
@@ -343,175 +338,129 @@ func (nc *nbwpConn) handleOpen(h nbwp.Header, payload []byte) bool {
 		return nc.reply(h, http.StatusConflict, CodeBadRequest,
 			fmt.Sprintf("slot %d is already bound", h.Slot))
 	}
-	var sess *session
+	var (
+		sess *session
+		he   *httpErr
+	)
 	if h.Flags&nbwp.FlagAttach != 0 {
-		existing, _, ok := nc.s.find(string(payload))
-		if !ok {
-			return nc.replyErr(h, nc.s.notFoundErr(string(payload)))
-		}
-		sess = existing
+		sess, he = nc.s.lookup(string(payload))
 	} else {
 		var req CreateSessionRequest
-		dec := json.NewDecoder(bytes.NewReader(payload))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			return nc.reply(h, http.StatusBadRequest, CodeBadRequest, "decode request: "+err.Error())
+		if req, he = decodeCreateRequest(bytes.NewReader(payload)); he == nil {
+			sess, he = nc.s.openSession(req)
 		}
-		var he *httpErr
-		sess, he = nc.s.openSession(req)
-		if he != nil {
-			return nc.replyErr(h, he)
-		}
+	}
+	if he != nil {
+		return nc.replyErr(h, he)
 	}
 	nc.slots[h.Slot] = sess
 	nc.stream[h.Slot] = h.Flags&nbwp.FlagStream != 0
-	info := sess.info
-	info.Words = sess.words.Load()
-	info.IdleCycles = sess.idle.Load()
-	info.LastSeq = sess.lastSeq.Load()
-	return nc.ackJSON(h, info)
+	return nc.ackJSON(h, sess.liveInfo())
 }
 
 // --- STEP / STEP_IDLE --------------------------------------------------------
 
-// handleStep is the hot path: feed one pipelined batch to the slot's
-// simulator and ack it. The ?seq= write-ahead machinery is byte-for-byte
-// the HTTP handler's — same dirty flag, same duplicate ack, same gap
-// conflict — so a client may interleave transports mid-stream and the
-// exactly-once guarantee holds.
+// handleStep is the hot path: parse one pipelined batch, step it through
+// the shared operation, and ack it. A STEP frame is one complete batch,
+// so its size and row alignment are checked up front; the failpoint and
+// the words themselves go through feed, after the write-ahead mark.
 func (nc *nbwpConn) handleStep(h nbwp.Header, payload []byte) bool {
 	sess, he := nc.slotSession(h)
 	if he != nil {
 		return nc.replyErr(h, he)
 	}
-	hasSeq := h.Flags&nbwp.FlagSeq != 0
-	seq := uint64(h.Seq)
-	if hasSeq && seq == 0 {
-		return nc.reply(h, http.StatusBadRequest, CodeBadRequest, "seq must be a positive integer")
+	var req stepReq
+	if h.Flags&nbwp.FlagSeq != 0 {
+		if h.Seq == 0 {
+			return nc.reply(h, http.StatusBadRequest, CodeBadRequest, "seq must be a positive integer")
+		}
+		req.seq = uint64(h.Seq)
 	}
 	if h.Type == nbwp.TypeStep {
-		if len(payload)%4 != 0 {
+		n := len(payload) / 4
+		switch {
+		case len(payload)%4 != 0:
 			return nc.reply(h, http.StatusBadRequest, CodeBadRequest,
 				fmt.Sprintf("binary body length is not a multiple of 4 (%d trailing bytes)", len(payload)%4))
-		}
-		if len(payload)/4 > nc.s.cfg.MaxBatchWords {
+		case n > nc.s.cfg.MaxBatchWords:
 			return nc.reply(h, http.StatusRequestEntityTooLarge, CodeBatchTooLarge,
-				fmt.Sprintf("batch of %d words exceeds the %d-word limit", len(payload)/4, nc.s.cfg.MaxBatchWords))
-		}
-		if sess.buses > 1 && (len(payload)/4)%sess.buses != 0 {
-			// Unlike the chunked HTTP body, a STEP frame is one complete
-			// batch, so row alignment is checked up front.
+				fmt.Sprintf("batch of %d words exceeds the %d-word limit", n, nc.s.cfg.MaxBatchWords))
+		case n%sess.buses != 0:
 			return nc.reply(h, http.StatusBadRequest, CodeBadRequest,
-				fmt.Sprintf("batch of %d words is not a multiple of the session's %d buses", len(payload)/4, sess.buses))
+				fmt.Sprintf("batch of %d words is not a multiple of the session's %d buses", n, sess.buses))
 		}
-	}
-	ctx, cancel := nc.reqCtx()
-	defer cancel()
-	if err := nc.s.acquireSession(ctx, sess); err != nil {
-		return nc.reply(h, http.StatusConflict, CodeSessionBusy, "session busy: "+err.Error())
-	}
-	defer sess.release()
-	if sess.closed {
-		return nc.replyErr(h, nc.s.closedErr(sess.id))
-	}
-	defer nc.s.harvestMemo(sess)
-
-	if hasSeq {
-		if sess.dirtySeq {
-			return nc.reply(h, http.StatusConflict, CodeSeqConflict,
-				"a sequenced batch failed mid-apply; restore from a checkpoint before retrying")
-		}
-		last := sess.lastSeq.Load()
-		switch {
-		case seq <= last:
-			// Already applied: acknowledge idempotently — nothing
-			// re-steps, so a replayed batch can never double-count energy.
-			sum := sess.lastSum
-			if seq != last {
-				sum = StepSummary{}
+		req.feed = func(ctx context.Context, sum *StepSummary) error {
+			// Chaos harnesses arm this to fail an ingest batch mid-stream —
+			// the same failpoint as the HTTP binary path.
+			if ferr := faultinject.Hit("server.ingest.decode"); ferr != nil {
+				return herr(http.StatusBadRequest, CodeBadRequest, "decode binary batch: "+ferr.Error())
 			}
-			sum.Cycles = sess.cycleCount()
-			nc.s.seqDuplicatesTotal.Add(1)
-			nbwp.PutStepAck(&nc.ackBuf, nbwp.StepAck{
-				Words: sum.Words, Idle: sum.Idle, Cycles: sum.Cycles, Samples: sum.Samples,
-			})
-			return nc.ack(h, nbwp.FlagDuplicate, nc.ackBuf[:])
-		case seq > last+1:
-			return nc.reply(h, http.StatusConflict, CodeSeqGap,
-				fmt.Sprintf("seq %d skips ahead; expected %d", seq, last+1))
-		}
-		// seq == last+1: write-ahead intent before any word reaches the
-		// simulator; a mid-apply death leaves the flag set and all seq
-		// traffic conflicts until a restore rewinds the state.
-		sess.dirtySeq = true
-	}
-
-	var sum StepSummary
-	streaming := nc.stream[h.Slot]
-	multi := sess.buses > 1
-	adaptive := sess.sim != nil && sess.sim.Adaptive()
-	writeOK := true
-	sess.setOnSample(func(bus int, cs core.Sample) {
-		sum.Samples++
-		nc.s.samplesTotal.Add(1)
-		if streaming && writeOK {
-			// Samples interleave ahead of the batch's ack, append-encoded
-			// into the connection's reused buffer. Multi-bus sessions
-			// prefix the bus index; adaptive sessions append the encoder
-			// tail; each flags its layout.
-			var flags uint8
-			switch {
-			case multi:
-				flags = nbwp.FlagMultiSample
-				nc.payload = nbwp.AppendBusSample(nc.payload[:0], uint32(bus), toNBWPSample(fromCoreSample(cs)))
-			case adaptive:
-				flags = nbwp.FlagAdaptiveSample
-				nc.payload = nbwp.AppendAdaptiveSample(nc.payload[:0], toNBWPSample(fromCoreSample(cs)), cs.Encoder, cs.Switched)
-			default:
-				nc.payload = appendNBWPSample(nc.payload[:0], fromCoreSample(cs))
+			if n == 0 {
+				return nil
 			}
-			writeOK = nc.writeFrame(nbwp.Header{Type: nbwp.TypeSample, Flags: flags, Slot: h.Slot}, nc.payload)
-		}
-	})
-	defer sess.setOnSample(nil)
-
-	var stepErr error
-	if h.Type == nbwp.TypeStep {
-		// Chaos harnesses arm this to fail an ingest batch mid-stream —
-		// the same failpoint as the HTTP binary path.
-		if ferr := faultinject.Hit("server.ingest.decode"); ferr != nil {
-			stepErr = herr(http.StatusBadRequest, CodeBadRequest, "decode binary batch: "+ferr.Error())
-		} else if len(payload) > 0 {
-			if need := len(payload) / 4; cap(nc.words) < need {
-				nc.words = make([]uint32, need)
+			if cap(nc.words) < n {
+				nc.words = make([]uint32, n)
 			}
-			stepErr = nc.s.stepWords(ctx, sess, nbwp.Words(nc.words, payload), &sum)
+			return nc.s.stepWords(ctx, sess, nbwp.Words(nc.words, payload), sum)
 		}
 	} else {
 		idle, perr := nbwp.ParseIdle(payload)
 		if perr != nil {
-			stepErr = herr(http.StatusBadRequest, CodeBadRequest, perr.Error())
-		} else if idle > 0 {
-			stepErr = nc.s.stepIdle(ctx, sess, idle, &sum)
+			return nc.reply(h, http.StatusBadRequest, CodeBadRequest, perr.Error())
+		}
+		req.feed = func(ctx context.Context, sum *StepSummary) error {
+			if idle == 0 {
+				return nil
+			}
+			return nc.s.stepIdle(ctx, sess, idle, sum)
 		}
 	}
-	sum.Cycles = sess.cycleCount()
+	if nc.stream[h.Slot] {
+		req.emit = nc.sampleWriter(h.Slot, sess)
+	}
 
-	if stepErr != nil {
-		return nc.replyErr(h, asHTTPErr(stepErr))
+	sum, he := nc.s.stepSession(nc.ctx, sess, req)
+	if he != nil {
+		return nc.replyErr(h, he)
 	}
-	if hasSeq {
-		sess.dirtySeq = false
-		sess.lastSeq.Store(seq)
-		sum.Seq = seq
-		sess.lastSum = sum
+	var flags uint8
+	if sum.Duplicate {
+		flags = nbwp.FlagDuplicate
+	} else {
+		nc.s.nbwpStepFrames.Add(1)
 	}
-	nc.s.maybeAutoCheckpoint(ctx, sess)
-	nc.s.nbwpStepFrames.Add(1)
 	nbwp.PutStepAck(&nc.ackBuf, nbwp.StepAck{
 		Words: sum.Words, Idle: sum.Idle, Cycles: sum.Cycles, Samples: sum.Samples,
 	})
-	return nc.ack(h, 0, nc.ackBuf[:])
+	return nc.ack(h, flags, nc.ackBuf[:])
+}
+
+// sampleWriter streams samples for slot as SAMPLE frames interleaved
+// ahead of the batch's ack, append-encoded into the connection's reused
+// buffer. Multi-bus sessions prefix the bus index; adaptive sessions
+// append the encoder tail; each flags its layout. After a failed write
+// the rest of the batch's samples are dropped.
+func (nc *nbwpConn) sampleWriter(slot uint8, sess *session) func(bus int, cs core.Sample) {
+	multi := sess.buses > 1
+	adaptive := sess.sim != nil && sess.sim.Adaptive()
+	writeOK := true
+	return func(bus int, cs core.Sample) {
+		if !writeOK {
+			return
+		}
+		var flags uint8
+		switch {
+		case multi:
+			flags = nbwp.FlagMultiSample
+			nc.payload = nbwp.AppendBusSample(nc.payload[:0], uint32(bus), toNBWPSample(fromCoreSample(cs)))
+		case adaptive:
+			flags = nbwp.FlagAdaptiveSample
+			nc.payload = nbwp.AppendAdaptiveSample(nc.payload[:0], toNBWPSample(fromCoreSample(cs)), cs.Encoder, cs.Switched)
+		default:
+			nc.payload = appendNBWPSample(nc.payload[:0], fromCoreSample(cs))
+		}
+		writeOK = nc.writeFrame(nbwp.Header{Type: nbwp.TypeSample, Flags: flags, Slot: slot}, nc.payload)
+	}
 }
 
 // toNBWPSample converts a wire Sample to the NBWP binary form (the bus
@@ -542,56 +491,23 @@ func (nc *nbwpConn) handleResult(h nbwp.Header) bool {
 	if he != nil {
 		return nc.replyErr(h, he)
 	}
-	ctx, cancel := nc.reqCtx()
-	defer cancel()
-	if err := nc.s.acquireSession(ctx, sess); err != nil {
-		return nc.reply(h, http.StatusConflict, CodeSessionBusy, "session busy: "+err.Error())
-	}
-	defer sess.release()
-	if sess.closed {
-		return nc.replyErr(h, nc.s.closedErr(sess.id))
-	}
-	defer nc.s.harvestMemo(sess)
-	res, rhe := nc.s.resultLocked(sess, h.Flags&nbwp.FlagNoFinish == 0)
-	if rhe != nil {
-		return nc.replyErr(h, rhe)
-	}
-	return nc.ackJSON(h, res)
+	res, he := nc.s.sessionResult(nc.ctx, sess, h.Flags&nbwp.FlagNoFinish == 0)
+	return nc.answer(h, res, he)
 }
 
 // --- CHECKPOINT --------------------------------------------------------------
 
 func (nc *nbwpConn) handleCheckpoint(h nbwp.Header) bool {
-	download := h.Flags&nbwp.FlagDownload != 0
-	if nc.s.cfg.Store == nil && !download {
-		return nc.reply(h, http.StatusNotImplemented, CodeNoStore,
-			"no checkpoint store configured; use FlagDownload to fetch the envelope inline")
-	}
 	sess, he := nc.slotSession(h)
 	if he != nil {
 		return nc.replyErr(h, he)
 	}
-	ctx, cancel := nc.reqCtx()
-	defer cancel()
-	if err := nc.s.acquireSession(ctx, sess); err != nil {
-		return nc.reply(h, http.StatusConflict, CodeSessionBusy, "session busy: "+err.Error())
+	download := h.Flags&nbwp.FlagDownload != 0
+	info, data, he := nc.s.checkpointSession(nc.ctx, sess, download)
+	if he != nil || !download {
+		return nc.answer(h, info, he)
 	}
-	defer sess.release()
-	if sess.closed {
-		return nc.replyErr(h, nc.s.closedErr(sess.id))
-	}
-	if sess.dirtySeq {
-		return nc.reply(h, http.StatusConflict, CodeSeqConflict,
-			"a sequenced batch failed mid-apply; restore from a checkpoint first")
-	}
-	info, data, err := nc.s.checkpointLocked(ctx, sess)
-	if err != nil {
-		return nc.replyErr(h, asHTTPErr(err))
-	}
-	if download {
-		return nc.ack(h, nbwp.FlagDownload, data)
-	}
-	return nc.ackJSON(h, info)
+	return nc.ack(h, nbwp.FlagDownload, data)
 }
 
 // --- RESTORE -----------------------------------------------------------------
@@ -612,36 +528,13 @@ func (nc *nbwpConn) handleRestore(h nbwp.Header, payload []byte) bool {
 		}
 		id = bound.id
 	}
-	ctx, cancel := nc.reqCtx()
-	defer cancel()
-	if len(envData) == 0 {
-		if nc.s.cfg.Store == nil {
-			return nc.reply(h, http.StatusNotImplemented, CodeNoStore,
-				"no checkpoint store configured and no inline envelope sent")
-		}
-		b, err := nc.s.cfg.Store.Get(ctx, id)
-		if noCheckpoint(err) {
-			return nc.reply(h, http.StatusNotFound, CodeNoCheckpoint, err.Error())
-		}
-		if err != nil {
-			return nc.reply(h, http.StatusInternalServerError, CodeInternal, err.Error())
-		}
-		envData = b
-	} else if len(envData) > maxEnvelopeBytes {
-		return nc.reply(h, http.StatusRequestEntityTooLarge, CodeBatchTooLarge,
-			fmt.Sprintf("envelope exceeds %d bytes", maxEnvelopeBytes))
-	}
-	env, err := decodeEnvelope(envData)
-	if err != nil {
-		return nc.replyErr(h, asHTTPErr(err))
-	}
-	resp, rhe := nc.s.restoreSession(ctx, id, env)
-	if rhe != nil {
-		return nc.replyErr(h, rhe)
+	resp, he := nc.s.restoreSession(nc.ctx, restoreReq{id: id, envelope: envData})
+	if he != nil {
+		return nc.replyErr(h, he)
 	}
 	// Bind (or rebind) the slot to the restored session so the stream
 	// resumes on this connection without a separate OPEN.
-	if sess, _, ok := nc.s.find(id); ok {
+	if sess, ok := nc.s.find(id); ok {
 		nc.slots[h.Slot] = sess
 	}
 	return nc.ackJSON(h, resp)
@@ -661,19 +554,11 @@ func (nc *nbwpConn) handleGoodbye(h nbwp.Header) bool {
 	if he != nil {
 		return nc.replyErr(h, he)
 	}
-	ctx, cancel := nc.reqCtx()
-	defer cancel()
-	if err := nc.s.acquireSession(ctx, sess); err != nil {
-		return nc.reply(h, http.StatusConflict, CodeSessionBusy, "session busy: "+err.Error())
-	}
-	defer sess.release()
-	if sess.closed {
+	resp, he := nc.s.closeSession(nc.ctx, sess)
+	if he == nil || he.code != CodeSessionBusy {
+		// Closed now or already gone: either way the slot is free.
 		nc.slots[h.Slot] = nil
 		nc.stream[h.Slot] = false
-		return nc.replyErr(h, nc.s.closedErr(sess.id))
 	}
-	resp := nc.s.closeLocked(ctx, sess, nc.s.shards[shardOf(sess.id, len(nc.s.shards))])
-	nc.slots[h.Slot] = nil
-	nc.stream[h.Slot] = false
-	return nc.ackJSON(h, resp)
+	return nc.answer(h, resp, he)
 }

@@ -8,10 +8,13 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"nanobus/client"
+	"nanobus/internal/blob"
 	"nanobus/internal/nbwp"
 	"nanobus/internal/server"
 )
@@ -237,7 +240,7 @@ func TestNBWPDamagedFramingHangsUp(t *testing.T) {
 // close.
 func TestNBWPServerLifecycle(t *testing.T) {
 	ctx := context.Background()
-	_, addr := newNBWPServer(t, server.Config{Store: server.NewMemStore()})
+	_, addr := newNBWPServer(t, server.Config{Store: blob.NewMemStore()})
 	nc, err := client.DialNBWP(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +339,7 @@ func TestNBWPServerLifecycle(t *testing.T) {
 // by id even though the new server never saw it.
 func TestNBWPResurrectionAcrossServers(t *testing.T) {
 	ctx := context.Background()
-	store := server.NewMemStore()
+	store := blob.NewMemStore()
 	_, addr1 := newNBWPServer(t, server.Config{Store: store})
 	nc1, err := client.DialNBWP(ctx, addr1)
 	if err != nil {
@@ -419,4 +422,29 @@ func TestNBWPDrainAndShutdown(t *testing.T) {
 	if err := srv.ServeNBWP(lis); !errors.Is(err, net.ErrClosed) {
 		t.Fatalf("ServeNBWP after Drain = %v, want net.ErrClosed", err)
 	}
+}
+
+// TestCreateRequestBound: a create document past 1 MiB is refused with
+// the same code on both transports, even when it is valid JSON.
+func TestCreateRequestBound(t *testing.T) {
+	srv, addr := newNBWPServer(t, server.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	big := []byte(`{"node":"90nm"` + strings.Repeat(" ", 1<<20) + `}`)
+
+	r := dialRawNBWP(t, addr)
+	open := nbwp.Header{Type: nbwp.TypeOpen, Slot: 1}
+	r.send(open, big)
+	r.expectError(open, http.StatusBadRequest, server.CodeBadRequest)
+
+	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkErrResp(t, resp, http.StatusBadRequest, server.CodeBadRequest)
+
+	// The same document under the bound opens fine.
+	small := []byte(`{"node":"90nm"}`)
+	r.send(open, small)
+	r.expectAck(open)
 }

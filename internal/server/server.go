@@ -38,8 +38,9 @@ type Config struct {
 	// MaxPoolPerKey bounds recycled simulators kept per configuration
 	// (default 32).
 	MaxPoolPerKey int
-	// RequestTimeout bounds each step/result/delete request; zero means
-	// no server-side timeout (the client context still applies).
+	// RequestTimeout bounds every session operation (one HTTP request or
+	// NBWP frame); zero means no server-side timeout (the client context
+	// still applies).
 	RequestTimeout time.Duration
 	// AcquireTimeout bounds how long a request waits for a session that
 	// is busy serving another request before giving up with
@@ -182,11 +183,11 @@ func New(cfg Config) *Server {
 		s.peerHC = &http.Client{Timeout: 30 * time.Second}
 	}
 	s.mux.HandleFunc("POST /v1/sessions", s.handleCreate)
-	s.mux.HandleFunc("GET /v1/sessions/{id}", s.handleSession)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/step", s.handleStep)
-	s.mux.HandleFunc("GET /v1/sessions/{id}/result", s.handleResult)
-	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleDelete)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/checkpoint", s.handleCheckpoint)
+	s.mux.HandleFunc("GET /v1/sessions/{id}", s.bySession(s.handleSession))
+	s.mux.HandleFunc("POST /v1/sessions/{id}/step", s.bySession(s.handleStep))
+	s.mux.HandleFunc("GET /v1/sessions/{id}/result", s.bySession(s.handleResult))
+	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.bySession(s.handleDelete))
+	s.mux.HandleFunc("POST /v1/sessions/{id}/checkpoint", s.bySession(s.handleCheckpoint))
 	s.mux.HandleFunc("PUT /v1/sessions/{id}/restore", s.handleRestore)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -235,6 +236,28 @@ func writeHTTPErr(w http.ResponseWriter, he *httpErr) {
 	writeJSON(w, he.status, ErrorResponse{Error: he.msg, Code: he.code, Owner: he.owner})
 }
 
+// replyJSON writes he when set, otherwise v as a 200 JSON document.
+func replyJSON(w http.ResponseWriter, v any, he *httpErr) {
+	if he != nil {
+		writeHTTPErr(w, he)
+		return
+	}
+	writeJSON(w, http.StatusOK, v)
+}
+
+// bySession resolves the {id} path value to a live session before h
+// runs, answering the not-found (or cluster redirect) error itself.
+func (s *Server) bySession(h func(http.ResponseWriter, *http.Request, *session)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		sess, he := s.lookup(r.PathValue("id"))
+		if he != nil {
+			writeHTTPErr(w, he)
+			return
+		}
+		h(w, r, sess)
+	}
+}
+
 // httpErr carries an error with its v1 status and code through the body
 // consumers; owner rides along on cluster redirects.
 type httpErr struct {
@@ -272,10 +295,8 @@ func asHTTPErr(err error) *httpErr {
 
 // --- Session lookup ---------------------------------------------------------
 
-func (s *Server) find(id string) (*session, *shard, bool) {
-	sh := s.shards[shardOf(id, len(s.shards))]
-	sess, ok := sh.lookup(id)
-	return sess, sh, ok
+func (s *Server) find(id string) (*session, bool) {
+	return s.shards[shardOf(id, len(s.shards))].lookup(id)
 }
 
 // harvestMemo folds the session's memo counters since the last harvest
@@ -290,65 +311,16 @@ func (s *Server) harvestMemo(sess *session) {
 // --- POST /v1/sessions ------------------------------------------------------
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, CodeDraining, "server is draining")
-		return
-	}
-	if s.active.Add(1) > int64(s.cfg.MaxSessions) {
-		s.active.Add(-1)
-		writeError(w, http.StatusServiceUnavailable, CodeServerFull,
-			fmt.Sprintf("session limit %d reached", s.cfg.MaxSessions))
-		return
-	}
-	ok := false
-	defer func() {
-		if !ok {
-			s.active.Add(-1)
-		}
-	}()
-
-	var req CreateSessionRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "decode request: "+err.Error())
-		return
-	}
-	sess, he := s.buildSession(req)
-	if he != nil {
-		writeError(w, he.status, he.code, he.msg)
-		return
-	}
-	if he := s.registerFresh(sess); he != nil {
-		writeError(w, he.status, he.code, he.msg)
-		return
-	}
-	ok = true
-	writeJSON(w, http.StatusCreated, sess.info)
-}
-
-// openSession is the transport-neutral session open: the draining and
-// capacity gates, the simulator build (or pool recycle), and
-// registration under a fresh id. Both POST /v1/sessions and the NBWP
-// OPEN frame reduce to it.
-func (s *Server) openSession(req CreateSessionRequest) (*session, *httpErr) {
-	if s.draining.Load() {
-		return nil, herr(http.StatusServiceUnavailable, CodeDraining, "server is draining")
-	}
-	if s.active.Add(1) > int64(s.cfg.MaxSessions) {
-		s.active.Add(-1)
-		return nil, herr(http.StatusServiceUnavailable, CodeServerFull,
-			fmt.Sprintf("session limit %d reached", s.cfg.MaxSessions))
-	}
-	sess, he := s.buildSession(req)
+	req, he := decodeCreateRequest(r.Body)
+	var sess *session
 	if he == nil {
-		he = s.registerFresh(sess)
+		sess, he = s.openSession(req)
 	}
 	if he != nil {
-		s.active.Add(-1)
-		return nil, he
+		writeHTTPErr(w, he)
+		return
 	}
-	return sess, nil
+	writeJSON(w, http.StatusCreated, sess.info)
 }
 
 // registerFresh registers sess under a newly minted id, retrying the
@@ -608,48 +580,16 @@ func (s *Server) registerSession(sess *session, id string) bool {
 
 // --- GET /v1/sessions/{id} --------------------------------------------------
 
-func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
-	sess, _, ok := s.find(r.PathValue("id"))
-	if !ok {
-		writeHTTPErr(w, s.notFoundErr(r.PathValue("id")))
-		return
-	}
-	info := sess.info
-	info.Words = sess.words.Load()
-	info.IdleCycles = sess.idle.Load()
-	info.LastSeq = sess.lastSeq.Load()
-	writeJSON(w, http.StatusOK, info)
-}
-
-// acquireSession takes the session's simulator under the server-side
-// AcquireTimeout bound. The bound must not come from the client context:
-// HTTP/1 servers only notice a client disconnect once the request body
-// has been read, and step/result/delete acquire before touching the
-// body, so an unbounded wait on a busy session could strand the
-// connection past the client's own deadline.
-func (s *Server) acquireSession(ctx context.Context, sess *session) error {
-	if s.cfg.AcquireTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.AcquireTimeout)
-		defer cancel()
-	}
-	return sess.acquire(ctx)
+func (s *Server) handleSession(w http.ResponseWriter, _ *http.Request, sess *session) {
+	writeJSON(w, http.StatusOK, sess.liveInfo())
 }
 
 // --- POST /v1/sessions/{id}/step --------------------------------------------
 
-func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
-	sess, sh, ok := s.find(r.PathValue("id"))
-	if !ok {
-		writeHTTPErr(w, s.notFoundErr(r.PathValue("id")))
-		return
-	}
+func (s *Server) handleStep(w http.ResponseWriter, r *http.Request, sess *session) {
 	q := r.URL.Query()
 	streaming := q.Get("stream") == "samples"
-	var (
-		seq    uint64
-		hasSeq bool
-	)
+	var req stepReq
 	if v := q.Get("seq"); v != "" {
 		if streaming {
 			writeError(w, http.StatusBadRequest, CodeBadRequest,
@@ -662,124 +602,61 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 				"seq must be a positive integer")
 			return
 		}
-		seq, hasSeq = n, true
-	}
-	ctx := r.Context()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
-	sh.queue.Add(1)
-	defer sh.queue.Add(-1)
-	if err := s.acquireSession(ctx, sess); err != nil {
-		writeError(w, http.StatusConflict, CodeSessionBusy, "session busy: "+err.Error())
-		return
-	}
-	defer sess.release()
-	if sess.closed {
-		writeHTTPErr(w, s.closedErr(sess.id))
-		return
-	}
-	defer s.harvestMemo(sess)
-
-	if hasSeq {
-		if sess.dirtySeq {
-			writeError(w, http.StatusConflict, CodeSeqConflict,
-				"a sequenced batch failed mid-apply; restore from a checkpoint before retrying")
-			return
-		}
-		last := sess.lastSeq.Load()
-		switch {
-		case seq <= last:
-			// Already applied: drain the body so the connection stays
-			// reusable and acknowledge idempotently — nothing re-steps, so
-			// a retried batch can never double-count energy.
-			//nanolint:ignore droppederr draining a duplicate body is best-effort
-			_, _ = io.Copy(io.Discard, r.Body)
-			sum := sess.lastSum
-			if seq != last {
-				sum = StepSummary{}
-			}
-			sum.Seq = seq
-			sum.Duplicate = true
-			sum.Cycles = sess.cycleCount()
-			s.seqDuplicatesTotal.Add(1)
-			writeJSON(w, http.StatusOK, sum)
-			return
-		case seq > last+1:
-			writeError(w, http.StatusConflict, CodeSeqGap,
-				fmt.Sprintf("seq %d skips ahead; expected %d", seq, last+1))
-			return
-		}
-		// seq == last+1: mark the write-ahead intent before any word
-		// reaches the simulator. If the batch dies mid-apply the flag
-		// stays set and all seq traffic gets 409/seq_conflict until a
-		// restore rewinds the state — the partial application can never
-		// be silently replayed.
-		sess.dirtySeq = true
+		req.seq = n
 	}
 
 	var (
-		sum       StepSummary
-		jsonOut   = json.NewEncoder(w)
+		started   bool // the streamed response's headers are out
 		flusher   http.Flusher
 		streamErr error
 	)
-	if streaming {
-		// Samples flow back while the body is still being read; HTTP/1
-		// needs explicit full-duplex (a no-op elsewhere, so the error is
-		// advisory).
-		//nanolint:ignore droppederr HTTP/2 and h2c are full-duplex already; nothing to enable
-		_ = http.NewResponseController(w).EnableFullDuplex()
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		flusher, _ = w.(http.Flusher)
-		w.WriteHeader(http.StatusOK)
+	req.feed = func(ctx context.Context, sum *StepSummary) error {
+		if streaming {
+			// Samples flow back while the body is still being read; HTTP/1
+			// needs explicit full-duplex (a no-op elsewhere, so the error
+			// is advisory).
+			//nanolint:ignore droppederr HTTP/2 and h2c are full-duplex already; nothing to enable
+			_ = http.NewResponseController(w).EnableFullDuplex()
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			flusher, _ = w.(http.Flusher)
+			w.WriteHeader(http.StatusOK)
+			started = true
+		}
+		return s.consumeBody(ctx, r, sess, sum)
 	}
-	sess.setOnSample(func(bus int, cs core.Sample) {
-		sum.Samples++
-		s.samplesTotal.Add(1)
-		if streaming && streamErr == nil {
+	if streaming {
+		req.emit = func(bus int, cs core.Sample) {
+			if streamErr != nil {
+				return
+			}
 			// Append-encoded into the session's reused buffer;
-			// byte-identical to jsonOut.Encode(StreamLine{Sample: &ws}).
+			// byte-identical to json.Encoder output for the StreamLine.
 			sess.encBuf = appendStreamSample(sess.encBuf[:0], fromCoreBusSample(bus, cs))
 			_, streamErr = w.Write(sess.encBuf)
 			if streamErr == nil && flusher != nil {
 				flusher.Flush()
 			}
 		}
-	})
-	defer sess.setOnSample(nil)
-
-	stepErr := s.consumeBody(ctx, r, sess, &sum)
-	sum.Cycles = sess.cycleCount()
-
-	if stepErr == nil {
-		if hasSeq {
-			sess.dirtySeq = false
-			sess.lastSeq.Store(seq)
-			sum.Seq = seq
-			sess.lastSum = sum
-		}
-		s.maybeAutoCheckpoint(ctx, sess)
 	}
-	if stepErr != nil {
-		he := asHTTPErr(stepErr)
-		if streaming {
-			// Headers are out; report the failure as a terminal line.
-			//nanolint:ignore droppederr the stream is already broken; nowhere left to report
-			_ = jsonOut.Encode(StreamLine{Error: &ErrorResponse{Error: he.msg, Code: he.code}})
-			return
+
+	sum, he := s.stepSession(r.Context(), sess, req)
+	switch {
+	case started:
+		// Headers are out; the summary or the failure is the last line.
+		line := StreamLine{Summary: &sum}
+		if he != nil {
+			line = StreamLine{Error: &ErrorResponse{Error: he.msg, Code: he.code}}
 		}
-		writeError(w, he.status, he.code, he.msg)
-		return
-	}
-	if streaming {
 		//nanolint:ignore droppederr a failed final write means the client is gone; no recovery path
-		_ = jsonOut.Encode(StreamLine{Summary: &sum})
-		return
+		_ = json.NewEncoder(w).Encode(line)
+	case sum.Duplicate:
+		// Drain the already-applied body so the connection stays reusable.
+		//nanolint:ignore droppederr draining a duplicate body is best-effort
+		_, _ = io.Copy(io.Discard, r.Body)
+		writeJSON(w, http.StatusOK, sum)
+	default:
+		replyJSON(w, sum, he)
 	}
-	writeJSON(w, http.StatusOK, sum)
 }
 
 // consumeBody feeds the request body into the session's simulator:
@@ -914,37 +791,9 @@ func (s *Server) consumeNDJSON(ctx context.Context, body io.Reader, sess *sessio
 
 // --- GET /v1/sessions/{id}/result -------------------------------------------
 
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	sess, sh, ok := s.find(r.PathValue("id"))
-	if !ok {
-		writeHTTPErr(w, s.notFoundErr(r.PathValue("id")))
-		return
-	}
-	ctx := r.Context()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
-	sh.queue.Add(1)
-	defer sh.queue.Add(-1)
-	if err := s.acquireSession(ctx, sess); err != nil {
-		writeError(w, http.StatusConflict, CodeSessionBusy, "session busy: "+err.Error())
-		return
-	}
-	defer sess.release()
-	if sess.closed {
-		writeHTTPErr(w, s.closedErr(sess.id))
-		return
-	}
-	defer s.harvestMemo(sess)
-
-	res, he := s.resultLocked(sess, r.URL.Query().Get("finish") != "0")
-	if he != nil {
-		writeError(w, he.status, he.code, he.msg)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+func (s *Server) handleResult(w http.ResponseWriter, r *http.Request, sess *session) {
+	res, he := s.sessionResult(r.Context(), sess, r.URL.Query().Get("finish") != "0")
+	replyJSON(w, res, he)
 }
 
 // resultLocked finishes the session (unless finish is false, which only
@@ -1071,49 +920,20 @@ func (s *Server) multiResultLocked(sess *session) Result {
 
 // --- DELETE /v1/sessions/{id} -----------------------------------------------
 
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	sess, sh, ok := s.find(id)
-	if !ok {
-		writeHTTPErr(w, s.notFoundErr(id))
-		return
-	}
-	sh.queue.Add(1)
-	defer sh.queue.Add(-1)
-	if err := s.acquireSession(r.Context(), sess); err != nil {
-		writeError(w, http.StatusConflict, CodeSessionBusy, "session busy: "+err.Error())
-		return
-	}
-	defer sess.release()
-	if sess.closed {
-		writeHTTPErr(w, s.closedErr(sess.id))
-		return
-	}
-	writeJSON(w, http.StatusOK, s.closeLocked(r.Context(), sess, sh))
-}
-
-// closeLocked tears a session down: deregisters it, drops its stored
-// checkpoint, and recycles the simulator. Both DELETE and the NBWP
-// GOODBYE frame reduce to it. The caller must hold the session and have
-// verified it is not already closed.
-func (s *Server) closeLocked(ctx context.Context, sess *session, sh *shard) CloseResponse {
-	resp := s.deregister(sess, sh)
-	if s.cfg.Store != nil {
-		// A deleted session must not be resurrectable.
-		//nanolint:ignore droppederr best-effort cleanup; a stale envelope only wastes store space
-		_ = s.cfg.Store.Delete(ctx, sess.id)
-	}
-	return resp
+func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, sess *session) {
+	resp, he := s.closeSession(r.Context(), sess)
+	replyJSON(w, resp, he)
 }
 
 // deregister removes sess from the table and recycles its simulator,
 // leaving any stored checkpoint alone (migration keeps the envelope —
 // it now belongs to the target node). The caller must hold the session.
-func (s *Server) deregister(sess *session, sh *shard) CloseResponse {
+func (s *Server) deregister(sess *session) CloseResponse {
 	sess.closed = true
 	s.harvestMemo(sess)
 	cycles := sess.cycleCount()
 
+	sh := s.shards[sess.info.Shard]
 	sh.mu.Lock()
 	delete(sh.sessions, sess.id)
 	sh.mu.Unlock()

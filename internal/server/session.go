@@ -74,8 +74,8 @@ func (p *pool) put(k poolKey, sim *core.Simulator) {
 }
 
 // session is one client-visible simulation stream. The simulator is
-// guarded by sem (capacity 1): step, result and delete requests serialize
-// on it, so the core never sees concurrent access. words/idle are atomics
+// guarded by sem (capacity 1): every session operation serializes on it
+// (see withSession), so the core never sees concurrent access. words/idle are atomics
 // so status and metrics reads never touch the simulator.
 type session struct {
 	id   string
@@ -92,8 +92,8 @@ type session struct {
 	sem   chan struct{}
 	words atomic.Uint64
 	idle  atomic.Uint64
-	// closed is set (under sem) by delete; requests that were already
-	// waiting on sem must re-check it after acquiring.
+	// closed is set (under sem) by close and migration; operations that
+	// were already waiting on sem re-check it after acquiring.
 	closed bool
 	// lastMemo is the memo snapshot at the last harvest (guarded by sem).
 	lastMemo energy.MemoStats
@@ -122,13 +122,18 @@ type session struct {
 	ckptCycles uint64
 }
 
-// acquire takes the session's simulator, failing when ctx ends first.
-func (s *session) acquire(ctx context.Context) error {
+// tryAcquire takes the session's simulator if it is free.
+func (s *session) tryAcquire() bool {
 	select {
 	case s.sem <- struct{}{}:
-		return nil
+		return true
 	default:
+		return false
 	}
+}
+
+// acquire waits for the session's simulator, failing when ctx ends first.
+func (s *session) acquire(ctx context.Context) error {
 	select {
 	case s.sem <- struct{}{}:
 		return nil
@@ -138,6 +143,15 @@ func (s *session) acquire(ctx context.Context) error {
 }
 
 func (s *session) release() { <-s.sem }
+
+// liveInfo returns the session's info document with its live counters.
+func (s *session) liveInfo() SessionInfo {
+	info := s.info
+	info.Words = s.words.Load()
+	info.IdleCycles = s.idle.Load()
+	info.LastSeq = s.lastSeq.Load()
+	return info
+}
 
 // --- Simulator dispatch ------------------------------------------------------
 
@@ -233,8 +247,9 @@ func (s *session) cycleCount() uint64 {
 type shard struct {
 	mu       sync.Mutex
 	sessions map[string]*session
-	// queue counts step/result/delete requests waiting for or holding a
-	// session of this shard (the per-shard queue depth metric).
+	// queue counts session operations waiting for or holding a session
+	// of this shard, on either transport (the per-shard queue depth
+	// metric).
 	queue atomic.Int64
 }
 
