@@ -50,6 +50,8 @@ func (b *BI) EncodeBatch(dst []uint64, src []uint32) {
 }
 
 // EncodeBatch implements BatchEncoder.
+//
+//nanolint:hotpath per-chunk OEBI encode under Simulator.StepBatch; allocates nothing
 func (o *OEBI) EncodeBatch(dst []uint64, src []uint32) {
 	for i, w := range src {
 		dst[i] = o.Encode(w)
@@ -57,6 +59,8 @@ func (o *OEBI) EncodeBatch(dst []uint64, src []uint32) {
 }
 
 // EncodeBatch implements BatchEncoder.
+//
+//nanolint:hotpath per-chunk CBI encode under Simulator.StepBatch; allocates nothing
 func (c *CBI) EncodeBatch(dst []uint64, src []uint32) {
 	for i, w := range src {
 		dst[i] = c.Encode(w)

@@ -143,8 +143,9 @@ func (c *CoolCap) Encode(data uint32) uint64 {
 		shift := uint(8 * g)
 		prevByte := uint32(c.prev>>shift) & 0xFF
 		dataByte := (data >> shift) & 0xFF
-		// Count the group's switching bits including the invert line's own
-		// transition for the candidate we would otherwise pick.
+		// Invert when more than half of the group's eight data bits would
+		// switch. Only data bits are counted: the invert line's own
+		// transition does not enter the decision.
 		if bits.OnesCount32(prevByte^dataByte) > 4 {
 			phys ^= 0xFF << shift              // invert the group's data bits
 			phys |= 1 << (DataWidth + uint(g)) // raise the group's invert line

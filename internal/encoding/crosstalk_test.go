@@ -38,13 +38,12 @@ func TestCrosstalkClassEdgeWire(t *testing.T) {
 }
 
 func TestCrosstalkClassMatchesCouplingCost(t *testing.T) {
-	// Sum of per-wire classes equals 2x the couplingCost (each pair
-	// contributes its (vi-vj)^2... note couplingCost counts each pair
-	// once, classes count it from both wires)... verify the exact 2x
-	// relation on random words. Classes are |di-dj| (0..2) per pair while
-	// couplingCost uses (di-dj)^2 (0,1,4), so the relation is exact only
-	// for |d| in {0,1}; use single-direction patterns to pin it, then
-	// sanity-bound the general case.
+	// Every adjacent pair enters the class sum twice, once from each of
+	// its wires, as |di-dj|, while couplingCost charges it once as
+	// (di-dj)^2. The two agree (class sum == 2*couplingCost) exactly when
+	// no pair switches in opposite directions, because |d| == d^2 for
+	// |d| <= 1. Rising-only transitions guarantee that, so random
+	// rising-only words pin the relation.
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 200; trial++ {
 		prev := rng.Uint64() & 0xFFFF

@@ -47,15 +47,22 @@ const DataWidth = 32
 // difference of normalised transition directions (vi - vj)^2, which is 4
 // for a toggle (Miller case), 1 for a switch against a quiet line, and 0
 // otherwise — proportional to the pair's coupling energy.
+//
+// It scores all pairs at once on bit masks (DESIGN.md §10): a pair costs
+// 1 when exactly one of its wires toggles, 4 when the two switch in
+// opposite directions. Bits at or above width are ignored.
+//
+//nanolint:hotpath called up to four times per encoded OEBI/CBI word; pure arithmetic
 func couplingCost(prev, cur uint64, width int) int {
-	cost := 0
-	for i := 0; i < width-1; i++ {
-		vi := dir(prev, cur, i)
-		vj := dir(prev, cur, i+1)
-		d := vi - vj
-		cost += d * d
+	if width < 2 {
+		return 0
 	}
-	return cost
+	rise, fall := ^prev&cur, prev&^cur
+	tog := rise | fall
+	pairs := uint64(1)<<uint(width-1) - 1 // pair i spans wires i and i+1
+	single := (tog ^ tog>>1) & pairs
+	opposed := (rise&(fall>>1) | fall&(rise>>1)) & pairs
+	return bits.OnesCount64(single) + 4*bits.OnesCount64(opposed)
 }
 
 // dir returns the normalised transition direction of bit i: +1 rising,
@@ -181,36 +188,27 @@ const (
 	oebiOddMask  = uint32(0xAAAAAAAA)
 )
 
-// assemble builds the physical word from data and the two invert flags.
-func (o *OEBI) assemble(data uint32, invOdd, invEven bool) uint64 {
-	d := data
-	if invOdd {
-		d ^= oebiOddMask
-	}
-	if invEven {
-		d ^= oebiEvenMask
-	}
-	phys := uint64(d) << 1 // data on wires 1..32
-	if invOdd {
-		phys |= 1 // odd-invert line: LSB wire
-	}
-	if invEven {
-		phys |= 1 << (DataWidth + 1) // even-invert line: MSB wire
-	}
-	return phys
+// oebiModes are the OEBI candidates as XOR masks over the uninverted
+// physical word, in tie-break order none, even, odd, both: each flips its
+// parity class's data wires and raises that class's invert line.
+var oebiModes = [4]uint64{
+	0,
+	uint64(oebiEvenMask)<<1 | 1<<(DataWidth+1),
+	uint64(oebiOddMask)<<1 | 1,
+	uint64(oebiEvenMask|oebiOddMask)<<1 | 1<<(DataWidth+1) | 1,
 }
 
-// Encode implements Encoder.
+// Encode implements Encoder. The first strictly cheapest mode wins.
 func (o *OEBI) Encode(data uint32) uint64 {
+	plain := uint64(data) << 1
 	if o.first {
 		o.first = false
-		o.prev = o.assemble(data, false, false)
-		return o.prev
+		o.prev = plain
+		return plain
 	}
-	best := o.assemble(data, false, false)
-	bestCost := couplingCost(o.prev, best, o.Width())
-	for _, mode := range [3][2]bool{{false, true}, {true, false}, {true, true}} {
-		cand := o.assemble(data, mode[0], mode[1])
+	best, bestCost := plain, couplingCost(o.prev, plain, o.Width())
+	for _, m := range oebiModes[1:] {
+		cand := plain ^ m
 		if c := couplingCost(o.prev, cand, o.Width()); c < bestCost {
 			best, bestCost = cand, c
 		}

@@ -1,11 +1,27 @@
 package encoding
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// couplingCostRef is the definition couplingCost implements: the sum over
+// adjacent wire pairs below width of (vi - vj)^2, one pair at a time. The
+// encoder tests check mode decisions against it, and FuzzCouplingCost
+// checks the mask form against it.
+func couplingCostRef(prev, cur uint64, width int) int {
+	cost := 0
+	for i := 0; i < width-1; i++ {
+		d := dir(prev, cur, i) - dir(prev, cur, i+1)
+		cost += d * d
+	}
+	return cost
+}
 
 // roundTrip drives an encoder/decoder pair over a word sequence and checks
 // every word is recovered.
@@ -154,8 +170,8 @@ func TestOEBINoWorseCouplingThanUnencoded(t *testing.T) {
 		w := rng.Uint32()
 		phys := enc.Encode(w)
 		rawPhys := uint64(w) << 1 // mode 00 candidate on the same layout
-		cEnc := couplingCost(prevPhys, phys, enc.Width())
-		cRaw := couplingCost(prevPhys, rawPhys, enc.Width())
+		cEnc := couplingCostRef(prevPhys, phys, enc.Width())
+		cRaw := couplingCostRef(prevPhys, rawPhys, enc.Width())
 		if cEnc > cRaw {
 			t.Fatalf("step %d: OEBI coupling cost %d > unencoded-on-same-bus %d", i, cEnc, cRaw)
 		}
@@ -172,8 +188,8 @@ func TestCBIPicksLowerCouplingChoice(t *testing.T) {
 		phys := enc.Encode(w)
 		plain := uint64(w)
 		inverted := uint64(^w) | 1<<DataWidth
-		cPlain := couplingCost(prev, plain, enc.Width())
-		cInv := couplingCost(prev, inverted, enc.Width())
+		cPlain := couplingCostRef(prev, plain, enc.Width())
+		cInv := couplingCostRef(prev, inverted, enc.Width())
 		want := plain
 		if cInv < cPlain {
 			want = inverted
@@ -182,6 +198,47 @@ func TestCBIPicksLowerCouplingChoice(t *testing.T) {
 			t.Fatalf("step %d: CBI sent %#x, want %#x (costs plain=%d inv=%d)", i, phys, want, cPlain, cInv)
 		}
 		prev = phys
+	}
+}
+
+// TestPaperEncodersGolden pins the exact physical word streams of the
+// coupling-driven encoders, so any change to a mode decision, the
+// tie-break order included, shows up as a digest mismatch. Each digest is
+// the SHA-256 of the little-endian uint64 words a fresh encoder emits.
+// Stream A is 65536 words of rand.NewSource(1); stream B is the
+// sequential addresses 4*i, whose many cost ties pin the tie-break order.
+func TestPaperEncodersGolden(t *testing.T) {
+	const n = 1 << 16
+	random, sequential := make([]uint32, n), make([]uint32, n)
+	rng := rand.New(rand.NewSource(1))
+	for i := range random {
+		random[i] = rng.Uint32()
+		sequential[i] = uint32(4 * i)
+	}
+	cases := []struct {
+		scheme, stream string
+		words          []uint32
+		want           string
+	}{
+		{"OEBI", "A", random, "5235e1bdcdd7c0694a41e2f1e1566243220579bd6f487fe337a1f52b783e7cba"},
+		{"OEBI", "B", sequential, "a90f117331425c00db9618d7773b120c07bbfc01367a2a1d40dd7f5315694c5d"},
+		{"CBI", "A", random, "b9a2bf67228559f6ca7ad8eadd690325fd78e2dcaca409b23b244d0584dfe565"},
+		{"CBI", "B", sequential, "d455831ba25cc2bf4eb143fd8b1f1817073966b3d0c17ac559b9af2a156c6a0f"},
+	}
+	for _, c := range cases {
+		enc, err := New(c.scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var buf [8]byte
+		for _, w := range c.words {
+			binary.LittleEndian.PutUint64(buf[:], enc.Encode(w))
+			h.Write(buf[:])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("%s stream %s: digest %s, want %s", c.scheme, c.stream, got, c.want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package encoding
 
 import (
 	"encoding/binary"
+	"math/rand"
 	"testing"
 )
 
@@ -78,6 +79,29 @@ func FuzzEncoders(f *testing.F) {
 					}
 				}
 			}
+		}
+	})
+}
+
+// FuzzCouplingCost checks the mask form of couplingCost against the
+// per-pair definition on arbitrary words and every width 1..64,
+// including words with bits set at or above width. Besides the edge
+// cases, the seed corpus holds random triples, so plain `go test` runs
+// the differential check too.
+func FuzzCouplingCost(f *testing.F) {
+	f.Add(uint64(0), uint64(0), uint8(34))
+	f.Add(uint64(0b01), uint64(0b10), uint8(2))
+	f.Add(uint64(0x5555555555555555), uint64(0xAAAAAAAAAAAAAAAA), uint8(64))
+	f.Add(uint64(0xFFFFFFFF00000000), uint64(0x00000000FFFFFFFF), uint8(33))
+	f.Add(uint64(1)<<63, uint64(0), uint8(1))
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 64; i++ {
+		f.Add(rng.Uint64(), rng.Uint64(), uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, prev, cur uint64, width uint8) {
+		w := int(width)%64 + 1
+		if got, want := couplingCost(prev, cur, w), couplingCostRef(prev, cur, w); got != want {
+			t.Fatalf("couplingCost(%#x, %#x, %d) = %d, want %d", prev, cur, w, got, want)
 		}
 	})
 }

@@ -7,7 +7,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 OUT=BENCH_hotpath.json
-PATTERN='BenchmarkTransition|BenchmarkThermalAdvance|BenchmarkRunPair|BenchmarkStepBatch|BenchmarkMultiStep|BenchmarkSweepWorkers|BenchmarkBinaryIngest|BenchmarkStreamSampleEncode|BenchmarkCoolingStep'
+PATTERN='BenchmarkTransition|BenchmarkThermalAdvance|BenchmarkRunPair|BenchmarkStepBatch|BenchmarkMultiStep|BenchmarkSweepWorkers|BenchmarkBinaryIngest|BenchmarkStreamSampleEncode|BenchmarkCoolingStep|BenchmarkEncoders'
 RAW=$(mktemp)
 ENTRIES=$(mktemp)
 trap 'rm -f "$RAW" "$ENTRIES"' EXIT

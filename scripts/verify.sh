@@ -47,7 +47,7 @@ go run ./scripts/benchgate -baseline BENCH_hotpath.json < "$tmp/bench_fast.txt"
 # Memo-warmed kernels need enough iterations to reach their steady-state
 # hit rate (the baseline regime); 100x would gate against a cold cache.
 go test -run NONE \
-    -bench 'BenchmarkTransition|BenchmarkRunPair|BenchmarkStepBatch|BenchmarkMultiStep|BenchmarkCoolingStep' \
+    -bench 'BenchmarkTransition|BenchmarkRunPair|BenchmarkStepBatch|BenchmarkMultiStep|BenchmarkCoolingStep|BenchmarkEncoders' \
     -benchmem -benchtime 100000x -count 3 . > "$tmp/bench_warm.txt"
 go run ./scripts/benchgate -baseline BENCH_hotpath.json < "$tmp/bench_warm.txt"
 # Whole-sweep benchmarks run ~0.5 s/op, so one iteration is already stable.
