@@ -77,8 +77,19 @@ func BenchmarkTransition(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		// Warm the memo with one full pass over the stream so the timed
+		// loop measures the steady state at any -benchtime; hit_pct counts
+		// only the timed lookups.
 		prev := uint64(0)
+		for _, cur := range words {
+			if _, err := memo.Transition(prev, cur, out); err != nil {
+				b.Fatal(err)
+			}
+			prev = cur
+		}
+		warm := memo.Stats()
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			cur := words[i&(len(words)-1)]
 			if _, err := memo.Transition(prev, cur, out); err != nil {
@@ -86,7 +97,10 @@ func BenchmarkTransition(b *testing.B) {
 			}
 			prev = cur
 		}
-		b.ReportMetric(100*memo.Stats().HitRate(), "hit_pct")
+		b.StopTimer()
+		st := memo.Stats()
+		hits, misses := st.Hits-warm.Hits, st.Misses-warm.Misses
+		b.ReportMetric(100*float64(hits)/float64(hits+misses), "hit_pct")
 	})
 }
 

@@ -82,11 +82,11 @@ func TestSec33Numbers(t *testing.T) {
 		t.Fatalf("%d rows", len(rows))
 	}
 	for i, r := range rows {
-		// Underestimate must be in the several-percent range the paper
-		// reports (6.6% at 130 nm with FastCap's matrix; our BEM decay
-		// gives a nearby figure) and roughly node-independent.
-		if r.MiddleUnderestimatePct < 2 || r.MiddleUnderestimatePct > 12 {
-			t.Errorf("%s: underestimate %.2f%% outside [2,12]", r.Node.Name, r.MiddleUnderestimatePct)
+		// The paper reports 6.6% at 130 nm with FastCap's matrix; our BEM
+		// decay measures 4.09% (45 nm) to 4.25% (130 nm). The band is that
+		// range widened by 0.5 percentage points on each side.
+		if r.MiddleUnderestimatePct < 3.6 || r.MiddleUnderestimatePct > 4.75 {
+			t.Errorf("%s: underestimate %.2f%% outside [3.6,4.75]", r.Node.Name, r.MiddleUnderestimatePct)
 		}
 		if i > 0 {
 			d := math.Abs(r.MiddleUnderestimatePct - rows[0].MiddleUnderestimatePct)
@@ -142,13 +142,14 @@ func TestFig3SmallRun(t *testing.T) {
 			t.Errorf("zero energy in %+v", c)
 		}
 	}
-	// Paper finding (e): encodings on the IA bus are ineffective — within
-	// a few percent of unencoded, never dramatically better.
+	// Paper finding (e): encodings on the IA bus are ineffective. Measured
+	// against unencoded: BI and CBI 1.0000x, OEBI 1.0020x (0.2% worse).
+	// The band is 1% either side of unencoded, five times that gap.
 	un := byKey["IA/Unencoded/mean"].All
 	for _, scheme := range []string{"BI", "OEBI", "CBI"} {
 		enc := byKey["IA/"+scheme+"/mean"].All
-		if enc < 0.9*un {
-			t.Errorf("%s on IA improved energy by >10%% (%.3g vs %.3g), contradicting the paper's finding",
+		if math.Abs(enc/un-1) > 0.01 {
+			t.Errorf("%s on IA moved energy by more than 1%% (%.4g vs %.4g), contradicting the paper's finding",
 				scheme, enc, un)
 		}
 	}

@@ -3,7 +3,6 @@ package server_test
 import (
 	"context"
 	"errors"
-	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -14,6 +13,7 @@ import (
 	"nanobus/client"
 	"nanobus/internal/blob"
 	"nanobus/internal/core"
+	"nanobus/internal/e2e"
 	"nanobus/internal/faultinject"
 	"nanobus/internal/server"
 )
@@ -49,31 +49,12 @@ func runSeq(t *testing.T, sess client.Session, first, last uint64) client.StepSu
 	return sum
 }
 
-// sameResult compares two session results bit-for-bit.
-func sameResult(t *testing.T, a, b *client.Result) {
+// sameResult requires two session results to be bit-identical under the
+// gates' shared definition (e2e.SameResult).
+func sameResult(t *testing.T, want, got *client.Result) {
 	t.Helper()
-	if a.Cycles != b.Cycles {
-		t.Fatalf("cycles: %d vs %d", a.Cycles, b.Cycles)
-	}
-	if math.Float64bits(a.Total.TotalJ) != math.Float64bits(b.Total.TotalJ) ||
-		math.Float64bits(a.Total.SelfJ) != math.Float64bits(b.Total.SelfJ) ||
-		math.Float64bits(a.Total.CoupAdjJ) != math.Float64bits(b.Total.CoupAdjJ) ||
-		math.Float64bits(a.Total.CoupNonAdjJ) != math.Float64bits(b.Total.CoupNonAdjJ) {
-		t.Fatalf("energy split differs: %+v vs %+v", a.Total, b.Total)
-	}
-	if math.Float64bits(a.AvgTempK) != math.Float64bits(b.AvgTempK) ||
-		math.Float64bits(a.MaxTempK) != math.Float64bits(b.MaxTempK) {
-		t.Fatalf("temps differ: (%g,%g) vs (%g,%g)", a.AvgTempK, a.MaxTempK, b.AvgTempK, b.MaxTempK)
-	}
-	if len(a.Samples) != len(b.Samples) {
-		t.Fatalf("sample counts: %d vs %d", len(a.Samples), len(b.Samples))
-	}
-	for i := range a.Samples {
-		if a.Samples[i].EndCycle != b.Samples[i].EndCycle ||
-			math.Float64bits(a.Samples[i].EnergyJ) != math.Float64bits(b.Samples[i].EnergyJ) ||
-			math.Float64bits(a.Samples[i].MaxTempK) != math.Float64bits(b.Samples[i].MaxTempK) {
-			t.Fatalf("sample %d differs: %+v vs %+v", i, a.Samples[i], b.Samples[i])
-		}
+	if err := e2e.SameResult(want, got, e2e.Bits); err != nil {
+		t.Fatal(err)
 	}
 }
 

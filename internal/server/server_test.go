@@ -16,6 +16,7 @@ import (
 
 	"nanobus/client"
 	"nanobus/internal/core"
+	"nanobus/internal/e2e"
 	"nanobus/internal/encoding"
 	"nanobus/internal/itrs"
 	"nanobus/internal/server"
@@ -96,42 +97,6 @@ func libraryRun(t *testing.T, cfg client.SessionConfig, lines []client.StepLine)
 
 func bitsEq(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// compareResult asserts the service result is bit-identical to the
-// library simulator.
-func compareResult(t *testing.T, res *client.Result, sim *core.Simulator) {
-	t.Helper()
-	if res.Cycles != sim.Cycles() {
-		t.Fatalf("cycles: server %d, library %d", res.Cycles, sim.Cycles())
-	}
-	tot := sim.TotalEnergy()
-	if !bitsEq(res.Total.TotalJ, tot.Total()) || !bitsEq(res.Total.SelfJ, tot.Self) ||
-		!bitsEq(res.Total.CoupAdjJ, tot.CoupAdj) || !bitsEq(res.Total.CoupNonAdjJ, tot.CoupNonAdj) {
-		t.Fatalf("total energy differs: server %+v, library %+v", res.Total, tot)
-	}
-	libSamples := sim.Samples()
-	if len(res.Samples) != len(libSamples) {
-		t.Fatalf("samples: server %d, library %d", len(res.Samples), len(libSamples))
-	}
-	for i, ss := range res.Samples {
-		ls := libSamples[i]
-		if ss.EndCycle != ls.EndCycle || ss.MaxWire != ls.MaxWire ||
-			!bitsEq(ss.EnergyJ, ls.Energy) || !bitsEq(ss.SelfJ, ls.Self) ||
-			!bitsEq(ss.CoupAdjJ, ls.CoupAdj) || !bitsEq(ss.CoupNonAdjJ, ls.CoupNonAdj) ||
-			!bitsEq(ss.AvgTempK, ls.AvgTemp) || !bitsEq(ss.MaxTempK, ls.MaxTemp) {
-			t.Fatalf("sample %d differs: server %+v, library %+v", i, ss, ls)
-		}
-	}
-	libTemps := sim.Temps()
-	if len(res.TempsK) != len(libTemps) {
-		t.Fatalf("temps length: server %d, library %d", len(res.TempsK), len(libTemps))
-	}
-	for i := range libTemps {
-		if !bitsEq(res.TempsK[i], libTemps[i]) {
-			t.Fatalf("temp %d differs: server %g, library %g", i, res.TempsK[i], libTemps[i])
-		}
-	}
-}
-
 func TestSessionBitIdenticalToLibrary(t *testing.T) {
 	_, c := newTestService(t, server.Config{})
 	ctx := context.Background()
@@ -164,7 +129,9 @@ func TestSessionBitIdenticalToLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareResult(t, res, libraryRun(t, cfg, lines))
+	if err := e2e.SameAsLibrary(res, libraryRun(t, cfg, lines)); err != nil {
+		t.Fatal(err)
+	}
 	if res.Memo.Hits+res.Memo.Misses == 0 {
 		t.Fatal("memo counters never moved")
 	}

@@ -19,40 +19,26 @@
 package main
 
 import (
-	"bufio"
 	"context"
-	"flag"
 	"fmt"
-	"math"
-	"os"
-	"os/exec"
-	"strings"
 	"time"
 
 	"nanobus/client"
+	"nanobus/internal/e2e"
 	"nanobus/internal/expt"
 	"nanobus/internal/itrs"
 )
 
-func main() {
-	bin := flag.String("bin", "", "path to the built nanobusd binary")
-	timeout := flag.Duration("timeout", 120*time.Second, "overall gate deadline")
-	flag.Parse()
-	if *bin == "" {
-		fmt.Fprintln(os.Stderr, "adaptive_gate: -bin is required")
-		os.Exit(2)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-	defer cancel()
+func main() { e2e.Main("adaptive_gate", 120*time.Second, run) }
+
+func run(ctx context.Context, bin string) error {
 	if err := libraryLeg(); err != nil {
-		fmt.Fprintf(os.Stderr, "adaptive_gate: FAIL: library: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("library: %w", err)
 	}
-	if err := transportLeg(ctx, *bin); err != nil {
-		fmt.Fprintf(os.Stderr, "adaptive_gate: FAIL: transport: %v\n", err)
-		os.Exit(1)
+	if err := transportLeg(ctx, bin); err != nil {
+		return fmt.Errorf("transport: %w", err)
 	}
-	fmt.Println("adaptive_gate: PASS")
+	return nil
 }
 
 // libraryLeg runs the cooling cell twice in process and pins the headline
@@ -95,8 +81,7 @@ func libraryLeg() error {
 		return err
 	}
 	c2 := second[0]
-	if math.Float64bits(c2.CeilingK) != math.Float64bits(c.CeilingK) ||
-		math.Float64bits(c2.PeakAdaptiveK) != math.Float64bits(c.PeakAdaptiveK) {
+	if !e2e.Bits(c2.CeilingK, c.CeilingK) || !e2e.Bits(c2.PeakAdaptiveK, c.PeakAdaptiveK) {
 		return fmt.Errorf("re-run derived a different cell: ceiling %.17g vs %.17g, peak %.17g vs %.17g",
 			c2.CeilingK, c.CeilingK, c2.PeakAdaptiveK, c.PeakAdaptiveK)
 	}
@@ -106,7 +91,7 @@ func libraryLeg() error {
 	for i := range c.Switches {
 		a, b := c.Switches[i], c2.Switches[i]
 		if a.Cycle != b.Cycle || a.From != b.From || a.To != b.To ||
-			math.Float64bits(a.TempK) != math.Float64bits(b.TempK) {
+			!e2e.Bits(a.TempK, b.TempK) {
 			return fmt.Errorf("switch %d differs across runs: %+v vs %+v", i, a, b)
 		}
 	}
@@ -134,43 +119,16 @@ func hammerTrace() []uint32 {
 	return out
 }
 
-type gateRun struct {
-	res      *client.Result
-	streamed []client.Sample
-}
-
 // transportLeg self-calibrates an adaptive session against the daemon the
 // same way the cooling experiment does, then requires the switch schedule
 // to reproduce bit for bit over HTTP (twice) and NBWP (once, streamed).
 func transportLeg(ctx context.Context, bin string) error {
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-nbwp-addr", "127.0.0.1:0")
-	stdout, err := cmd.StdoutPipe()
+	d, err := e2e.Start(bin, []string{"-addr", "127.0.0.1:0", "-nbwp-addr", "127.0.0.1:0"}, nil)
 	if err != nil {
 		return err
 	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return fmt.Errorf("start %s: %w", bin, err)
-	}
-	defer func() {
-		_ = cmd.Process.Kill() //nanolint:ignore droppederr best-effort teardown of the gate daemon
-		_ = cmd.Wait()         //nanolint:ignore droppederr best-effort teardown of the gate daemon
-	}()
-	sc := bufio.NewScanner(stdout)
-	addr, err := awaitBanner(sc, "nanobusd: listening on ")
-	if err != nil {
-		return err
-	}
-	nbwpAddr, err := awaitBanner(sc, "nanobusd: nbwp on ")
-	if err != nil {
-		return err
-	}
-	go func() { // keep the pipe drained so the daemon never blocks on stdout
-		for sc.Scan() {
-		}
-	}()
-
-	hc := client.New("http://" + addr)
+	defer d.Kill()
+	hc := client.New(d.URL())
 	if err := hc.Healthz(ctx); err != nil {
 		return fmt.Errorf("healthz: %w", err)
 	}
@@ -212,18 +170,11 @@ func transportLeg(ctx context.Context, bin string) error {
 	if err != nil {
 		return fmt.Errorf("http adaptive re-run: %w", err)
 	}
-	nbwpRun, err := runNBWP(ctx, nbwpAddr, cfg, trace)
+	nbwpRes, streamed, err := runNBWP(ctx, d.NBWPAddr, cfg, trace)
 	if err != nil {
 		return fmt.Errorf("nbwp adaptive run: %w", err)
 	}
 
-	runs := []struct {
-		name string
-		res  *client.Result
-	}{
-		{"http re-run", httpAgain},
-		{"nbwp", nbwpRun.res},
-	}
 	if ref.Adaptive == nil || len(ref.Adaptive.Switches) == 0 {
 		return fmt.Errorf("adaptive run recorded no switch; the gate would be vacuous")
 	}
@@ -235,27 +186,24 @@ func transportLeg(ctx context.Context, bin string) error {
 	if peakBase <= ceiling {
 		return fmt.Errorf("static base peak %.6f K does not exceed the ceiling %.6f K", peakBase, ceiling)
 	}
-	for _, run := range runs {
-		if err := sameAdaptiveResult(ref, run.res); err != nil {
-			return fmt.Errorf("%s differs from http reference: %w", run.name, err)
-		}
+	if err := e2e.SameResult(ref, httpAgain, e2e.Bits); err != nil {
+		return fmt.Errorf("http re-run differs from http reference: %w", err)
+	}
+	if err := e2e.SameResult(ref, nbwpRes, e2e.Bits); err != nil {
+		return fmt.Errorf("nbwp differs from http reference: %w", err)
 	}
 	// SAMPLE frames streamed live over NBWP carry the same tags as the
 	// retained result samples (the final partial interval is not streamed).
-	if len(nbwpRun.streamed) == 0 {
+	if len(streamed) == 0 {
 		return fmt.Errorf("nbwp stream produced no samples")
 	}
-	for i, ss := range nbwpRun.streamed {
-		rs := nbwpRun.res.Samples[i]
-		if ss.Encoder != rs.Encoder || ss.Switched != rs.Switched ||
-			math.Float64bits(ss.MaxTempK) != math.Float64bits(rs.MaxTempK) {
-			return fmt.Errorf("nbwp streamed sample %d differs from result: %+v vs %+v", i, ss, rs)
-		}
+	if err := e2e.SameStream(nbwpRes, streamed); err != nil {
+		return fmt.Errorf("nbwp: %w", err)
 	}
 
 	fmt.Printf("adaptive_gate: transport: ceiling %.4f K defended over http+nbwp (base peak %.4f K, %d switch(es) bit-identical across 3 runs, %d/%d samples streamed)\n",
-		ceiling, peakBase, len(ref.Adaptive.Switches), len(nbwpRun.streamed), len(nbwpRun.res.Samples))
-	return nil
+		ceiling, peakBase, len(ref.Adaptive.Switches), len(streamed), len(nbwpRes.Samples))
+	return d.Drain(ctx)
 }
 
 func adaptiveCfg(ceiling, guard float64) client.SessionConfig {
@@ -269,11 +217,9 @@ func adaptiveCfg(ceiling, guard float64) client.SessionConfig {
 	}
 }
 
-func runHTTP(ctx context.Context, hc *client.Client, cfg client.SessionConfig, trace []uint32) (*client.Result, error) {
-	sess, err := hc.OpenSession(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
+// runSession steps the trace through an open session and returns its
+// finished result.
+func runSession(ctx context.Context, sess client.Session, trace []uint32) (*client.Result, error) {
 	if _, err := sess.StepBinary(ctx, trace); err != nil {
 		return nil, err
 	}
@@ -281,16 +227,23 @@ func runHTTP(ctx context.Context, hc *client.Client, cfg client.SessionConfig, t
 	if err != nil {
 		return nil, err
 	}
-	if err := sess.Close(ctx); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return res, sess.Close(ctx)
 }
 
-func runNBWP(ctx context.Context, addr string, cfg client.SessionConfig, trace []uint32) (gateRun, error) {
+func runHTTP(ctx context.Context, hc *client.Client, cfg client.SessionConfig, trace []uint32) (*client.Result, error) {
+	sess, err := hc.OpenSession(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return runSession(ctx, sess, trace)
+}
+
+// runNBWP runs the trace over NBWP and also returns the SAMPLE frames
+// streamed live while it ran.
+func runNBWP(ctx context.Context, addr string, cfg client.SessionConfig, trace []uint32) (*client.Result, []client.Sample, error) {
 	nc, err := client.DialNBWP(ctx, addr)
 	if err != nil {
-		return gateRun{}, err
+		return nil, nil, err
 	}
 	defer func() {
 		_ = nc.Close() //nanolint:ignore droppederr best-effort close; the run already reported its outcome
@@ -298,69 +251,13 @@ func runNBWP(ctx context.Context, addr string, cfg client.SessionConfig, trace [
 	var streamed []client.Sample
 	sess, err := nc.Open(ctx, cfg, func(s client.Sample) { streamed = append(streamed, s) })
 	if err != nil {
-		return gateRun{}, err
+		return nil, nil, err
 	}
-	if _, err := sess.StepBinary(ctx, trace); err != nil {
-		return gateRun{}, err
-	}
-	res, err := sess.Result(ctx, true)
+	res, err := runSession(ctx, sess, trace)
 	if err != nil {
-		return gateRun{}, err
+		return nil, nil, err
 	}
-	if err := sess.Close(ctx); err != nil {
-		return gateRun{}, err
-	}
-	if err := nc.Goodbye(ctx); err != nil {
-		return gateRun{}, err
-	}
-	return gateRun{res: res, streamed: streamed}, nil
-}
-
-// sameAdaptiveResult requires got's switch schedule, occupancy split,
-// per-sample encoder tags and figures to match want bit for bit.
-func sameAdaptiveResult(want, got *client.Result) error {
-	if got.Adaptive == nil {
-		return fmt.Errorf("adaptive result block missing")
-	}
-	if got.Adaptive.Active != want.Adaptive.Active {
-		return fmt.Errorf("active encoder %q, want %q", got.Adaptive.Active, want.Adaptive.Active)
-	}
-	if len(got.Adaptive.Switches) != len(want.Adaptive.Switches) {
-		return fmt.Errorf("switch count %d, want %d", len(got.Adaptive.Switches), len(want.Adaptive.Switches))
-	}
-	for i, w := range want.Adaptive.Switches {
-		g := got.Adaptive.Switches[i]
-		if g.Cycle != w.Cycle || g.From != w.From || g.To != w.To ||
-			math.Float64bits(g.TempK) != math.Float64bits(w.TempK) {
-			return fmt.Errorf("switch %d: %+v, want %+v", i, g, w)
-		}
-	}
-	if len(got.Adaptive.Occupancy) != len(want.Adaptive.Occupancy) {
-		return fmt.Errorf("occupancy length %d, want %d", len(got.Adaptive.Occupancy), len(want.Adaptive.Occupancy))
-	}
-	for i, w := range want.Adaptive.Occupancy {
-		if g := got.Adaptive.Occupancy[i]; g != w {
-			return fmt.Errorf("occupancy %d: %+v, want %+v", i, g, w)
-		}
-	}
-	if got.Cycles != want.Cycles ||
-		math.Float64bits(got.Total.TotalJ) != math.Float64bits(want.Total.TotalJ) ||
-		math.Float64bits(got.MaxTempK) != math.Float64bits(want.MaxTempK) {
-		return fmt.Errorf("figures differ: got %d cycles %.17g J %.17g K, want %d cycles %.17g J %.17g K",
-			got.Cycles, got.Total.TotalJ, got.MaxTempK, want.Cycles, want.Total.TotalJ, want.MaxTempK)
-	}
-	if len(got.Samples) != len(want.Samples) {
-		return fmt.Errorf("sample count %d, want %d", len(got.Samples), len(want.Samples))
-	}
-	for i, w := range want.Samples {
-		g := got.Samples[i]
-		if g.Encoder != w.Encoder || g.Switched != w.Switched ||
-			math.Float64bits(g.MaxTempK) != math.Float64bits(w.MaxTempK) ||
-			math.Float64bits(g.EnergyJ) != math.Float64bits(w.EnergyJ) {
-			return fmt.Errorf("sample %d: %+v, want %+v", i, g, w)
-		}
-	}
-	return nil
+	return res, streamed, nc.Goodbye(ctx)
 }
 
 func peakMaxTempK(samples []client.Sample) float64 {
@@ -371,15 +268,4 @@ func peakMaxTempK(samples []client.Sample) float64 {
 		}
 	}
 	return peak
-}
-
-func awaitBanner(sc *bufio.Scanner, prefix string) (string, error) {
-	if !sc.Scan() {
-		return "", fmt.Errorf("nanobusd produced no %q banner: %v", prefix, sc.Err())
-	}
-	line := sc.Text()
-	if !strings.HasPrefix(line, prefix) {
-		return "", fmt.Errorf("unexpected line %q, want prefix %q", line, prefix)
-	}
-	return strings.TrimPrefix(line, prefix), nil
 }

@@ -20,46 +20,26 @@
 package main
 
 import (
-	"bufio"
 	"context"
-	"flag"
 	"fmt"
-	"math"
 	"os"
-	"os/exec"
-	"strings"
-	"syscall"
+	"path/filepath"
 	"time"
 
 	"nanobus"
 	"nanobus/client"
+	"nanobus/internal/e2e"
 )
 
 const (
-	nodeName   = "90nm"
-	scheme     = "BI"
-	interval   = 100
 	batchWords = 150
 	nBatches   = 12
-	ckptEvery  = "300"
 )
 
-func main() {
-	bin := flag.String("bin", "", "path to the built nanobusd binary")
-	timeout := flag.Duration("timeout", 120*time.Second, "overall chaos deadline")
-	flag.Parse()
-	if *bin == "" {
-		fmt.Fprintln(os.Stderr, "chaos: -bin is required")
-		os.Exit(2)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-	defer cancel()
-	if err := run(ctx, *bin); err != nil {
-		fmt.Fprintf(os.Stderr, "chaos: FAIL: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("chaos: PASS")
-}
+// cfg is the session both legs open and the library reference mirrors.
+var cfg = client.SessionConfig{Node: "90nm", Encoding: "BI", IntervalCycles: 100}
+
+func main() { e2e.Main("chaos", 120*time.Second, run) }
 
 // batch regenerates the word batch for a sequence number from the number
 // alone. This is the resume contract: a client that can rebuild batch N
@@ -75,116 +55,11 @@ func batch(seq uint64) []uint32 {
 	return words
 }
 
-// reference runs the full schedule through the in-process library.
-func reference(ctx context.Context) (*nanobus.Bus, error) {
-	node, err := nanobus.ResolveNode(nodeName)
-	if err != nil {
-		return nil, err
-	}
-	bus, err := nanobus.New(node, nanobus.WithEncoding(scheme), nanobus.WithInterval(interval))
-	if err != nil {
-		return nil, err
-	}
-	for seq := uint64(1); seq <= nBatches; seq++ {
-		if _, err := bus.StepBatch(ctx, batch(seq)); err != nil {
-			return nil, err
-		}
-	}
-	if err := bus.Finish(); err != nil {
-		return nil, err
-	}
-	return bus, nil
-}
-
-// daemon is one exec'd nanobusd instance.
-type daemon struct {
-	cmd      *exec.Cmd
-	addr     string
-	nbwpAddr string
-	rest     chan string
-}
-
-// startDaemon execs bin with the shared checkpoint directory (NBWP
-// enabled) and waits for its listening lines. extraEnv entries are
-// appended to the process environment (the failpoint arming channel).
-func startDaemon(bin, ckptDir string, extraEnv []string) (*daemon, error) {
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-nbwp-addr", "127.0.0.1:0",
-		"-checkpoint-dir", ckptDir, "-checkpoint-every", ckptEvery)
-	cmd.Env = append(os.Environ(), extraEnv...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("start %s: %w", bin, err)
-	}
-	sc := bufio.NewScanner(stdout)
-	kill := func() {
-		_ = cmd.Process.Kill() //nanolint:ignore droppederr best-effort cleanup of a daemon that misbehaved at startup
-		_ = cmd.Wait()         //nanolint:ignore droppederr best-effort cleanup of a daemon that misbehaved at startup
-	}
-	banner := func(prefix string) (string, error) {
-		if !sc.Scan() {
-			kill()
-			return "", fmt.Errorf("nanobusd stdout ended before %q: %v", prefix, sc.Err())
-		}
-		line := sc.Text()
-		if !strings.HasPrefix(line, prefix) {
-			kill()
-			return "", fmt.Errorf("unexpected line %q (want %q prefix)", line, prefix)
-		}
-		return strings.TrimPrefix(line, prefix), nil
-	}
-	addr, err := banner("nanobusd: listening on ")
-	if err != nil {
-		return nil, err
-	}
-	nbwpAddr, err := banner("nanobusd: nbwp on ")
-	if err != nil {
-		return nil, err
-	}
-	d := &daemon{cmd: cmd, addr: addr, nbwpAddr: nbwpAddr, rest: make(chan string, 1)}
-	go func() {
-		var lines []string
-		for sc.Scan() {
-			lines = append(lines, sc.Text())
-		}
-		d.rest <- strings.Join(lines, "\n")
-	}()
-	return d, nil
-}
-
-func (d *daemon) url() string { return "http://" + d.addr }
-
-// kill simulates a crash: SIGKILL, no drain, no goodbye.
-func (d *daemon) kill() {
-	_ = d.cmd.Process.Kill() //nanolint:ignore droppederr SIGKILL on a live child cannot meaningfully fail
-	_ = d.cmd.Wait()         //nanolint:ignore droppederr the child was SIGKILLed; a non-zero exit is the point
-}
-
-// drain SIGTERMs the daemon and requires a clean exit. The stdout tail
-// must be collected to EOF BEFORE cmd.Wait(): Wait closes the pipe the
-// moment the process exits, which can cut off the reader goroutine
-// before it has consumed the buffered "drained cleanly" line.
-func (d *daemon) drain(ctx context.Context) error {
-	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return fmt.Errorf("SIGTERM: %w", err)
-	}
-	var tail string
-	select {
-	case tail = <-d.rest:
-		// Pipe EOF: the daemon has closed stdout, i.e. it has exited.
-	case <-ctx.Done():
-		return fmt.Errorf("nanobusd did not exit after SIGTERM: %w", ctx.Err())
-	}
-	if err := d.cmd.Wait(); err != nil {
-		return fmt.Errorf("nanobusd exited uncleanly after SIGTERM: %w", err)
-	}
-	if !strings.Contains(tail, "drained cleanly") {
-		return fmt.Errorf("missing drain message in output:\n%s", tail)
-	}
-	return nil
+// startDaemon execs bin on the shared checkpoint directory with periodic
+// auto-checkpoints (one every two batches); env arms failpoints.
+func startDaemon(bin, ckptDir string, env []string) (*e2e.Daemon, error) {
+	return e2e.Start(bin, []string{"-addr", "127.0.0.1:0", "-nbwp-addr", "127.0.0.1:0",
+		"-checkpoint-dir", ckptDir, "-checkpoint-every", "300"}, env)
 }
 
 // replay sends batches from..nBatches through the transport-agnostic
@@ -252,8 +127,8 @@ func resume(ctx context.Context, tr client.Transport, ref *nanobus.Bus, id, labe
 	if err != nil {
 		return nil, fmt.Errorf("result: %w", err)
 	}
-	if err := compareFinal(ref, final); err != nil {
-		return nil, err
+	if err := e2e.SameAsLibrary(final, ref); err != nil {
+		return nil, fmt.Errorf("after chaos: %w", err)
 	}
 	fmt.Printf("chaos: %s: %d batches survived kill -9 + injected ingest fault; %d samples bit-identical (total %.4g J)\n",
 		label, nBatches, len(final.Samples), final.Total.TotalJ)
@@ -261,30 +136,39 @@ func resume(ctx context.Context, tr client.Transport, ref *nanobus.Bus, id, labe
 }
 
 func run(ctx context.Context, bin string) error {
-	ref, err := reference(ctx)
+	batches := make([][]uint32, nBatches)
+	for i := range batches {
+		batches[i] = batch(uint64(i + 1))
+	}
+	ref, err := e2e.Reference(ctx, cfg, batches, 0)
 	if err != nil {
 		return fmt.Errorf("reference run: %w", err)
 	}
-	if err := httpLeg(ctx, bin, ref); err != nil {
-		return fmt.Errorf("http leg: %w", err)
-	}
-	if err := nbwpLeg(ctx, bin, ref); err != nil {
-		return fmt.Errorf("nbwp leg: %w", err)
-	}
-	return nil
-}
-
-// httpLeg is the original chaos scenario over the HTTP surface.
-func httpLeg(ctx context.Context, bin string, ref *nanobus.Bus) error {
-	ckptDir, err := os.MkdirTemp("", "nanobus-chaos-*")
+	root, err := os.MkdirTemp("", "nanobus-chaos-*")
 	if err != nil {
 		return err
 	}
 	defer func() {
 		//nanolint:ignore droppederr best-effort temp-dir cleanup on exit
-		_ = os.RemoveAll(ckptDir)
+		_ = os.RemoveAll(root)
 	}()
+	// Each leg's two daemons share one checkpoint directory, which the
+	// first daemon creates.
+	if err := httpLeg(ctx, bin, filepath.Join(root, "http"), ref); err != nil {
+		return fmt.Errorf("http leg: %w", err)
+	}
+	if err := nbwpLeg(ctx, bin, filepath.Join(root, "nbwp"), ref); err != nil {
+		return fmt.Errorf("nbwp leg: %w", err)
+	}
+	return nil
+}
 
+// failpoint arms the second daemon's ingest path so one replayed batch
+// dies mid-request and the client must restore a second time.
+var failpoint = []string{"NANOBUS_FAILPOINTS=server.ingest.decode=error,nth=3"}
+
+// httpLeg is the original chaos scenario over the HTTP surface.
+func httpLeg(ctx context.Context, bin, ckptDir string, ref *nanobus.Bus) error {
 	// Daemon #1: stream seq 1..7 (auto-checkpoints land every 2 batches
 	// at 150 words each), then die without warning. Seq 7 is past the
 	// last checkpoint: its ack will be lost and the batch replayed.
@@ -292,93 +176,39 @@ func httpLeg(ctx context.Context, bin string, ref *nanobus.Bus) error {
 	if err != nil {
 		return err
 	}
+	defer d1.Kill()
 	retry := client.WithRetry(client.RetryPolicy{MaxAttempts: 5, BaseDelay: 50 * time.Millisecond})
-	c1 := client.New(d1.url(), retry)
+	c1 := client.New(d1.URL(), retry)
 	if err := c1.Healthz(ctx); err != nil {
-		d1.kill()
 		return fmt.Errorf("healthz: %w", err)
 	}
-	sess1, err := c1.OpenSession(ctx, client.SessionConfig{
-		Node: nodeName, Encoding: scheme, IntervalCycles: interval,
-	})
+	sess1, err := c1.OpenSession(ctx, cfg)
 	if err != nil {
-		d1.kill()
 		return fmt.Errorf("create session: %w", err)
 	}
 	for seq := uint64(1); seq <= 7; seq++ {
 		if _, err := sess1.StepBinarySeq(ctx, seq, batch(seq)); err != nil {
-			d1.kill()
 			return fmt.Errorf("seq %d on daemon 1: %w", seq, err)
 		}
 	}
-	id := sess1.ID()
-	fmt.Printf("chaos: killing nanobusd (pid %d) with 7/%d batches acknowledged\n",
-		d1.cmd.Process.Pid, nBatches)
-	d1.kill()
+	fmt.Printf("chaos: killing nanobusd (pid %d) with 7/%d batches acknowledged\n", d1.Pid(), nBatches)
+	d1.Kill()
 
-	// Daemon #2 shares only the checkpoint directory — and runs with an
-	// ingest failpoint armed, so one of the replayed batches dies
-	// mid-request and the client must restore a second time.
-	d2, err := startDaemon(bin, ckptDir, []string{
-		"NANOBUS_FAILPOINTS=server.ingest.decode=error,nth=3",
-	})
+	// Daemon #2 shares only the checkpoint directory, and runs with the
+	// ingest failpoint armed.
+	d2, err := startDaemon(bin, ckptDir, failpoint)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if d2.cmd.ProcessState == nil {
-			d2.kill()
-		}
-	}()
-	sess2, err := resume(ctx, client.New(d2.url(), retry), ref, id, "http")
+	defer d2.Kill()
+	sess2, err := resume(ctx, client.New(d2.URL(), retry), ref, sess1.ID(), "http")
 	if err != nil {
 		return err
 	}
 	if err := sess2.Close(ctx); err != nil {
 		return fmt.Errorf("close: %w", err)
 	}
-	return d2.drain(ctx)
-}
-
-// compareFinal requires every service figure to match the uninterrupted
-// library run bit for bit.
-func compareFinal(ref *nanobus.Bus, final *client.Result) error {
-	tot := ref.TotalEnergy()
-	maxT, _ := ref.Network().MaxTemp()
-	checks := []struct {
-		name     string
-		svc, lib float64
-	}{
-		{"total energy", final.Total.TotalJ, tot.Total()},
-		{"self energy", final.Total.SelfJ, tot.Self},
-		{"adjacent coupling", final.Total.CoupAdjJ, tot.CoupAdj},
-		{"non-adjacent coupling", final.Total.CoupNonAdjJ, tot.CoupNonAdj},
-		{"avg temp", final.AvgTempK, ref.Network().AvgTemp()},
-		{"max temp", final.MaxTempK, maxT},
-	}
-	for _, ck := range checks {
-		if math.Float64bits(ck.svc) != math.Float64bits(ck.lib) {
-			return fmt.Errorf("%s differs after chaos: service %.17g, library %.17g",
-				ck.name, ck.svc, ck.lib)
-		}
-	}
-	if final.Cycles != ref.Cycles() {
-		return fmt.Errorf("cycles differ: service %d, library %d", final.Cycles, ref.Cycles())
-	}
-	libSamples := ref.Samples()
-	if len(final.Samples) != len(libSamples) {
-		return fmt.Errorf("sample count differs: service %d, library %d",
-			len(final.Samples), len(libSamples))
-	}
-	for i, ls := range libSamples {
-		ss := final.Samples[i]
-		if ss.EndCycle != ls.EndCycle ||
-			math.Float64bits(ss.EnergyJ) != math.Float64bits(ls.Energy) ||
-			math.Float64bits(ss.MaxTempK) != math.Float64bits(ls.MaxTemp) {
-			return fmt.Errorf("sample %d differs: service %+v, library %+v", i, ss, ls)
-		}
-	}
-	return nil
+	return d2.Drain(ctx)
 }
 
 // nbwpLeg reruns the crash scenario over the binary protocol: a window
@@ -389,40 +219,26 @@ func compareFinal(ref *nanobus.Bus, final *client.Result) error {
 // duplicate of the checkpointed frontier, replays the rest through the
 // injected fault, and must land on the same bits as the uninterrupted
 // library run.
-func nbwpLeg(ctx context.Context, bin string, ref *nanobus.Bus) error {
-	ckptDir, err := os.MkdirTemp("", "nanobus-chaos-nbwp-*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		//nanolint:ignore droppederr best-effort temp-dir cleanup on exit
-		_ = os.RemoveAll(ckptDir)
-	}()
-
+func nbwpLeg(ctx context.Context, bin, ckptDir string, ref *nanobus.Bus) error {
 	d1, err := startDaemon(bin, ckptDir, nil)
 	if err != nil {
 		return err
 	}
-	nc1, err := client.DialNBWP(ctx, d1.nbwpAddr)
+	defer d1.Kill()
+	nc1, err := client.DialNBWP(ctx, d1.NBWPAddr)
 	if err != nil {
-		d1.kill()
 		return fmt.Errorf("dial: %w", err)
 	}
-	opened, err := nc1.OpenSession(ctx, client.SessionConfig{
-		Node: nodeName, Encoding: scheme, IntervalCycles: interval,
-	})
+	opened, err := nc1.OpenSession(ctx, cfg)
 	if err != nil {
-		d1.kill()
 		return fmt.Errorf("open: %w", err)
 	}
 	// Pipelining is the optional transport capability, reached through
 	// the capability assertion rather than the concrete type.
 	sess1, ok := opened.(client.PipelinedSession)
 	if !ok {
-		d1.kill()
 		return fmt.Errorf("nbwp session does not pipeline (%T)", opened)
 	}
-	id := sess1.ID()
 	// Pipeline seq 1..7 without waiting, then settle only the first
 	// five acks before the kill: the tail of the pipeline is in flight
 	// when the process dies, exactly the window a crash would eat.
@@ -430,20 +246,17 @@ func nbwpLeg(ctx context.Context, bin string, ref *nanobus.Bus) error {
 	for seq := uint64(1); seq <= 7; seq++ {
 		sp, serr := sess1.SendStepSeq(seq, batch(seq))
 		if serr != nil {
-			d1.kill()
 			return fmt.Errorf("send seq %d: %w", seq, serr)
 		}
 		pend = append(pend, sp)
 	}
 	for i := 0; i < 5; i++ {
 		if _, werr := pend[i].Wait(ctx); werr != nil {
-			d1.kill()
 			return fmt.Errorf("ack seq %d: %w", i+1, werr)
 		}
 	}
-	fmt.Printf("chaos: nbwp: killing nanobusd (pid %d) with 5/7 pipelined batches acked\n",
-		d1.cmd.Process.Pid)
-	d1.kill()
+	fmt.Printf("chaos: nbwp: killing nanobusd (pid %d) with 5/7 pipelined batches acked\n", d1.Pid())
+	d1.Kill()
 	for _, sp := range pend[5:] {
 		//nanolint:ignore droppederr the lost tail acks are the scenario; only the FIFO must drain
 		_, _ = sp.Wait(ctx)
@@ -451,18 +264,12 @@ func nbwpLeg(ctx context.Context, bin string, ref *nanobus.Bus) error {
 	//nanolint:ignore droppederr the connection died with the daemon
 	_ = nc1.Close()
 
-	d2, err := startDaemon(bin, ckptDir, []string{
-		"NANOBUS_FAILPOINTS=server.ingest.decode=error,nth=3",
-	})
+	d2, err := startDaemon(bin, ckptDir, failpoint)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if d2.cmd.ProcessState == nil {
-			d2.kill()
-		}
-	}()
-	nc2, err := client.DialNBWP(ctx, d2.nbwpAddr)
+	defer d2.Kill()
+	nc2, err := client.DialNBWP(ctx, d2.NBWPAddr)
 	if err != nil {
 		return fmt.Errorf("redial: %w", err)
 	}
@@ -470,7 +277,7 @@ func nbwpLeg(ctx context.Context, bin string, ref *nanobus.Bus) error {
 		//nanolint:ignore droppederr best-effort close; the leg already reported its outcome
 		_ = nc2.Close()
 	}()
-	sess2, err := resume(ctx, nc2, ref, id, "nbwp")
+	sess2, err := resume(ctx, nc2, ref, sess1.ID(), "nbwp")
 	if err != nil {
 		return err
 	}
@@ -480,5 +287,5 @@ func nbwpLeg(ctx context.Context, bin string, ref *nanobus.Bus) error {
 	if err := nc2.Goodbye(ctx); err != nil {
 		return fmt.Errorf("goodbye: %w", err)
 	}
-	return d2.drain(ctx)
+	return d2.Drain(ctx)
 }

@@ -15,49 +15,35 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
-	"math"
 	"net"
 	"os"
-	"os/exec"
+	"path/filepath"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
-	"nanobus"
 	"nanobus/client"
+	"nanobus/internal/e2e"
 )
 
 const (
-	nodeName   = "90nm"
-	scheme     = "BI"
-	interval   = 100
 	batchWords = 150
 	nBatches   = 12
 	ckptEvery  = "300" // cycles: one auto-checkpoint every two batches
 	nNodes     = 3
 )
 
+// cfg is every session's configuration; the library reference mirrors it.
+var cfg = client.SessionConfig{Node: "90nm", Encoding: "BI", IntervalCycles: 100}
+
 func main() {
-	bin := flag.String("bin", "", "path to the built nanobusd binary")
 	sessions := flag.Int("sessions", 64, "concurrent sessions across the cluster")
-	timeout := flag.Duration("timeout", 150*time.Second, "overall chaos deadline")
-	flag.Parse()
-	if *bin == "" {
-		fmt.Fprintln(os.Stderr, "cluster_chaos: -bin is required")
-		os.Exit(2)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-	defer cancel()
-	if err := run(ctx, *bin, *sessions); err != nil {
-		fmt.Fprintf(os.Stderr, "cluster_chaos: FAIL: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("cluster_chaos: PASS")
+	e2e.Main("cluster_chaos", 150*time.Second, func(ctx context.Context, bin string) error {
+		return run(ctx, bin, *sessions)
+	})
 }
 
 // batch regenerates session sid's word batch for sequence number seq from
@@ -71,28 +57,6 @@ func batch(sid int, seq uint64) []uint32 {
 		words[i] = x
 	}
 	return words
-}
-
-// reference runs session sid's full schedule through the in-process
-// library, uninterrupted.
-func reference(ctx context.Context, sid int) (*nanobus.Bus, error) {
-	node, err := nanobus.ResolveNode(nodeName)
-	if err != nil {
-		return nil, err
-	}
-	bus, err := nanobus.New(node, nanobus.WithEncoding(scheme), nanobus.WithInterval(interval))
-	if err != nil {
-		return nil, err
-	}
-	for seq := uint64(1); seq <= nBatches; seq++ {
-		if _, err := bus.StepBatch(ctx, batch(sid, seq)); err != nil {
-			return nil, err
-		}
-	}
-	if err := bus.Finish(); err != nil {
-		return nil, err
-	}
-	return bus, nil
 }
 
 // freeAddrs reserves n distinct loopback ports by binding and releasing
@@ -115,80 +79,6 @@ func freeAddrs(n int) ([]string, error) {
 		}
 	}
 	return addrs, nil
-}
-
-// member is one exec'd cluster node.
-type member struct {
-	name     string
-	httpAddr string
-	nbwpAddr string
-	cmd      *exec.Cmd
-	rest     chan string
-}
-
-func (m *member) url() string { return "http://" + m.httpAddr }
-
-// start execs one nanobusd cluster node and waits for its banners.
-func (m *member) start(bin, dir, members string) error {
-	m.cmd = exec.Command(bin,
-		"-addr", m.httpAddr, "-nbwp-addr", m.nbwpAddr,
-		"-checkpoint-dir", dir, "-checkpoint-every", ckptEvery,
-		"-cluster-self", m.name, "-cluster-members", members, "-cluster-replicas", "2")
-	stdout, err := m.cmd.StdoutPipe()
-	if err != nil {
-		return err
-	}
-	m.cmd.Stderr = os.Stderr
-	if err := m.cmd.Start(); err != nil {
-		return fmt.Errorf("start %s: %w", m.name, err)
-	}
-	sc := bufio.NewScanner(stdout)
-	for _, prefix := range []string{"nanobusd: listening on ", "nanobusd: nbwp on "} {
-		if !sc.Scan() {
-			m.kill()
-			return fmt.Errorf("%s: stdout ended before %q: %v", m.name, prefix, sc.Err())
-		}
-		if line := sc.Text(); !strings.HasPrefix(line, prefix) {
-			m.kill()
-			return fmt.Errorf("%s: unexpected line %q (want %q prefix)", m.name, line, prefix)
-		}
-	}
-	m.rest = make(chan string, 1)
-	go func() {
-		var lines []string
-		for sc.Scan() {
-			lines = append(lines, sc.Text())
-		}
-		m.rest <- strings.Join(lines, "\n")
-	}()
-	return nil
-}
-
-// kill simulates a node crash: SIGKILL, no drain, no goodbye.
-func (m *member) kill() {
-	_ = m.cmd.Process.Kill() //nanolint:ignore droppederr SIGKILL on a live child cannot meaningfully fail
-	_ = m.cmd.Wait()         //nanolint:ignore droppederr the child was SIGKILLed; a non-zero exit is the point
-}
-
-// drain SIGTERMs the node and requires a clean exit with the drain
-// message (stdout tail collected before Wait; see scripts/nanobusd_smoke).
-func (m *member) drain(ctx context.Context) error {
-	if err := m.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return fmt.Errorf("%s: SIGTERM: %w", m.name, err)
-	}
-	var tail string
-	select {
-	case tail = <-m.rest:
-	case <-ctx.Done():
-		return fmt.Errorf("%s did not exit after SIGTERM: %w", m.name, ctx.Err())
-	}
-	if err := m.cmd.Wait(); err != nil {
-		return fmt.Errorf("%s exited uncleanly after SIGTERM: %w", m.name, err)
-	}
-	if !strings.Contains(tail, "drained cleanly") {
-		return fmt.Errorf("%s: missing drain message in output:\n%s", m.name, tail)
-	}
-	return nil
 }
 
 // driver streams one session's schedule through a RoutedSession,
@@ -284,47 +174,6 @@ func (d *driver) finish(ctx context.Context) (*client.Result, error) {
 	}
 }
 
-// compareFinal requires every service figure to match the uninterrupted
-// library run bit for bit.
-func compareFinal(sid int, ref *nanobus.Bus, final *client.Result) error {
-	tot := ref.TotalEnergy()
-	maxT, _ := ref.Network().MaxTemp()
-	checks := []struct {
-		name     string
-		svc, lib float64
-	}{
-		{"total energy", final.Total.TotalJ, tot.Total()},
-		{"self energy", final.Total.SelfJ, tot.Self},
-		{"adjacent coupling", final.Total.CoupAdjJ, tot.CoupAdj},
-		{"non-adjacent coupling", final.Total.CoupNonAdjJ, tot.CoupNonAdj},
-		{"avg temp", final.AvgTempK, ref.Network().AvgTemp()},
-		{"max temp", final.MaxTempK, maxT},
-	}
-	for _, ck := range checks {
-		if math.Float64bits(ck.svc) != math.Float64bits(ck.lib) {
-			return fmt.Errorf("session %d: %s differs after failover: service %.17g, library %.17g",
-				sid, ck.name, ck.svc, ck.lib)
-		}
-	}
-	if final.Cycles != ref.Cycles() {
-		return fmt.Errorf("session %d: cycles differ: service %d, library %d", sid, final.Cycles, ref.Cycles())
-	}
-	libSamples := ref.Samples()
-	if len(final.Samples) != len(libSamples) {
-		return fmt.Errorf("session %d: sample count differs: service %d, library %d",
-			sid, len(final.Samples), len(libSamples))
-	}
-	for i, ls := range libSamples {
-		ss := final.Samples[i]
-		if ss.EndCycle != ls.EndCycle ||
-			math.Float64bits(ss.EnergyJ) != math.Float64bits(ls.Energy) ||
-			math.Float64bits(ss.MaxTempK) != math.Float64bits(ls.MaxTemp) {
-			return fmt.Errorf("session %d: sample %d differs: service %+v, library %+v", sid, i, ss, ls)
-		}
-	}
-	return nil
-}
-
 func run(ctx context.Context, bin string, sessions int) error {
 	root, err := os.MkdirTemp("", "nanobus-cluster-chaos-*")
 	if err != nil {
@@ -341,34 +190,28 @@ func run(ctx context.Context, bin string, sessions int) error {
 	if err != nil {
 		return err
 	}
-	members := make([]*member, nNodes)
+	names := make([]string, nNodes)
 	var specs []string
-	for i := range members {
-		members[i] = &member{
-			name:     fmt.Sprintf("n%d", i+1),
-			httpAddr: addrs[2*i],
-			nbwpAddr: addrs[2*i+1],
-		}
-		specs = append(specs, fmt.Sprintf("%s=http://%s+%s", members[i].name, members[i].httpAddr, members[i].nbwpAddr))
+	for i := range names {
+		names[i] = fmt.Sprintf("n%d", i+1)
+		specs = append(specs, fmt.Sprintf("%s=http://%s+%s", names[i], addrs[2*i], addrs[2*i+1]))
 	}
 	spec := strings.Join(specs, ",")
-	for i, m := range members {
-		dir := fmt.Sprintf("%s/%s", root, m.name)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
+	nodes := map[string]*e2e.Daemon{}
+	for i, name := range names {
+		d, err := e2e.Start(bin, []string{
+			"-addr", addrs[2*i], "-nbwp-addr", addrs[2*i+1],
+			"-checkpoint-dir", filepath.Join(root, name), "-checkpoint-every", ckptEvery,
+			"-cluster-self", name, "-cluster-members", spec, "-cluster-replicas", "2"}, nil)
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		if err := m.start(bin, dir, spec); err != nil {
-			return err
-		}
-		defer func(m *member) {
-			if m.cmd.ProcessState == nil {
-				m.kill()
-			}
-		}(members[i])
+		defer d.Kill()
+		nodes[name] = d
 	}
 	fmt.Printf("cluster_chaos: 3 nodes up (%s)\n", spec)
 
-	router, err := client.NewRouter(ctx, []string{members[0].url()}, client.WithRouterNBWP())
+	router, err := client.NewRouter(ctx, []string{nodes[names[0]].URL()}, client.WithRouterNBWP())
 	if err != nil {
 		return fmt.Errorf("router bootstrap: %w", err)
 	}
@@ -382,7 +225,6 @@ func run(ctx context.Context, bin string, sessions int) error {
 	// they own, so placement is decided by the ring at create time.
 	drivers := make([]*driver, sessions)
 	hosted := map[string]int{}
-	cfg := client.SessionConfig{Node: nodeName, Encoding: scheme, IntervalCycles: interval}
 	for i := range drivers {
 		rs, err := router.Open(ctx, cfg)
 		if err != nil {
@@ -391,17 +233,17 @@ func run(ctx context.Context, bin string, sessions int) error {
 		drivers[i] = &driver{sid: i + 1, rs: rs, openedOn: rs.Node()}
 		hosted[rs.Node()]++
 	}
-	victim := members[0]
-	for _, m := range members {
-		if hosted[m.name] > hosted[victim.name] {
-			victim = m
+	victim := names[0]
+	for _, name := range names {
+		if hosted[name] > hosted[victim] {
+			victim = name
 		}
 	}
-	if hosted[victim.name] == 0 {
+	if hosted[victim] == 0 {
 		return fmt.Errorf("no node hosts any sessions (placement: %v)", hosted)
 	}
 	fmt.Printf("cluster_chaos: %d sessions placed %v; victim is %s with %d\n",
-		sessions, hosted, victim.name, hosted[victim.name])
+		sessions, hosted, victim, hosted[victim])
 
 	// Phase 1: every session streams to seq 5 (so at least two
 	// auto-checkpoints per session have been taken and replicated), then
@@ -425,8 +267,8 @@ func run(ctx context.Context, bin string, sessions int) error {
 	close(goCh)
 	time.Sleep(30 * time.Millisecond)
 	fmt.Printf("cluster_chaos: kill -9 %s (pid %d) with all %d sessions streaming\n",
-		victim.name, victim.cmd.Process.Pid, sessions)
-	victim.kill()
+		victim, nodes[victim].Pid(), sessions)
+	nodes[victim].Kill()
 	wg.Wait()
 
 	// Every session — including every one orphaned by the kill — must
@@ -437,45 +279,49 @@ func run(ctx context.Context, bin string, sessions int) error {
 		if errs[i] != nil {
 			return errs[i]
 		}
-		ref, err := reference(ctx, d.sid)
+		batches := make([][]uint32, nBatches)
+		for j := range batches {
+			batches[j] = batch(d.sid, uint64(j+1))
+		}
+		ref, err := e2e.Reference(ctx, cfg, batches, 0)
 		if err != nil {
 			return fmt.Errorf("reference run %d: %w", d.sid, err)
 		}
-		if err := compareFinal(d.sid, ref, finals[i]); err != nil {
-			return err
+		if err := e2e.SameAsLibrary(finals[i], ref); err != nil {
+			return fmt.Errorf("session %d after failover: %w", d.sid, err)
 		}
 		if d.recoveries > 0 {
 			recovered++
 		}
-		if d.openedOn == victim.name {
+		if d.openedOn == victim {
 			if d.recoveries == 0 {
 				return fmt.Errorf("session %d was hosted on the victim but never failed over", d.sid)
 			}
-			if d.rs.Node() == victim.name {
-				return fmt.Errorf("session %d still routed to the dead node %s", d.sid, victim.name)
+			if d.rs.Node() == victim {
+				return fmt.Errorf("session %d still routed to the dead node %s", d.sid, victim)
 			}
 		}
 		if err := d.rs.Close(ctx); err != nil {
 			return fmt.Errorf("close session %d: %w", d.sid, err)
 		}
 	}
-	if recovered < hosted[victim.name] {
-		return fmt.Errorf("only %d sessions recovered; the victim hosted %d", recovered, hosted[victim.name])
+	if recovered < hosted[victim] {
+		return fmt.Errorf("only %d sessions recovered; the victim hosted %d", recovered, hosted[victim])
 	}
 	fmt.Printf("cluster_chaos: all %d sessions bit-identical; %d failed over from %s to survivors\n",
-		sessions, recovered, victim.name)
+		sessions, recovered, victim)
 
 	// The survivors must still drain cleanly — after the Router's pooled
 	// NBWP connections are gone, since the drain waits them out.
 	if err := router.Close(); err != nil {
 		return fmt.Errorf("router close: %w", err)
 	}
-	for _, m := range members {
-		if m == victim {
+	for _, name := range names {
+		if name == victim {
 			continue
 		}
-		if err := m.drain(ctx); err != nil {
-			return err
+		if err := nodes[name].Drain(ctx); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
 		}
 	}
 	return nil

@@ -18,140 +18,47 @@
 package main
 
 import (
-	"bufio"
 	"context"
-	"flag"
 	"fmt"
-	"math"
-	"os"
-	"os/exec"
-	"strings"
-	"syscall"
 	"time"
 
 	"nanobus"
 	"nanobus/client"
+	"nanobus/internal/e2e"
 )
 
-func main() {
-	bin := flag.String("bin", "", "path to the built nanobusd binary")
-	timeout := flag.Duration("timeout", 60*time.Second, "overall smoke deadline")
-	flag.Parse()
-	if *bin == "" {
-		fmt.Fprintln(os.Stderr, "nanobusd_smoke: -bin is required")
-		os.Exit(2)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-	defer cancel()
-	if err := run(ctx, *bin); err != nil {
-		fmt.Fprintf(os.Stderr, "nanobusd_smoke: FAIL: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("nanobusd_smoke: PASS")
-}
+func main() { e2e.Main("nanobusd_smoke", 60*time.Second, run) }
 
 func run(ctx context.Context, bin string) error {
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-nbwp-addr", "127.0.0.1:0")
-	stdout, err := cmd.StdoutPipe()
+	ref, err := e2e.Reference(ctx, cfg, [][]uint32{schedule()}, nIdle)
+	if err != nil {
+		return fmt.Errorf("reference run: %w", err)
+	}
+	d, err := e2e.Start(bin, []string{"-addr", "127.0.0.1:0", "-nbwp-addr", "127.0.0.1:0"}, nil)
 	if err != nil {
 		return err
 	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return fmt.Errorf("start %s: %w", bin, err)
-	}
-	// On any failure path, make sure the daemon does not outlive us.
-	defer func() {
-		if cmd.ProcessState == nil {
-			_ = cmd.Process.Kill() //nanolint:ignore droppederr best-effort cleanup of a failed run
-			_ = cmd.Wait()         //nanolint:ignore droppederr best-effort cleanup of a failed run
-		}
-	}()
-
-	// The first stdout line announces the bound HTTP address, the second
-	// the NBWP one; later lines are collected so the drain message can be
-	// checked after shutdown.
-	sc := bufio.NewScanner(stdout)
-	addr, err := awaitListening(sc)
-	if err != nil {
+	defer d.Kill()
+	if err := driveSession(ctx, d.URL(), ref); err != nil {
 		return err
 	}
-	nbwpAddr, err := awaitNBWP(sc)
-	if err != nil {
+	if err := driveSessionNBWP(ctx, d.NBWPAddr, ref); err != nil {
 		return err
 	}
-	rest := make(chan string, 1)
-	go func() {
-		var lines []string
-		for sc.Scan() {
-			lines = append(lines, sc.Text())
-		}
-		rest <- strings.Join(lines, "\n")
-	}()
-
-	if err := driveSession(ctx, "http://"+addr); err != nil {
+	if err := driveMulti(ctx, d.URL(), d.NBWPAddr); err != nil {
 		return err
 	}
-	if err := driveSessionNBWP(ctx, nbwpAddr); err != nil {
-		return err
-	}
-	if err := driveMulti(ctx, "http://"+addr, nbwpAddr); err != nil {
-		return err
-	}
-
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return fmt.Errorf("SIGTERM: %w", err)
-	}
-	// Collect the stdout tail to EOF BEFORE cmd.Wait(): Wait closes the
-	// pipe the moment the process exits, which can cut off the reader
-	// goroutine before it has consumed the buffered drain message.
-	var tail string
-	select {
-	case tail = <-rest:
-		// Pipe EOF: the daemon has closed stdout, i.e. it has exited.
-	case <-ctx.Done():
-		return fmt.Errorf("nanobusd did not exit after SIGTERM: %w", ctx.Err())
-	}
-	if err := cmd.Wait(); err != nil {
-		return fmt.Errorf("nanobusd exited uncleanly after SIGTERM: %w", err)
-	}
-	if !strings.Contains(tail, "drained cleanly") {
-		return fmt.Errorf("missing drain message in output:\n%s", tail)
-	}
-	return nil
-}
-
-func awaitListening(sc *bufio.Scanner) (string, error) {
-	const prefix = "nanobusd: listening on "
-	if !sc.Scan() {
-		return "", fmt.Errorf("nanobusd produced no output: %v", sc.Err())
-	}
-	line := sc.Text()
-	if !strings.HasPrefix(line, prefix) {
-		return "", fmt.Errorf("unexpected first line %q", line)
-	}
-	return strings.TrimPrefix(line, prefix), nil
-}
-
-func awaitNBWP(sc *bufio.Scanner) (string, error) {
-	const prefix = "nanobusd: nbwp on "
-	if !sc.Scan() {
-		return "", fmt.Errorf("nanobusd produced no nbwp banner: %v", sc.Err())
-	}
-	line := sc.Text()
-	if !strings.HasPrefix(line, prefix) {
-		return "", fmt.Errorf("unexpected second line %q", line)
-	}
-	return strings.TrimPrefix(line, prefix), nil
+	return d.Drain(ctx)
 }
 
 const (
-	nodeName = "90nm"
-	scheme   = "BI"
-	interval = 256
-	nWords   = 1000
-	nIdle    = 500
+	nWords = 1000
+	nIdle  = 500
 )
+
+// cfg is the scalar session every leg opens and the library reference
+// mirrors.
+var cfg = client.SessionConfig{Node: "90nm", Encoding: "BI", IntervalCycles: 256}
 
 // schedule builds the deterministic word stream both transports and the
 // library reference all run.
@@ -166,12 +73,11 @@ func schedule() []uint32 {
 }
 
 // runSchedule drives the shared schedule through one session handle via
-// the transport-agnostic interface and compares the result against the
-// in-process library bit for bit. Both wire protocols go through this
-// exact code path; anything transport-specific stays in the legs.
-func runSchedule(ctx context.Context, sess client.Session) (*client.Result, error) {
-	data := schedule()
-	if _, err := sess.StepBinary(ctx, data); err != nil {
+// the transport-agnostic interface and requires the result to be
+// bit-identical to the library reference. Both wire protocols go through
+// this exact code path; anything transport-specific stays in the legs.
+func runSchedule(ctx context.Context, sess client.Session, ref *nanobus.Bus) (*client.Result, error) {
+	if _, err := sess.StepBinary(ctx, schedule()); err != nil {
 		return nil, fmt.Errorf("step: %w", err)
 	}
 	if _, err := sess.StepIdle(ctx, nIdle); err != nil {
@@ -184,25 +90,23 @@ func runSchedule(ctx context.Context, sess client.Session) (*client.Result, erro
 	if err := sess.Close(ctx); err != nil {
 		return nil, fmt.Errorf("close: %w", err)
 	}
-	if err := compareToLibrary(ctx, res, data); err != nil {
+	if err := e2e.SameAsLibrary(res, ref); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
 // driveSession runs one schedule over the HTTP transport.
-func driveSession(ctx context.Context, baseURL string) error {
+func driveSession(ctx context.Context, baseURL string, ref *nanobus.Bus) error {
 	c := client.New(baseURL)
 	if err := c.Healthz(ctx); err != nil {
 		return fmt.Errorf("healthz: %w", err)
 	}
-	sess, err := c.OpenSession(ctx, client.SessionConfig{
-		Node: nodeName, Encoding: scheme, IntervalCycles: interval,
-	})
+	sess, err := c.OpenSession(ctx, cfg)
 	if err != nil {
 		return fmt.Errorf("create session: %w", err)
 	}
-	res, err := runSchedule(ctx, sess)
+	res, err := runSchedule(ctx, sess, ref)
 	if err != nil {
 		return err
 	}
@@ -217,7 +121,7 @@ func driveSession(ctx context.Context, baseURL string) error {
 // but the schedule itself runs through the same runSchedule path as HTTP,
 // and the streamed SAMPLE frames must carry the same IEEE-754 bit
 // patterns as the result document.
-func driveSessionNBWP(ctx context.Context, addr string) error {
+func driveSessionNBWP(ctx context.Context, addr string, ref *nanobus.Bus) error {
 	nc, err := client.DialNBWP(ctx, addr)
 	if err != nil {
 		return fmt.Errorf("dial nbwp: %w", err)
@@ -227,13 +131,11 @@ func driveSessionNBWP(ctx context.Context, addr string) error {
 		_ = nc.Close()
 	}()
 	var streamed []client.Sample
-	sess, err := nc.Open(ctx, client.SessionConfig{
-		Node: nodeName, Encoding: scheme, IntervalCycles: interval,
-	}, func(s client.Sample) { streamed = append(streamed, s) })
+	sess, err := nc.Open(ctx, cfg, func(s client.Sample) { streamed = append(streamed, s) })
 	if err != nil {
 		return fmt.Errorf("nbwp open: %w", err)
 	}
-	res, err := runSchedule(ctx, sess)
+	res, err := runSchedule(ctx, sess, ref)
 	if err != nil {
 		return fmt.Errorf("nbwp: %w", err)
 	}
@@ -241,77 +143,12 @@ func driveSessionNBWP(ctx context.Context, addr string) error {
 		return fmt.Errorf("nbwp goodbye: %w", err)
 	}
 	// The sample callback fires before the triggering step is acked, so
-	// everything streamed is visible here. The final partial interval is
-	// closed by Result, not streamed.
-	if len(streamed) > len(res.Samples) {
-		return fmt.Errorf("nbwp streamed %d samples, result has %d", len(streamed), len(res.Samples))
-	}
-	for i, ws := range streamed {
-		rs := res.Samples[i]
-		if ws.EndCycle != rs.EndCycle ||
-			math.Float64bits(ws.EnergyJ) != math.Float64bits(rs.EnergyJ) ||
-			math.Float64bits(ws.MaxTempK) != math.Float64bits(rs.MaxTempK) {
-			return fmt.Errorf("nbwp streamed sample %d differs: stream %+v, result %+v", i, ws, rs)
-		}
+	// everything streamed is visible here.
+	if err := e2e.SameStream(res, streamed); err != nil {
+		return fmt.Errorf("nbwp: %w", err)
 	}
 	fmt.Printf("nanobusd_smoke: nbwp: %d words + %d idle cycles bit-identical; %d/%d samples streamed live (total %.4g J)\n",
 		nWords, nIdle, len(streamed), len(res.Samples), res.Total.TotalJ)
-	return nil
-}
-
-// compareToLibrary replays the schedule through the in-process library
-// and compares every figure bit for bit.
-func compareToLibrary(ctx context.Context, res *client.Result, data []uint32) error {
-	node, err := nanobus.ResolveNode(nodeName)
-	if err != nil {
-		return err
-	}
-	bus, err := nanobus.New(node, nanobus.WithEncoding(scheme), nanobus.WithInterval(interval))
-	if err != nil {
-		return err
-	}
-	if _, err := bus.StepBatch(ctx, data); err != nil {
-		return err
-	}
-	if _, err := bus.StepIdleBatch(ctx, nIdle); err != nil {
-		return err
-	}
-	if err := bus.Finish(); err != nil {
-		return err
-	}
-
-	tot := bus.TotalEnergy()
-	checks := []struct {
-		name     string
-		svc, lib float64
-	}{
-		{"total energy", res.Total.TotalJ, tot.Total()},
-		{"self energy", res.Total.SelfJ, tot.Self},
-		{"adjacent coupling", res.Total.CoupAdjJ, tot.CoupAdj},
-		{"non-adjacent coupling", res.Total.CoupNonAdjJ, tot.CoupNonAdj},
-		{"avg temp", res.AvgTempK, bus.Network().AvgTemp()},
-		{"max temp", res.MaxTempK, func() float64 { t, _ := bus.Network().MaxTemp(); return t }()},
-	}
-	for _, ck := range checks {
-		if math.Float64bits(ck.svc) != math.Float64bits(ck.lib) {
-			return fmt.Errorf("%s differs: service %.17g, library %.17g", ck.name, ck.svc, ck.lib)
-		}
-	}
-	if res.Cycles != bus.Cycles() {
-		return fmt.Errorf("cycles differ: service %d, library %d", res.Cycles, bus.Cycles())
-	}
-	if len(res.Samples) != len(bus.Samples()) {
-		return fmt.Errorf("sample count differs: service %d, library %d",
-			len(res.Samples), len(bus.Samples()))
-	}
-	for i, ls := range bus.Samples() {
-		ss := res.Samples[i]
-		if ss.EndCycle != ls.EndCycle ||
-			math.Float64bits(ss.EnergyJ) != math.Float64bits(ls.Energy) ||
-			math.Float64bits(ss.MaxTempK) != math.Float64bits(ls.MaxTemp) {
-			return fmt.Errorf("sample %d differs: service %+v, library %+v", i, ss, ls)
-		}
-	}
 	return nil
 }
 
@@ -338,20 +175,6 @@ func multiSlab(seed uint32, rows int) ([]uint32, error) {
 	return client.PackInterleaved(nil, cols...)
 }
 
-func feq(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-
-// relClose is the rounding-level comparison for post-restore replays: a
-// K>1 restore re-warms the shared memo from a cold table and re-associates
-// the count-aggregation sums, so continued runs agree to ~1e-12 relative
-// rather than bit-exactly (see MultiSim.Snapshot).
-func relClose(a, b float64) bool {
-	d, m := math.Abs(a-b), math.Abs(b)
-	if m == 0 {
-		return d == 0
-	}
-	return d/m <= 1e-11
-}
-
 // runMultiSchedule drives the 4-bus schedule through one transport:
 // head slab, checkpoint-envelope download, tail slab plus idle, result —
 // then resurrects the closed session from the envelope on the same
@@ -359,9 +182,9 @@ func relClose(a, b float64) bool {
 // daemon runs without -checkpoint-dir, so this also pins the store-less
 // ?download=1 / inline-resurrect path.
 func runMultiSchedule(ctx context.Context, tr client.Transport, head, tail []uint32) (*client.Result, error) {
-	sess, err := tr.OpenSession(ctx, client.SessionConfig{
-		Node: nodeName, Encoding: scheme, IntervalCycles: interval, Buses: mBuses,
-	})
+	mcfg := cfg
+	mcfg.Buses = mBuses
+	sess, err := tr.OpenSession(ctx, mcfg)
 	if err != nil {
 		return nil, fmt.Errorf("open multi: %w", err)
 	}
@@ -385,6 +208,9 @@ func runMultiSchedule(ctx context.Context, tr client.Transport, head, tail []uin
 	ref, err := sess.Result(ctx, true)
 	if err != nil {
 		return nil, fmt.Errorf("multi result: %w", err)
+	}
+	if len(ref.PerBus) != mBuses {
+		return nil, fmt.Errorf("multi result: %d per-bus blocks, want %d", len(ref.PerBus), mBuses)
 	}
 	if err := sess.Close(ctx); err != nil {
 		return nil, fmt.Errorf("multi close: %w", err)
@@ -410,45 +236,10 @@ func runMultiSchedule(ctx context.Context, tr client.Transport, head, tail []uin
 	if err := res2.Close(ctx); err != nil {
 		return nil, fmt.Errorf("multi replay close: %w", err)
 	}
-	if err := compareMulti("resurrect replay", replay, ref, relClose); err != nil {
-		return nil, err
+	if err := e2e.SameResult(ref, replay, e2e.RelClose); err != nil {
+		return nil, fmt.Errorf("resurrect replay: %w", err)
 	}
 	return ref, nil
-}
-
-// compareMulti requires two multi-bus results to agree on every figure,
-// per-bus blocks included, under the given float comparison (feq for
-// bit-exact transport comparisons, relClose for post-restore replays).
-func compareMulti(what string, got, want *client.Result, eq func(a, b float64) bool) error {
-	if got.Cycles != want.Cycles || got.Buses != want.Buses ||
-		got.MaxBus != want.MaxBus || got.MaxWire != want.MaxWire {
-		return fmt.Errorf("%s: shape differs: %d cycles/%d buses/max %d:%d vs %d/%d/%d:%d", what,
-			got.Cycles, got.Buses, got.MaxBus, got.MaxWire,
-			want.Cycles, want.Buses, want.MaxBus, want.MaxWire)
-	}
-	if !eq(got.Total.TotalJ, want.Total.TotalJ) || !eq(got.Total.SelfJ, want.Total.SelfJ) ||
-		!eq(got.Total.CoupAdjJ, want.Total.CoupAdjJ) || !eq(got.Total.CoupNonAdjJ, want.Total.CoupNonAdjJ) ||
-		!eq(got.AvgTempK, want.AvgTempK) || !eq(got.MaxTempK, want.MaxTempK) {
-		return fmt.Errorf("%s: totals differ: %+v vs %+v", what, got.Total, want.Total)
-	}
-	if len(got.PerBus) != mBuses || len(want.PerBus) != mBuses {
-		return fmt.Errorf("%s: per_bus lengths %d/%d, want %d", what, len(got.PerBus), len(want.PerBus), mBuses)
-	}
-	for k := range want.PerBus {
-		g, w := got.PerBus[k], want.PerBus[k]
-		if !eq(g.Total.TotalJ, w.Total.TotalJ) || !eq(g.MaxTempK, w.MaxTempK) ||
-			len(g.Samples) != len(w.Samples) {
-			return fmt.Errorf("%s: bus %d differs: %.17g J/%.17g K/%d samples vs %.17g J/%.17g K/%d samples",
-				what, k, g.Total.TotalJ, g.MaxTempK, len(g.Samples), w.Total.TotalJ, w.MaxTempK, len(w.Samples))
-		}
-		for i := range w.Samples {
-			if g.Samples[i].EndCycle != w.Samples[i].EndCycle ||
-				!eq(g.Samples[i].EnergyJ, w.Samples[i].EnergyJ) {
-				return fmt.Errorf("%s: bus %d sample %d differs", what, k, i)
-			}
-		}
-	}
-	return nil
 }
 
 // driveMulti runs the 4-bus leg on each transport and requires the two
@@ -481,8 +272,8 @@ func driveMulti(ctx context.Context, baseURL, nbwpAddr string) error {
 	if err := nc.Goodbye(ctx); err != nil {
 		return fmt.Errorf("multi nbwp goodbye: %w", err)
 	}
-	if err := compareMulti("http vs nbwp", nbwpRes, httpRes, feq); err != nil {
-		return err
+	if err := e2e.SameResult(httpRes, nbwpRes, e2e.Bits); err != nil {
+		return fmt.Errorf("multi http vs nbwp: %w", err)
 	}
 	fmt.Printf("nanobusd_smoke: multi: %d buses x %d rows + %d idle bit-identical across transports, checkpoint replay agrees (total %.4g J, hottest bus %d)\n",
 		mBuses, mHeadRows+mTailRows, mIdle, httpRes.Total.TotalJ, httpRes.MaxBus)
