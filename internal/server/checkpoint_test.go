@@ -2,7 +2,11 @@ package server_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -445,6 +449,80 @@ func TestRestoreRejectsCorruptAndMismatched(t *testing.T) {
 	if before != after {
 		t.Fatalf("failed restore mutated the session: %+v -> %+v", before, after)
 	}
+}
+
+// withCoreAmbient returns a copy of a scalar session's checkpoint
+// envelope whose core NBCP v1 blob stores the given thermal ambient, with
+// both CRCs recomputed. It walks the envelope (checkpoint.go) and the v1
+// layout (internal/core/checkpoint.go) to the field.
+func withCoreAmbient(t *testing.T, env []byte, width int, ambient float64) []byte {
+	t.Helper()
+	out := append([]byte(nil), env...)
+	le := binary.LittleEndian
+	// Envelope: magic, version, seq, words, idle, then cfg and core
+	// sections (u32 length + bytes), then the envelope CRC.
+	off := 4 + 2 + 3*8
+	off += 4 + int(le.Uint32(out[off:]))
+	core := out[off+4 : len(out)-4]
+	// Core: header, node and encoding strings, the rest of the
+	// fingerprint, counters, totals and window, encoder state.
+	amb := 8
+	for range 2 {
+		amb += 2 + int(le.Uint16(core[amb:]))
+	}
+	amb += 4 + 8 + 8 + 8 + 1
+	amb += 8 + 8
+	amb += 2*(1+width)*24 + 8 + 1 + 8 + 8
+	amb += 8 + 4 + 1
+	if got := math.Float64frombits(le.Uint64(core[amb:])); got < 200 || got > 500 {
+		t.Fatalf("core field at offset %d is %g, not an ambient in kelvin", amb, got)
+	}
+	le.PutUint64(core[amb:], math.Float64bits(ambient))
+	le.PutUint32(core[len(core)-4:], crc32.ChecksumIEEE(core[:len(core)-4]))
+	le.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(out[:len(out)-4]))
+	return out
+}
+
+// TestRestoreRejectsBadAmbientUntouched sends an inline restore whose
+// core blob has a negative ambient (both CRCs valid). It must be a 422
+// checkpoint_corrupt, and the live session must carry on as if the
+// request never came: its later steps and result match an uninterrupted
+// run bit for bit.
+func TestRestoreRejectsBadAmbientUntouched(t *testing.T) {
+	_, c := newTestService(t, server.Config{})
+	ctx := context.Background()
+
+	ref, err := c.CreateSession(ctx, ckptConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runSeq(t, ref, 1, 6)
+	want, err := ref.Result(ctx, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sess, err := c.CreateSession(ctx, ckptConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runSeq(t, sess, 1, 2)
+	env, err := sess.CheckpointDownload(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runSeq(t, sess, 3, 4)
+	_, err = sess.RestoreFrom(ctx, withCoreAmbient(t, env, want.Width, -1))
+	var ae *client.APIError
+	if !errors.As(err, &ae) || ae.StatusCode != http.StatusUnprocessableEntity || ae.Code != server.CodeCheckpointCorrupt {
+		t.Fatalf("restore with ambient -1 = %v, want 422 checkpoint_corrupt", err)
+	}
+	runSeq(t, sess, 5, 6)
+	got, err := sess.Result(ctx, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, want, got)
 }
 
 func TestFSStoreTruncatedSaveRejectedOnRestore(t *testing.T) {
