@@ -205,7 +205,8 @@ func (s *session) simErr() error {
 	return s.sim.Err()
 }
 
-// snapshot serializes the simulator (NBCP v1 for scalar, v2 for multi).
+// snapshot serializes the simulator: NBCP v1 for a static scalar (or
+// K = 1) session, v2 for a K > 1 multi-bus one, v3 for an adaptive one.
 func (s *session) snapshot() ([]byte, error) {
 	if s.msim != nil {
 		return s.msim.Snapshot()
