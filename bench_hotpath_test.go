@@ -367,6 +367,30 @@ func BenchmarkMultiStep(b *testing.B) {
 	})
 }
 
+// BenchmarkCapture measures trace capture, the NB32 interpreter every
+// experiment runs before any bus model: one op is one committed
+// instruction on a source already past its benchmark's warm-up skip, so
+// ns/op (also reported as ns_cycle) is the steady-state cost per cycle.
+func BenchmarkCapture(b *testing.B) {
+	eon, swim := workload.PaperPair()
+	for _, bench := range []workload.Benchmark{eon, swim} {
+		b.Run(bench.Name, func(b *testing.B) {
+			src, err := bench.NewWarmSource(bench.WarmupCycles)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := src.Next(); !ok {
+					b.Fatalf("trace ended after %d cycles", i)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns_cycle")
+		})
+	}
+}
+
 // BenchmarkSweepWorkers measures Fig. 3 sweep scaling across pool sizes
 // (fixed workload: 2 benchmarks x 1 node x 4 schemes x 2 buses = 16 jobs).
 // "cold" builds every simulator and captures every trace window per call

@@ -69,90 +69,88 @@ type Event struct {
 
 // Step executes one instruction and reports its bus event. Executing while
 // halted is an error.
+//
+//nanolint:hotpath one call per committed instruction, the whole cost of trace capture; allocates nothing
 func (c *CPU) Step() (Event, error) {
+	var ev Event
 	if c.Halted {
-		return Event{}, fmt.Errorf("cpu: step while halted at pc=%#x", c.PC)
+		return ev, fmt.Errorf("cpu: step while halted at pc=%#x", c.PC)
 	}
-	ev := Event{Fetch: c.PC}
-	w, err := c.Mem.ReadWord(c.PC)
+	ev.Fetch = c.PC
+	d, err := c.Mem.fetch(c.PC)
 	if err != nil {
 		return ev, fmt.Errorf("cpu: fetch: %w", err)
 	}
-	in := isa.Decode(w)
+	in, class := d.in, d.class
 	next := c.PC + 4
 
-	r := func(i uint8) uint32 {
-		if i == 0 {
-			return 0
-		}
-		return c.Regs[i]
+	// a and b are the integer source operands; r0 reads as zero.
+	var a, b uint32
+	if in.Rs1 != 0 {
+		a = c.Regs[in.Rs1]
 	}
-	setR := func(i uint8, v uint32) {
-		if i != 0 {
-			c.Regs[i] = v
-		}
+	if in.Rs2 != 0 {
+		b = c.Regs[in.Rs2]
 	}
 
 	switch in.Op {
 	case isa.OpAdd:
-		setR(in.Rd, r(in.Rs1)+r(in.Rs2))
+		c.setR(in.Rd, a+b)
 	case isa.OpSub:
-		setR(in.Rd, r(in.Rs1)-r(in.Rs2))
+		c.setR(in.Rd, a-b)
 	case isa.OpAnd:
-		setR(in.Rd, r(in.Rs1)&r(in.Rs2))
+		c.setR(in.Rd, a&b)
 	case isa.OpOr:
-		setR(in.Rd, r(in.Rs1)|r(in.Rs2))
+		c.setR(in.Rd, a|b)
 	case isa.OpXor:
-		setR(in.Rd, r(in.Rs1)^r(in.Rs2))
+		c.setR(in.Rd, a^b)
 	case isa.OpSll:
-		setR(in.Rd, r(in.Rs1)<<(r(in.Rs2)&31))
+		c.setR(in.Rd, a<<(b&31))
 	case isa.OpSrl:
-		setR(in.Rd, r(in.Rs1)>>(r(in.Rs2)&31))
+		c.setR(in.Rd, a>>(b&31))
 	case isa.OpSra:
-		setR(in.Rd, uint32(int32(r(in.Rs1))>>(r(in.Rs2)&31)))
+		c.setR(in.Rd, uint32(int32(a)>>(b&31)))
 	case isa.OpSlt:
-		setR(in.Rd, b2u(int32(r(in.Rs1)) < int32(r(in.Rs2))))
+		c.setR(in.Rd, b2u(int32(a) < int32(b)))
 	case isa.OpSltu:
-		setR(in.Rd, b2u(r(in.Rs1) < r(in.Rs2)))
+		c.setR(in.Rd, b2u(a < b))
 	case isa.OpMul:
-		setR(in.Rd, r(in.Rs1)*r(in.Rs2))
+		c.setR(in.Rd, a*b)
 	case isa.OpDiv:
-		d := r(in.Rs2)
-		if d == 0 {
-			setR(in.Rd, ^uint32(0))
+		if b == 0 {
+			c.setR(in.Rd, ^uint32(0))
 		} else {
-			setR(in.Rd, uint32(int32(r(in.Rs1))/int32(d)))
+			c.setR(in.Rd, uint32(int32(a)/int32(b)))
 		}
 	case isa.OpRem:
-		d := r(in.Rs2)
-		if d == 0 {
-			setR(in.Rd, r(in.Rs1))
+		if b == 0 {
+			c.setR(in.Rd, a)
 		} else {
-			setR(in.Rd, uint32(int32(r(in.Rs1))%int32(d)))
+			c.setR(in.Rd, uint32(int32(a)%int32(b)))
 		}
 
 	case isa.OpAddi:
-		setR(in.Rd, r(in.Rs1)+uint32(in.Imm))
+		c.setR(in.Rd, a+uint32(in.Imm))
 	case isa.OpAndi:
-		setR(in.Rd, r(in.Rs1)&uint32(in.Imm))
+		c.setR(in.Rd, a&uint32(in.Imm))
 	case isa.OpOri:
-		setR(in.Rd, r(in.Rs1)|uint32(in.Imm))
+		c.setR(in.Rd, a|uint32(in.Imm))
 	case isa.OpXori:
-		setR(in.Rd, r(in.Rs1)^uint32(in.Imm))
+		c.setR(in.Rd, a^uint32(in.Imm))
 	case isa.OpSlti:
-		setR(in.Rd, b2u(int32(r(in.Rs1)) < in.Imm))
+		c.setR(in.Rd, b2u(int32(a) < in.Imm))
 	case isa.OpSlli:
-		setR(in.Rd, r(in.Rs1)<<(uint32(in.Imm)&31))
+		c.setR(in.Rd, a<<(uint32(in.Imm)&31))
 	case isa.OpSrli:
-		setR(in.Rd, r(in.Rs1)>>(uint32(in.Imm)&31))
+		c.setR(in.Rd, a>>(uint32(in.Imm)&31))
 	case isa.OpSrai:
-		setR(in.Rd, uint32(int32(r(in.Rs1))>>(uint32(in.Imm)&31)))
+		c.setR(in.Rd, uint32(int32(a)>>(uint32(in.Imm)&31)))
 
 	case isa.OpLui:
-		setR(in.Rd, uint32(in.Imm))
+		c.setR(in.Rd, uint32(in.Imm))
 
 	case isa.OpLw, isa.OpLh, isa.OpLhu, isa.OpLb, isa.OpLbu, isa.OpFlw:
-		addr := r(in.Rs1) + uint32(in.Imm)
+		addr := a + uint32(in.Imm)
 		ev.Mem, ev.Addr = true, addr
 		switch in.Op {
 		case isa.OpLw:
@@ -160,23 +158,23 @@ func (c *CPU) Step() (Event, error) {
 			if err != nil {
 				return ev, err
 			}
-			setR(in.Rd, v)
+			c.setR(in.Rd, v)
 		case isa.OpLh:
 			v, err := c.Mem.ReadHalf(addr)
 			if err != nil {
 				return ev, err
 			}
-			setR(in.Rd, uint32(int32(int16(v))))
+			c.setR(in.Rd, uint32(int32(int16(v))))
 		case isa.OpLhu:
 			v, err := c.Mem.ReadHalf(addr)
 			if err != nil {
 				return ev, err
 			}
-			setR(in.Rd, uint32(v))
+			c.setR(in.Rd, uint32(v))
 		case isa.OpLb:
-			setR(in.Rd, uint32(int32(int8(c.Mem.LoadByte(addr)))))
+			c.setR(in.Rd, uint32(int32(int8(c.Mem.LoadByte(addr)))))
 		case isa.OpLbu:
-			setR(in.Rd, uint32(c.Mem.LoadByte(addr)))
+			c.setR(in.Rd, uint32(c.Mem.LoadByte(addr)))
 		case isa.OpFlw:
 			v, err := c.Mem.ReadWord(addr)
 			if err != nil {
@@ -186,19 +184,19 @@ func (c *CPU) Step() (Event, error) {
 		}
 
 	case isa.OpSw, isa.OpSh, isa.OpSb, isa.OpFsw:
-		addr := r(in.Rs1) + uint32(in.Imm)
+		addr := a + uint32(in.Imm)
 		ev.Mem, ev.Addr, ev.Store = true, addr, true
 		switch in.Op {
 		case isa.OpSw:
-			if err := c.Mem.WriteWord(addr, r(in.Rs2)); err != nil {
+			if err := c.Mem.WriteWord(addr, b); err != nil {
 				return ev, err
 			}
 		case isa.OpSh:
-			if err := c.Mem.WriteHalf(addr, uint16(r(in.Rs2))); err != nil {
+			if err := c.Mem.WriteHalf(addr, uint16(b)); err != nil {
 				return ev, err
 			}
 		case isa.OpSb:
-			c.Mem.StoreByte(addr, byte(r(in.Rs2)))
+			c.Mem.StoreByte(addr, byte(b))
 		case isa.OpFsw:
 			if err := c.Mem.WriteWord(addr, math.Float32bits(c.FRegs[in.Rs2])); err != nil {
 				return ev, err
@@ -206,36 +204,36 @@ func (c *CPU) Step() (Event, error) {
 		}
 
 	case isa.OpBeq:
-		if r(in.Rs1) == r(in.Rs2) {
+		if a == b {
 			next = c.PC + uint32(in.Imm)
 		}
 	case isa.OpBne:
-		if r(in.Rs1) != r(in.Rs2) {
+		if a != b {
 			next = c.PC + uint32(in.Imm)
 		}
 	case isa.OpBlt:
-		if int32(r(in.Rs1)) < int32(r(in.Rs2)) {
+		if int32(a) < int32(b) {
 			next = c.PC + uint32(in.Imm)
 		}
 	case isa.OpBge:
-		if int32(r(in.Rs1)) >= int32(r(in.Rs2)) {
+		if int32(a) >= int32(b) {
 			next = c.PC + uint32(in.Imm)
 		}
 	case isa.OpBltu:
-		if r(in.Rs1) < r(in.Rs2) {
+		if a < b {
 			next = c.PC + uint32(in.Imm)
 		}
 	case isa.OpBgeu:
-		if r(in.Rs1) >= r(in.Rs2) {
+		if a >= b {
 			next = c.PC + uint32(in.Imm)
 		}
 
 	case isa.OpJal:
-		setR(in.Rd, c.PC+4)
+		c.setR(in.Rd, c.PC+4)
 		next = c.PC + uint32(in.Imm)
 	case isa.OpJalr:
-		t := (r(in.Rs1) + uint32(in.Imm)) &^ 3
-		setR(in.Rd, c.PC+4)
+		t := (a + uint32(in.Imm)) &^ 3
+		c.setR(in.Rd, c.PC+4)
 		next = t
 
 	case isa.OpFadd:
@@ -251,48 +249,91 @@ func (c *CPU) Step() (Event, error) {
 	case isa.OpFmax:
 		c.FRegs[in.Rd] = float32(math.Max(float64(c.FRegs[in.Rs1]), float64(c.FRegs[in.Rs2])))
 	case isa.OpFeq:
-		setR(in.Rd, b2u(c.FRegs[in.Rs1] == c.FRegs[in.Rs2])) //nanolint:ignore floateq Feq implements the ISA's IEEE-754 equality semantics
+		c.setR(in.Rd, b2u(c.FRegs[in.Rs1] == c.FRegs[in.Rs2])) //nanolint:ignore floateq Feq implements the ISA's IEEE-754 equality semantics
 	case isa.OpFlt:
-		setR(in.Rd, b2u(c.FRegs[in.Rs1] < c.FRegs[in.Rs2]))
+		c.setR(in.Rd, b2u(c.FRegs[in.Rs1] < c.FRegs[in.Rs2]))
 	case isa.OpFcvtws:
-		setR(in.Rd, uint32(int32(c.FRegs[in.Rs1])))
+		c.setR(in.Rd, uint32(int32(c.FRegs[in.Rs1])))
 	case isa.OpFcvtsw:
-		c.FRegs[in.Rd] = float32(int32(r(in.Rs1)))
+		c.FRegs[in.Rd] = float32(int32(a))
 	case isa.OpFmvxw:
-		setR(in.Rd, math.Float32bits(c.FRegs[in.Rs1]))
+		c.setR(in.Rd, math.Float32bits(c.FRegs[in.Rs1]))
 	case isa.OpFmvwx:
-		c.FRegs[in.Rd] = math.Float32frombits(r(in.Rs1))
+		c.FRegs[in.Rd] = math.Float32frombits(a)
 
 	case isa.OpHalt:
 		c.Halted = true
 		next = c.PC
 
 	default:
-		return ev, fmt.Errorf("cpu: invalid instruction %#08x at pc=%#x", w, c.PC)
-	}
-
-	// Classify for the mix counters.
-	info := isa.InfoOf(in.Op)
-	switch {
-	case info.Load:
-		c.Counters.Loads++
-	case info.Store:
-		c.Counters.Stores++
-	case info.Fmt == isa.FmtB:
-		c.Counters.Branches++
-		if next != ev.Fetch+4 {
-			c.Counters.Taken++
+		w, err := c.Mem.ReadWord(c.PC)
+		if err == nil {
+			err = fmt.Errorf("cpu: invalid instruction %#08x at pc=%#x", w, c.PC)
 		}
-	case in.Op == isa.OpJal || in.Op == isa.OpJalr:
-		c.Counters.Jumps++
-	}
-	if info.FP && !info.Load && !info.Store {
-		c.Counters.FPOps++
+		return ev, err
 	}
 
+	c.Counters.count(class, next != ev.Fetch+4)
 	c.PC = next
 	c.Instret++
 	return ev, nil
+}
+
+// Instruction classes, one per Counters field an instruction can bump.
+const (
+	classOther uint8 = iota
+	classLoad
+	classStore
+	classBranch
+	classJump
+	classFP
+)
+
+// classOf maps an opcode to the Counters field it bumps: loads and stores
+// (FP ones included) count as memory operations only, and FPOps counts
+// the remaining FP-register instructions.
+func classOf(op isa.Op) uint8 {
+	info := isa.InfoOf(op)
+	switch {
+	case info.Load:
+		return classLoad
+	case info.Store:
+		return classStore
+	case info.Fmt == isa.FmtB:
+		return classBranch
+	case op == isa.OpJal || op == isa.OpJalr:
+		return classJump
+	case info.FP:
+		return classFP
+	}
+	return classOther
+}
+
+// count bumps the field that an instruction of the given class feeds;
+// taken reports whether a branch redirected the PC.
+func (k *Counters) count(class uint8, taken bool) {
+	switch class {
+	case classLoad:
+		k.Loads++
+	case classStore:
+		k.Stores++
+	case classBranch:
+		k.Branches++
+		if taken {
+			k.Taken++
+		}
+	case classJump:
+		k.Jumps++
+	case classFP:
+		k.FPOps++
+	}
+}
+
+// setR writes integer register i; writes to r0 are dropped.
+func (c *CPU) setR(i uint8, v uint32) {
+	if i != 0 {
+		c.Regs[i] = v
+	}
 }
 
 func b2u(b bool) uint32 {

@@ -53,6 +53,10 @@ go run ./scripts/benchgate -baseline BENCH_hotpath.json < "$tmp/bench_warm.txt"
 # Whole-sweep benchmarks run ~0.5 s/op, so one iteration is already stable.
 go test -run NONE -bench 'BenchmarkSweepWorkers' -benchmem -benchtime 1x . > "$tmp/bench_sweep.txt"
 go run ./scripts/benchgate -baseline BENCH_hotpath.json < "$tmp/bench_sweep.txt"
+# Trace capture: each run warms its source past the benchmark's warm-up
+# skip outside the timer, then times 10^6 steady-state cycles.
+go test -run NONE -bench 'BenchmarkCapture' -benchmem -benchtime 1000000x -count 3 . > "$tmp/bench_capture.txt"
+go run ./scripts/benchgate -baseline BENCH_hotpath.json < "$tmp/bench_capture.txt"
 # Per-bus scaling gate: the committed baseline's paired K16-vs-K1 record
 # must show the batch kernel at >= 2x per-bus throughput over scalar.
 go run ./scripts/benchgate -baseline BENCH_hotpath.json -multi-gate
