@@ -96,9 +96,9 @@ func (m *Memory) page(addr uint32) *page {
 }
 
 // fetch returns the decoded instruction at addr, decoding the word on its
-// first fetch since it was last written. The entry belongs to the page's
-// cache: a later write to the word clears it in place, so callers copy
-// what they need before executing the instruction.
+// first fetch since it was last written. The entry lives in the page's
+// cache and is overwritten when the word is decoded again, so callers
+// copy what they need before executing the instruction.
 //
 //nanolint:hotpath one probe per committed instruction; after a page's first fetch it allocates nothing
 func (m *Memory) fetch(addr uint32) (*decoded, error) {
