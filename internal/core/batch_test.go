@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"nanobus/internal/encoding"
@@ -151,6 +152,31 @@ func TestPlayTapeMatchesRunSingle(t *testing.T) {
 				t.Fatalf("%s: sample %d differs: %+v != %+v", kind, i, rs[i], gs[i])
 			}
 		}
+	}
+}
+
+// TestPlayTapeStopsAtClosedInterval cancels ctx from the first sample's
+// callback: PlayTape must return at that interval's close, with exactly
+// one interval driven, and must refuse to start on a cancelled ctx.
+func TestPlayTapeStopsAtClosedInterval(t *testing.T) {
+	const interval = 1000
+	tape, err := CompileTape(trace.NewSynth(trace.DefaultSynthConfig(7)), "da", 5*interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	sim, err := New(Config{Node: itrs.N90, IntervalCycles: interval, OnSample: func(Sample) { cancel() }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.PlayTape(ctx, tape); !errors.Is(err, context.Canceled) {
+		t.Fatalf("PlayTape = %v, want context.Canceled", err)
+	}
+	if sim.Cycles() != interval || len(sim.Samples()) != 1 {
+		t.Fatalf("stopped after %d cycles and %d samples, want %d and 1", sim.Cycles(), len(sim.Samples()), interval)
+	}
+	if err := sim.PlayTape(ctx, tape); !errors.Is(err, context.Canceled) || sim.Cycles() != interval {
+		t.Fatalf("PlayTape on a cancelled ctx = %v after %d cycles", err, sim.Cycles())
 	}
 }
 

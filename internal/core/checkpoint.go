@@ -13,12 +13,21 @@ import (
 
 // Checkpoint format (NBCP). A snapshot is a self-describing binary blob,
 // deterministic down to the byte for a given simulator state. One codec
-// writes three layouts, named by the version word:
+// handles five layouts, named by the version word:
 //
-//	v1  static-encoder Simulator, and a K == 1 MultiSim (its blobs are
+//	v4  static-encoder Simulator, and a K == 1 MultiSim (its blobs are
 //	    interchangeable with Simulator.Snapshot/Restore)
 //	v2  MultiSim with K > 1 buses
-//	v3  Simulator running the adaptive controller
+//	v5  Simulator running the adaptive controller
+//	v1  v4 without the window counts (read only)
+//	v3  v5 without the window counts (read only)
+//
+// v4 and v5 are v1 and v3 with the accumulator window extended by the
+// scalar kernel's exact pair-pattern counts (see energy.AccumulatorState).
+// Snapshot writes v2, v4 and v5. Restore still reads v1 and v3 blobs: their
+// float window becomes the accumulator's carry, added to the counts when
+// the interval closes, so a blob taken before the counts existed resumes
+// where it stopped.
 //
 // Integers and float bit patterns are little-endian; a string is a u16
 // length and its bytes; a bool is one byte; a line energy is three f64
@@ -27,23 +36,25 @@ import (
 //	envelope     "NBCP" | version u16 | flags u16 (written 0, not checked)
 //	             | body | crc32 (IEEE) of every preceding byte
 //	fingerprint  compared field by field with the target:
-//	  v1         node, encoding, width u32, interval cycles u64,
+//	  v1, v4     node, encoding, width u32, interval cycles u64,
 //	             length f64, coupling depth i64 (-1 = all pairs),
 //	             no-repeaters bool
-//	  v3         node, adaptive base, adaptive cool, ceiling, guard and
+//	  v3, v5     node, adaptive base, adaptive cool, ceiling, guard and
 //	             hysteresis f64, then v1's fields from width on
 //	  v2         v1's fields, buses u32, bus-coupling-disabled bool,
 //	             bus gap pitches f64
 //	counters     cycles u64, cycles into the open interval u64
-//	v1, v3 body  bus block | thermal | samples
+//	scalar body  bus block | thermal | samples
 //	v2 body      thermal (K*W temperatures, bus-major) |
 //	             per bus: bus block | samples
 //	bus block    cumulative total, W per-line totals, accumulator window
 //	             (held word u64, first bool, cycles u64, idle cycles u64,
 //	             window total, W window lines), then
-//	  v1, v2     encoder state: prev u64, last u32, first bool (zero for
+//	  v4, v5     window counts: W toggle counts u64, W(W-1)/2 pair
+//	             counts i64 (pairs i < j, row-major), then
+//	  v1, v2, v4 encoder state: prev u64, last u32, first bool (zero for
 //	             stateless schemes)
-//	  v3         controller: mode u16, just-switched bool, base and cool
+//	  v3, v5     controller: mode u16, just-switched bool, base and cool
 //	             occupancy u64, base and cool encoder states (the
 //	             inactive one keeps private history, e.g. CoolSpread's
 //	             rotation counter, that the next switch resumes), event
@@ -51,18 +62,21 @@ import (
 //	thermal      ambient f64, wire temperatures f64
 //	samples      count u32, each: end cycle u64, energy, self, adjacent
 //	             and non-adjacent coupling, avg and max temp f64, hottest
-//	             wire i64, wire-temp count u32 and temps f64; v3 adds a
-//	             cool-mode bool and a switched bool
+//	             wire i64, wire-temp count u32 and temps f64; v3 and v5
+//	             add a cool-mode bool and a switched bool
 //
-// The transition memo is never serialized: its contents are a pure
-// function of the model, so a restored simulator re-warms bit-identically
-// (the "dropped and rewarmed" policy). For K > 1, Snapshot first drains
-// the shared memo's pending counts into the windows. The round trip is
-// still bit-exact (restore then re-snapshot reproduces the blob), but a
-// continued K > 1 run agrees with the source only to rounding (~1e-12
-// relative): the restored cold memo evicts on a different schedule, so
-// its count drains associate float additions differently. Scalar restores
-// continue bit-identically.
+// In v4 and v5 the float window is the carry, zero unless the blob's
+// history passes through a v1 or v3 restore in the same interval.
+//
+// The K > 1 transition memo is never serialized: its contents are a pure
+// function of the model, so a restored simulator re-warms (the "dropped
+// and rewarmed" policy). Snapshot first drains the shared memo's pending
+// counts into the windows. The round trip is still bit-exact (restore
+// then re-snapshot reproduces the blob), but a continued K > 1 run agrees
+// with the source only to rounding (~1e-12 relative): the restored cold
+// memo evicts on a different schedule, so its count drains associate
+// float additions differently. Scalar restores continue bit-identically,
+// because the scalar window is integers.
 //
 // Restore decodes and validates the whole blob before it touches the
 // target: envelope, version, fingerprint, every count against the
@@ -83,9 +97,12 @@ var ErrCheckpointMismatch = errors.New("core: checkpoint configuration mismatch"
 
 const (
 	checkpointMagic           = "NBCP"
-	checkpointVersion         = 1 // static-encoder Simulator
+	checkpointVersion         = 4 // static-encoder Simulator
 	checkpointVersionMulti    = 2 // MultiSim, K > 1
-	checkpointVersionAdaptive = 3 // adaptive Simulator
+	checkpointVersionAdaptive = 5 // adaptive Simulator
+	// The float-window layouts, read only.
+	checkpointVersionV1 = 1 // static-encoder Simulator
+	checkpointVersionV3 = 3 // adaptive Simulator
 )
 
 // sampleMinBytes is the encoded size of a sample with no wire temps, used
@@ -109,7 +126,9 @@ func (s *Simulator) Snapshot() ([]byte, error) {
 	w := newCkptWriter(version, s.fingerprint())
 	w.u64(s.cycles)
 	w.u64(s.cycleInInterval)
-	w.busEnergy(s.totalEnergy, s.lineTotals, s.acc.State())
+	win := s.acc.State()
+	w.busEnergy(s.totalEnergy, s.lineTotals, win)
+	w.counts(win.Toggles, win.Pairs)
 	if s.ad != nil {
 		w.controller(s.ad)
 	} else {
@@ -123,28 +142,29 @@ func (s *Simulator) Snapshot() ([]byte, error) {
 // Restore overwrites the simulator's state from a Snapshot blob. The
 // target must have been built with an equivalent configuration: same node,
 // encoder (or adaptive controller tuning), width, length, interval,
-// coupling depth and repeater setting — anything else, including a v1
-// blob into an adaptive target or a v3 blob into a static one, is rejected
-// with ErrCheckpointMismatch. Structural damage (truncation, bit rot,
+// coupling depth and repeater setting — anything else, including a v1 or
+// v4 blob into an adaptive target or a v3 or v5 blob into a static one, is
+// rejected with ErrCheckpointMismatch. Structural damage (truncation, bit rot,
 // wrong magic or version, impossible field values) is rejected with
 // ErrCheckpointCorrupt. Both rejections leave the simulator untouched.
 //
 // Restore clears any sticky error, so it also resurrects a poisoned
-// simulator back to its last known-good checkpoint. The transition memo is
-// kept as-is (warm or cold makes no numerical difference), and the
-// OnSample callback is unchanged.
+// simulator back to its last known-good checkpoint. The OnSample callback
+// is unchanged.
 func (s *Simulator) Restore(data []byte) error {
 	r, v, err := openCheckpoint(data)
 	if err != nil {
 		return err
 	}
+	adaptive := v == checkpointVersionAdaptive || v == checkpointVersionV3
 	switch {
-	case v == checkpointVersion && s.ad != nil:
-		return fmt.Errorf("%w: v1 (static-encoder) checkpoint, but the target runs the adaptive controller", ErrCheckpointMismatch)
-	case v == checkpointVersionAdaptive && s.ad == nil:
-		return fmt.Errorf("%w: v3 (adaptive) checkpoint, but the target has a static encoder", ErrCheckpointMismatch)
-	case v != checkpointVersion && v != checkpointVersionAdaptive:
-		return fmt.Errorf("%w: unsupported version %d (want %d or %d)", ErrCheckpointCorrupt, v, checkpointVersion, checkpointVersionAdaptive)
+	case v != checkpointVersion && v != checkpointVersionV1 && !adaptive:
+		return fmt.Errorf("%w: unsupported version %d (want %d, %d, %d or %d)", ErrCheckpointCorrupt, v,
+			checkpointVersion, checkpointVersionAdaptive, checkpointVersionV1, checkpointVersionV3)
+	case !adaptive && s.ad != nil:
+		return fmt.Errorf("%w: v%d (static-encoder) checkpoint, but the target runs the adaptive controller", ErrCheckpointMismatch, v)
+	case adaptive && s.ad == nil:
+		return fmt.Errorf("%w: v%d (adaptive) checkpoint, but the target has a static encoder", ErrCheckpointMismatch, v)
 	}
 	if err := r.fingerprint(s.fingerprint()); err != nil {
 		return err
@@ -153,8 +173,11 @@ func (s *Simulator) Restore(data []byte) error {
 	width := s.enc.Width()
 	cycles, cycleInInterval := r.u64(), r.u64()
 	total, lineTotals, win := r.busEnergy(width)
+	if v == checkpointVersion || v == checkpointVersionAdaptive {
+		win.Toggles, win.Pairs = r.counts(width, win.Cycles)
+	}
 	var ctl adaptiveState
-	var ests [2]encoding.State // v1: the encoder's; v3: base and cool
+	var ests [2]encoding.State // static: the encoder's; adaptive: base and cool
 	if s.ad != nil {
 		ctl, ests = r.controller(s.ad)
 	} else {
@@ -190,7 +213,7 @@ func (s *Simulator) Restore(data []byte) error {
 }
 
 // Snapshot serializes the multi-bus simulator (see Simulator.Snapshot for
-// the contract; K == 1 produces a v1 blob).
+// the contract; K == 1 produces a v4 blob).
 func (m *MultiSim) Snapshot() ([]byte, error) {
 	if m.single != nil {
 		return m.single.Snapshot()
@@ -278,7 +301,8 @@ type fpField struct {
 	val  any
 }
 
-// fingerprint lists the simulator's identity in v1 or v3 layout order.
+// fingerprint lists the simulator's identity in v4 (v1) or v5 (v3)
+// layout order.
 func (s *Simulator) fingerprint() []fpField {
 	fp := []fpField{{"node", s.cfg.Node.Name}}
 	if a := s.ad; a != nil {
@@ -462,6 +486,45 @@ func (r *ckptReader) busEnergy(width int) (energy.LineEnergy, []energy.LineEnerg
 		IdleCycles: r.u64(), Total: r.lineEnergy(), Lines: r.lines(width)}
 }
 
+// counts writes v4/v5's window counts.
+func (w *ckptWriter) counts(toggles []uint64, pairs []int64) {
+	for _, t := range toggles {
+		w.u64(t)
+	}
+	for _, p := range pairs {
+		w.i64(p)
+	}
+}
+
+// counts reads v4/v5's window counts for a width-n bus whose window holds
+// cycles cycles. Counts no such window could hold are corrupt: a wire
+// switches at most once a cycle (T_i <= cycles), and a pair's count moves
+// by one only when both wires switch (|P_ij| <= min(T_i, T_j)).
+func (r *ckptReader) counts(n int, cycles uint64) ([]uint64, []int64) {
+	toggles := make([]uint64, n)
+	for i := range toggles {
+		toggles[i] = r.u64()
+		if r.err == nil && toggles[i] > cycles {
+			r.err = fmt.Errorf("wire %d toggles %d times in a %d-cycle window", i, toggles[i], cycles)
+		}
+	}
+	pairs := make([]int64, 0, n*(n-1)/2)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			p := r.i64()
+			mag := uint64(p)
+			if p < 0 {
+				mag = -mag
+			}
+			if r.err == nil && mag > min(toggles[i], toggles[j]) {
+				r.err = fmt.Errorf("pair (%d, %d) count %d exceeds its wires' toggles %d and %d", i, j, p, toggles[i], toggles[j])
+			}
+			pairs = append(pairs, p)
+		}
+	}
+	return toggles, pairs
+}
+
 // encState writes e's state (zero for stateless schemes).
 func (w *ckptWriter) encState(e encoding.Encoder) {
 	var st encoding.State
@@ -483,7 +546,7 @@ func setEncoderState(e encoding.Encoder, st encoding.State) {
 	}
 }
 
-// controller writes v3's controller block.
+// controller writes the adaptive layouts' controller block.
 func (w *ckptWriter) controller(a *adaptiveState) {
 	w.u16(uint16(a.mode))
 	w.bool(a.justSwitch)
@@ -504,7 +567,7 @@ func (w *ckptWriter) controller(a *adaptiveState) {
 	}
 }
 
-// controller decodes v3's controller block into a copy of a, plus the
+// controller decodes the adaptive layouts' controller block into a copy of a, plus the
 // base and cool encoder states.
 func (r *ckptReader) controller(a *adaptiveState) (adaptiveState, [2]encoding.State) {
 	ctl := *a
@@ -571,7 +634,7 @@ func (r *ckptReader) temp() float64 {
 	return t
 }
 
-// samples writes a sample list; a non-nil ad adds v3's per-sample mode
+// samples writes a sample list; a non-nil ad adds the adaptive per-sample mode
 // and switched tags.
 func (w *ckptWriter) samples(ss []Sample, ad *adaptiveState) {
 	w.u32(uint32(len(ss)))

@@ -316,7 +316,7 @@ func TestFlushPanicFailpoint(t *testing.T) {
 	_, _ = sim.StepBatch(ctx, ckptWords(2, 50))
 }
 
-var updateCkpt = flag.Bool("update-ckpt", false, "rewrite testdata/ckpt_v*.bin from fresh runs")
+var updateCkpt = flag.Bool("update-ckpt", false, "rewrite the current-layout testdata/ckpt_v*.bin from fresh runs")
 
 // ckptTarget is the checkpoint surface Simulator and MultiSim share.
 type ckptTarget interface {
@@ -324,29 +324,31 @@ type ckptTarget interface {
 	Restore([]byte) error
 }
 
-// pinnedAdaptive is the v3 pin's controller: the probe trajectory's
+// pinnedAdaptive is the adaptive pins' controller: the probe trajectory's
 // sample 2 (318.150622 K at 45 nm) is the first at or above the
 // 318.1505 K trigger, so the switch closes the third interval.
 var pinnedAdaptive = AdaptiveConfig{Base: "BI", Cool: "CoolSpread", CeilingK: 318.4005, GuardK: 0.25, HysteresisK: 0.1}
 
 // pinnedCkpts are the committed blobs, one per NBCP layout. target builds
 // a simulator with the blob's configuration; run drives a fresh target to
-// the pinned state and is used only to regenerate the files.
+// the pinned state. A frozen blob was written by an earlier codec (the
+// float-window layouts v1 and v3): -update-ckpt never rewrites it, and
+// its run and tail serve the resume check instead. Snapshot of a frozen
+// blob's target writes the resnap layout.
 var pinnedCkpts = []struct {
 	file    string
 	version byte
 	target  func(t *testing.T) ckptTarget
 	run     func(t *testing.T, tgt ckptTarget)
+	frozen  bool
+	resnap  byte
+	tail    []uint32
 }{
 	{
 		// Static BI, cut mid-interval, samples with wire temperatures.
-		file: "ckpt_v1.bin", version: checkpointVersion,
+		file: "ckpt_v4.bin", version: checkpointVersion,
 		target: func(t *testing.T) ckptTarget { return newSim(t, pinnedV1Config()) },
-		run: func(t *testing.T, tgt ckptTarget) {
-			if _, err := tgt.(*Simulator).StepBatch(context.Background(), ckptWords(7, 1111)); err != nil {
-				t.Fatal(err)
-			}
-		},
+		run:    runPinnedStatic,
 	},
 	{
 		// K = 4 BI, one sample per bus plus a partly filled window.
@@ -360,17 +362,19 @@ var pinnedCkpts = []struct {
 	},
 	{
 		// Adaptive, cut mid-interval right after the switch.
-		file: "ckpt_v3.bin", version: checkpointVersionAdaptive,
+		file: "ckpt_v5.bin", version: checkpointVersionAdaptive,
 		target: func(t *testing.T) ckptTarget { return newAdaptiveSim(t, 1000, pinnedAdaptive) },
-		run: func(t *testing.T, tgt ckptTarget) {
-			sim := tgt.(*Simulator)
-			if _, err := sim.StepBatch(context.Background(), hotWords(3500)); err != nil {
-				t.Fatal(err)
-			}
-			if len(sim.SwitchEvents()) != 1 || sim.ActiveEncoder() != pinnedAdaptive.Cool {
-				t.Fatalf("pinned v3 run did not switch once: %+v", sim.SwitchEvents())
-			}
-		},
+		run:    runPinnedAdaptive,
+	},
+	{
+		file: "ckpt_v1.bin", version: checkpointVersionV1, frozen: true, resnap: checkpointVersion,
+		target: func(t *testing.T) ckptTarget { return newSim(t, pinnedV1Config()) },
+		run:    runPinnedStatic, tail: ckptWords(8, 700),
+	},
+	{
+		file: "ckpt_v3.bin", version: checkpointVersionV3, frozen: true, resnap: checkpointVersionAdaptive,
+		target: func(t *testing.T) ckptTarget { return newAdaptiveSim(t, 1000, pinnedAdaptive) },
+		run:    runPinnedAdaptive, tail: hotWords(2500),
 	},
 }
 
@@ -378,13 +382,29 @@ func pinnedV1Config() Config {
 	return Config{Node: itrs.N130, CouplingDepth: -1, IntervalCycles: 300, Encoder: encoding.NewBI(), TrackWireTemps: true}
 }
 
-// readPinned returns the committed blob, regenerating it first under
-// -update-ckpt.
+func runPinnedStatic(t *testing.T, tgt ckptTarget) {
+	if _, err := tgt.(*Simulator).StepBatch(context.Background(), ckptWords(7, 1111)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func runPinnedAdaptive(t *testing.T, tgt ckptTarget) {
+	sim := tgt.(*Simulator)
+	if _, err := sim.StepBatch(context.Background(), hotWords(3500)); err != nil {
+		t.Fatal(err)
+	}
+	if len(sim.SwitchEvents()) != 1 || sim.ActiveEncoder() != pinnedAdaptive.Cool {
+		t.Fatalf("pinned adaptive run did not switch once: %+v", sim.SwitchEvents())
+	}
+}
+
+// readPinned returns the committed blob, regenerating a current-layout
+// one first under -update-ckpt.
 func readPinned(t *testing.T, i int) []byte {
 	t.Helper()
 	pc := pinnedCkpts[i]
 	path := filepath.Join("testdata", pc.file)
-	if *updateCkpt {
+	if *updateCkpt && !pc.frozen {
 		src := pc.target(t)
 		pc.run(t, src)
 		blob, err := src.Snapshot()
@@ -406,9 +426,11 @@ func readPinned(t *testing.T, i int) []byte {
 }
 
 // TestCheckpointLayoutsPinned restores every committed layout into a
-// matching target and requires Snapshot to hand back the file byte for
-// byte, so blobs already in stores and replicas keep restoring. The check
-// copies bits only, so it holds on any host whatever its math.Exp.
+// matching target. A current-layout blob must come back from Snapshot
+// byte for byte, so blobs already in stores and replicas keep restoring;
+// the check copies bits only, so it holds on any host whatever its
+// math.Exp. A frozen float-window blob must resume: see
+// checkFrozenResume.
 func TestCheckpointLayoutsPinned(t *testing.T) {
 	for i, pc := range pinnedCkpts {
 		want := readPinned(t, i)
@@ -420,22 +442,78 @@ func TestCheckpointLayoutsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Snapshot: %v", pc.file, err)
 		}
+		if pc.frozen {
+			checkFrozenResume(t, i, tgt.(*Simulator), got)
+			continue
+		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: restore then snapshot is not byte-identical (%d vs %d bytes)", pc.file, len(got), len(want))
 		}
 	}
 
-	// A K = 1 MultiSim runs the scalar pipeline and takes the v1 layout.
-	v1 := readPinned(t, 0)
+	// A K = 1 MultiSim runs the scalar pipeline and takes the v4 layout.
+	v4 := readPinned(t, 0)
 	msim, err := NewMulti(MultiConfig{Config: pinnedV1Config(), Buses: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := msim.Restore(v1); err != nil {
-		t.Fatalf("K=1 MultiSim Restore of ckpt_v1.bin: %v", err)
+	if err := msim.Restore(v4); err != nil {
+		t.Fatalf("K=1 MultiSim Restore of ckpt_v4.bin: %v", err)
 	}
-	if got, err := msim.Snapshot(); err != nil || !bytes.Equal(got, v1) {
-		t.Fatalf("K=1 MultiSim re-snapshot of ckpt_v1.bin differs (err %v)", err)
+	if got, err := msim.Snapshot(); err != nil || !bytes.Equal(got, v4) {
+		t.Fatalf("K=1 MultiSim re-snapshot of ckpt_v4.bin differs (err %v)", err)
+	}
+}
+
+// checkFrozenResume continues a simulator restored from frozen blob i
+// (whose re-snapshot is snap) with the blob's tail words. Its float
+// window rides in the current layout as the carry, so a second target
+// restored from snap must continue bit for bit like the first. Against
+// an uninterrupted run of the same words on the count kernel, it must
+// agree to rounding: the blob's energies were summed by the memo kernel.
+func checkFrozenResume(t *testing.T, i int, restored *Simulator, snap []byte) {
+	t.Helper()
+	pc := pinnedCkpts[i]
+	if snap[4] != pc.resnap {
+		t.Fatalf("%s: re-snapshot is v%d, want v%d", pc.file, snap[4], pc.resnap)
+	}
+	second := pc.target(t).(*Simulator)
+	if err := second.Restore(snap); err != nil {
+		t.Fatalf("%s: Restore of its re-snapshot: %v", pc.file, err)
+	}
+	uninterrupted := pc.target(t).(*Simulator)
+	pc.run(t, uninterrupted)
+	for _, sim := range []*Simulator{restored, second, uninterrupted} {
+		if _, err := sim.StepBatch(context.Background(), pc.tail); err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameSamples(t, pc.file+" restored vs re-snapshot", restored.Samples(), second.Samples())
+	const tol = 1e-12
+	want := uninterrupted.Samples()
+	got := restored.Samples()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d samples, uninterrupted run has %d", pc.file, len(got), len(want))
+	}
+	close := func(a, b float64) bool { return math.Abs(a-b) <= tol*math.Abs(b) }
+	for k := range want {
+		x, y := got[k], want[k]
+		same := x.EndCycle == y.EndCycle && x.MaxWire == y.MaxWire && x.Encoder == y.Encoder &&
+			x.Switched == y.Switched && len(x.WireTemps) == len(y.WireTemps) &&
+			close(x.Energy, y.Energy) && close(x.Self, y.Self) && close(x.CoupAdj, y.CoupAdj) &&
+			close(x.CoupNonAdj, y.CoupNonAdj) && close(x.AvgTemp, y.AvgTemp) && close(x.MaxTemp, y.MaxTemp)
+		for j := 0; same && j < len(x.WireTemps); j++ {
+			same = close(x.WireTemps[j], y.WireTemps[j])
+		}
+		if !same {
+			t.Fatalf("%s: resumed sample %d is not within %g of the uninterrupted run:\n  %+v\n  %+v", pc.file, k, tol, x, y)
+		}
+	}
+	if a, b := restored.TotalEnergy().Total(), uninterrupted.TotalEnergy().Total(); !close(a, b) {
+		t.Fatalf("%s: resumed total %g J, uninterrupted %g J", pc.file, a, b)
 	}
 }
 

@@ -43,26 +43,11 @@ func (s *Simulator) StepBatch(ctx context.Context, words []uint32) (int, error) 
 	}
 	done := 0
 	for done < len(words) {
-		n := uint64(len(words) - done)
-		if left := s.interval - s.cycleInInterval; n > left {
-			n = left
-		}
-		if n > uint64(len(s.encBuf)) {
-			n = uint64(len(s.encBuf))
-		}
-		encoding.EncodeWords(s.enc, s.encBuf[:n], words[done:done+int(n)])
-		s.acc.StepBatch(s.encBuf[:n])
-		s.cycles += n
-		s.cycleInInterval += n
+		n := min(uint64(len(words)-done), s.interval-s.cycleInInterval)
+		s.stepWords(words[done : done+int(n)])
 		done += int(n)
-		if s.cycleInInterval >= s.interval {
-			s.flush(s.cycleInInterval)
-			if s.err != nil {
-				return done, s.err
-			}
-			if err := ctx.Err(); err != nil {
-				return done, err
-			}
+		if err := s.endSegment(ctx, n); err != nil {
+			return done, err
 		}
 	}
 	return len(words), nil
@@ -85,25 +70,45 @@ func (s *Simulator) StepIdleBatch(ctx context.Context, n uint64) (uint64, error)
 	}
 	var done uint64
 	for done < n {
-		k := n - done
-		if left := s.interval - s.cycleInInterval; k > left {
-			k = left
-		}
+		k := min(n-done, s.interval-s.cycleInInterval)
 		s.acc.IdleN(k)
-		s.cycles += k
-		s.cycleInInterval += k
 		done += k
-		if s.cycleInInterval >= s.interval {
-			s.flush(s.cycleInInterval)
-			if s.err != nil {
-				return done, s.err
-			}
-			if err := ctx.Err(); err != nil {
-				return done, err
-			}
+		if err := s.endSegment(ctx, k); err != nil {
+			return done, err
 		}
 	}
 	return n, nil
+}
+
+// stepWords encodes and accumulates words, which must fit in the open
+// sampling interval, a chunk of encBuf at a time. The cycle counters are
+// left to endSegment.
+//
+//nanolint:hotpath shared chunk loop of StepBatch and PlayTape
+func (s *Simulator) stepWords(words []uint32) {
+	for len(words) > 0 {
+		n := min(len(words), len(s.encBuf))
+		encoding.EncodeWords(s.enc, s.encBuf[:n], words[:n])
+		s.acc.StepBatch(s.encBuf[:n])
+		words = words[n:]
+	}
+}
+
+// endSegment accounts n cycles just driven inside the open sampling
+// interval and closes the interval if they fill it. After a close it
+// returns the simulator's sticky error, else ctx's: closing an interval
+// is the batch paths' only ctx polling point besides their entry.
+func (s *Simulator) endSegment(ctx context.Context, n uint64) error {
+	s.cycles += n
+	s.cycleInInterval += n
+	if s.cycleInInterval < s.interval {
+		return nil
+	}
+	s.flush(s.cycleInInterval)
+	if s.err != nil {
+		return s.err
+	}
+	return ctx.Err()
 }
 
 // SetOnSample replaces the per-sample callback (Config.OnSample) for

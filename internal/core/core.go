@@ -6,8 +6,11 @@
 // network, which is advanced with the exact interval propagator (or the
 // paper's RK4 when requested); samples of interval energy and
 // average/maximum wire temperature reproduce the traces of Figs. 4-5.
-// Per-cycle transition energies are memoized by default (bit-identical to
-// the direct kernel; Config.MemoSizeLog2 tunes or disables the cache).
+// Each interval's energy is accumulated as exact integer pair-pattern
+// counts (energy.Accumulator) and converted to joules once, when the
+// interval closes, so it does not depend on how the words were batched.
+// The multi-bus kernel (MultiSim, K > 1) memoizes transition energies
+// instead; Config.MemoSizeLog2 sizes that memo.
 package core
 
 import (
@@ -82,10 +85,11 @@ type Config struct {
 	// Decay overrides the non-adjacent coupling decay model; nil uses the
 	// node's calibrated default.
 	Decay *capmodel.DecayModel
-	// MemoSizeLog2 sizes the transition-energy memo (2^k entries): zero
-	// selects energy.DefaultMemoSizeLog2, a negative value disables
-	// memoization entirely (the direct kernel runs every cycle). Memoized
-	// and direct runs are bit-identical; see energy.Memo.
+	// MemoSizeLog2 sizes the multi-bus transition-energy memo (2^k
+	// entries) of a MultiSim with K > 1 buses: zero selects
+	// energy.DefaultMemoSizeLog2, a negative value disables memoization
+	// (the direct kernel runs every cycle). The scalar kernel (Simulator,
+	// K = 1) has no memo and only validates the size; see energy.Memo.
 	MemoSizeLog2 int
 }
 
@@ -281,7 +285,7 @@ func (s *Simulator) flush(n uint64) {
 		s.cycleInInterval = 0
 		return
 	}
-	s.acc.Lines(s.lineBuf)
+	tot := s.acc.Lines(s.lineBuf)
 	dt := float64(n) * s.cfg.Node.CyclePeriod()
 	for i := range s.lineBuf {
 		le := s.lineBuf[i]
@@ -291,7 +295,6 @@ func (s *Simulator) flush(n uint64) {
 		// W/m: interval line energy over interval time, per unit length.
 		s.power[i] = le.Total() / dt / s.length
 	}
-	tot := s.acc.Total()
 	s.totalEnergy.Self += tot.Self
 	s.totalEnergy.CoupAdj += tot.CoupAdj
 	s.totalEnergy.CoupNonAdj += tot.CoupNonAdj
@@ -356,21 +359,16 @@ func (s *Simulator) Finish() error {
 // ErrPoisoned) and stops emitting samples; Reset clears it.
 func (s *Simulator) Err() error { return s.err }
 
-// MemoStats returns the transition-memo hit/miss counters, or the zero
-// value when memoization is disabled (Config.MemoSizeLog2 < 0).
-func (s *Simulator) MemoStats() energy.MemoStats {
-	if m := s.acc.Memo(); m != nil {
-		return m.Stats()
-	}
-	return energy.MemoStats{}
-}
+// MemoStats returns the zero value: the scalar kernel counts pair
+// patterns and has no transition memo. It is kept so a K = 1 MultiSim and
+// a session report the same shape as the multi-bus kernel.
+func (s *Simulator) MemoStats() energy.MemoStats { return energy.MemoStats{} }
 
 // Reset returns the simulator to its post-New state so sweep drivers can
-// reuse one simulator (and its capacitance extraction, thermal
-// factorisation and warm transition memo) across runs: bus state, encoder
-// state, wire temperatures, samples, totals and the sticky error are all
-// cleared; the memo's cached transition energies are kept — they depend
-// only on the model, so a reused simulator replays runs bit-identically.
+// reuse one simulator (and its capacitance extraction and thermal
+// factorisation) across runs: bus state, encoder state, wire
+// temperatures, samples, totals and the sticky error are all cleared, so
+// a reused simulator replays runs bit-identically.
 func (s *Simulator) Reset() {
 	s.acc.ResetAll()
 	s.net.Reset()

@@ -41,9 +41,9 @@ type MultiConfig struct {
 //
 // K == 1 delegates to an inner *Simulator, so single-bus results are
 // bit-identical (Float64bits) to the scalar pipeline. For K > 1 the
-// deferred count-aggregation kernel associates float additions
-// differently from K scalar accumulators: energies agree to rounding
-// (~1e-12 relative), not bit exact.
+// memo-slot count-aggregation kernel sums float energies where the
+// scalar accumulator counts pair patterns exactly: energies agree to
+// rounding (~1e-12 relative), not bit exact.
 type MultiSim struct {
 	cfg      MultiConfig
 	buses    int
@@ -440,7 +440,8 @@ func (m *MultiSim) BusTemps(k int) []float64 {
 }
 
 // MemoStats returns the shared transition-memo counters (zero value when
-// memoization is disabled).
+// memoization is disabled, and for K == 1, whose scalar kernel has no
+// memo).
 func (m *MultiSim) MemoStats() energy.MemoStats {
 	if m.single != nil {
 		return m.single.MemoStats()

@@ -82,24 +82,49 @@ func (t *Tape) Words() uint64 { return uint64(len(t.words)) }
 
 // PlayTape replays the tape through the simulator — exactly equivalent to
 // driving StepWord/StepIdle per cycle, with the batch pipeline's cost
-// profile (ctx is polled once per closed sampling interval). It does not
-// call Finish; like the run loops' cancellation contract, a ctx or
-// poisoning error returns immediately with the partial state inspectable.
+// profile. It steps one sampling-interval segment at a time: the words of
+// every run inside the open interval go through one encode-and-accumulate
+// pass and its idle cycles through one IdleN. Idle cycles touch neither
+// the encoder nor the energy, so moving them after the segment's words
+// changes nothing. ctx is polled on entry and once per closed sampling
+// interval. It does not call Finish; like the run loops' cancellation
+// contract, a ctx or poisoning error returns immediately with the partial
+// state inspectable.
 func (s *Simulator) PlayTape(ctx context.Context, t *Tape) error {
-	w := 0
-	for _, run := range t.runs {
-		if run.words > 0 {
-			n := int(run.words)
-			if _, err := s.StepBatch(ctx, t.words[w:w+n]); err != nil {
-				return err
+	if s.err != nil {
+		return s.err
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	w, next := 0, 0
+	var run tapeRun // the unplayed rest of the current run
+	for {
+		left := s.interval - s.cycleInInterval
+		words, idle := 0, uint64(0)
+		for left > 0 {
+			if run == (tapeRun{}) {
+				if next == len(t.runs) {
+					break
+				}
+				run, next = t.runs[next], next+1
 			}
-			w += n
+			n := min(uint64(run.words), left)
+			k := min(run.idle, left-n)
+			run.words -= uint32(n)
+			run.idle -= k
+			words += int(n)
+			idle += k
+			left -= n + k
 		}
-		if run.idle > 0 {
-			if _, err := s.StepIdleBatch(ctx, run.idle); err != nil {
-				return err
-			}
+		if words == 0 && idle == 0 {
+			return nil
+		}
+		s.stepWords(t.words[w : w+words])
+		s.acc.IdleN(idle)
+		w += words
+		if err := s.endSegment(ctx, uint64(words)+idle); err != nil {
+			return err
 		}
 	}
-	return nil
 }

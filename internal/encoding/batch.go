@@ -1,6 +1,6 @@
 // Batch encoding. The simulator's batch pipeline encodes whole word
 // slices at a time; going through Encoder.Encode would cost one interface
-// dispatch per word, which on the memoized hot path is comparable to the
+// dispatch per word, which on the batch hot path is comparable to the
 // energy kernel itself. BatchEncoder is the optional batch fast path:
 // every built-in scheme implements it, stateless schemes as a tight loop
 // and stateful ones as a direct (devirtualized) method-call loop. Batch

@@ -4,7 +4,9 @@
 // extremely repetitive — an IA bus mostly increments, a DA bus cycles
 // through a working set — so a small direct-mapped cache over that key
 // converts the O(s^2) pairwise kernel into an O(s) sparse accumulate for
-// the overwhelming majority of cycles.
+// the overwhelming majority of cycles. The multi-bus accumulator
+// (multi.go) shares one memo across its buses; the scalar Accumulator
+// counts pair patterns instead (counts.go) and has no memo.
 package energy
 
 import (
@@ -15,7 +17,7 @@ import (
 // DefaultMemoSizeLog2 sizes the transition memo at 2^14 = 16384 entries —
 // large enough that SPEC-style address windows hit in the high 90s percent,
 // small enough (a few MB with typical switching densities) to stay resident
-// per simulator.
+// per multi-bus simulator.
 const DefaultMemoSizeLog2 = 14
 
 // maxMemoSizeLog2 caps the table at 2^22 entries so a typo'd size cannot
@@ -43,8 +45,7 @@ type memoKey struct {
 }
 
 // Memo is a direct-mapped transition-energy cache over one Model. It is not
-// safe for concurrent use; give each goroutine's Accumulator its own Memo
-// (the sweep runner does).
+// safe for concurrent use; give each goroutine's MultiAccumulator its own.
 type Memo struct {
 	model *Model
 	mask  uint64
@@ -75,17 +76,27 @@ func (s MemoStats) HitRate() float64 {
 	return float64(s.Hits) / float64(n)
 }
 
+// memoSizeLog2 resolves a requested memo size (0 selects
+// DefaultMemoSizeLog2) and rejects one outside [2^1, 2^maxMemoSizeLog2].
+func memoSizeLog2(sizeLog2 int) (int, error) {
+	if sizeLog2 == 0 {
+		sizeLog2 = DefaultMemoSizeLog2
+	}
+	if sizeLog2 < 1 || sizeLog2 > maxMemoSizeLog2 {
+		return 0, fmt.Errorf("energy: memo size 2^%d outside [2^1, 2^%d]", sizeLog2, maxMemoSizeLog2)
+	}
+	return sizeLog2, nil
+}
+
 // NewMemo builds a transition memo of 2^sizeLog2 entries over the model.
 // sizeLog2 == 0 selects DefaultMemoSizeLog2.
 func NewMemo(m *Model, sizeLog2 int) (*Memo, error) {
 	if m == nil {
 		return nil, fmt.Errorf("energy: NewMemo over nil model")
 	}
-	if sizeLog2 == 0 {
-		sizeLog2 = DefaultMemoSizeLog2
-	}
-	if sizeLog2 < 1 || sizeLog2 > maxMemoSizeLog2 {
-		return nil, fmt.Errorf("energy: memo size 2^%d outside [2^1, 2^%d]", sizeLog2, maxMemoSizeLog2)
+	sizeLog2, err := memoSizeLog2(sizeLog2)
+	if err != nil {
+		return nil, err
 	}
 	size := uint64(1) << uint(sizeLog2)
 	return &Memo{

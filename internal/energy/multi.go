@@ -2,16 +2,14 @@
 // shared Model in struct-of-arrays form: one [K]-slab of held words, one
 // [K*W]-slab of window line energies, and — the hot-path point — one
 // shared transition memo probed once per (word, bus) with the per-line
-// scatter deferred. Where the scalar Accumulator expands every memo hit
-// into per-line float adds immediately (a loop-carried FP dependency
-// chain of ~s*3 adds per cycle), the multi path only increments a uint32
-// count for the (memo slot, bus) pair; Drain folds each touched slot
-// into the window once per sampling interval as count x entry energies.
+// scatter deferred: a word only increments a uint16 count for the
+// (memo slot, bus) pair, and Drain folds each touched slot into the
+// window once per sampling interval as count x entry energies.
 // Per-interval and cumulative energies are therefore mathematically
-// identical to K scalar accumulators but associate the float additions
-// differently — agreement is to rounding (~1e-12 relative), not bit
-// exact. Bit-exactness for K == 1 is provided one level up (core.MultiSim
-// delegates K == 1 to the scalar pipeline).
+// identical to K scalar accumulators (which count pair patterns exactly,
+// see counts.go) but are float sums — agreement is to rounding (~1e-12
+// relative), not bit exact. Bit-exactness for K == 1 is provided one
+// level up (core.MultiSim delegates K == 1 to the scalar pipeline).
 package energy
 
 import (

@@ -12,9 +12,9 @@ import (
 )
 
 // SweepCache retains the expensive sweep inputs across driver calls:
-// simulators keyed by configuration (capacitance extraction, thermal
-// eigendecomposition and the transition memo survive via Reset, which is
-// bit-identical to a fresh build) and compiled trace tapes keyed by
+// simulators keyed by configuration (capacitance extraction and thermal
+// eigendecomposition survive via Reset, which is bit-identical to a fresh
+// build) and compiled trace tapes keyed by
 // (benchmark, bus, window length). One cache shared across Fig3/Fig4
 // calls turns a repeated sweep into pure replay: no model rebuilds, no
 // re-capture, no per-cycle trace dispatch. A nil cache in the drivers'
@@ -37,16 +37,8 @@ type simKey struct {
 	lengthM  float64
 	interval uint64
 	depth    int
-	memoLog2 int
 	track    bool
 	drop     bool
-	// scope never reaches core.Config; it partitions otherwise identical
-	// configurations by the traffic they replay (Fig3 keys on the bus,
-	// Fig4 on the pair role). Without it, concurrent same-config jobs
-	// swap simulators between sweep calls and each swap retrains the
-	// transition memo — thousands of entry-slab allocations per call
-	// that scale with the worker count instead of staying flat.
-	scope string
 }
 
 // tapeKey identifies one compiled single-bus trace window.
@@ -94,7 +86,6 @@ func (c *SweepCache) sim(k simKey) (*core.Simulator, error) {
 		CouplingDepth:  k.depth,
 		IntervalCycles: k.interval,
 		TrackWireTemps: k.track,
-		MemoSizeLog2:   k.memoLog2,
 		DropSamples:    k.drop,
 	})
 }

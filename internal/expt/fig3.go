@@ -68,7 +68,7 @@ type Fig3Options struct {
 // capture buffer per worker). Then one job per (node, scheme, bus)
 // configuration takes a simulator from the cache and replays every
 // benchmark's tape through it on the batch pipeline — the capacitance
-// extraction, thermal factorisation and transition memo are paid once per
+// extraction and thermal factorisation are paid once per
 // configuration (once per cache lifetime with a shared Cache), and the
 // replay itself allocates nothing. Cells are folded in the fixed
 // benchmark-major order, so results are bit-identical across worker
@@ -154,10 +154,7 @@ func Fig3(opts Fig3Options) ([]Fig3Cell, error) {
 	ctx := context.Background()
 	err := parallel.ForEach(opts.Workers, len(jobs), func(ji int) error {
 		jb := jobs[ji]
-		// scope pins each bus's jobs to simulators trained on that bus's
-		// traffic, so warm-cache memo hit rates stay high at any worker
-		// count (see simKey.scope).
-		k := simKey{node: jb.node.Name, scheme: jb.scheme, depth: -1, drop: true, scope: jb.bus}
+		k := simKey{node: jb.node.Name, scheme: jb.scheme, depth: -1, drop: true}
 		sim, err := cache.sim(k)
 		if err != nil {
 			return err

@@ -98,19 +98,15 @@ func Fig4(opts Fig4Options) ([]Fig4Series, error) {
 		}
 		var ia, da *core.Simulator
 		if opts.Cache != nil {
-			// The IA and DA roles see disjoint traffic; scoping their
-			// pools keeps each reused simulator's memo trained on its own
-			// role (see simKey.scope).
-			ki := simKey{node: node.Name, interval: opts.IntervalCycles, depth: -1, scope: "ia"}
-			kd := simKey{node: node.Name, interval: opts.IntervalCycles, depth: -1, scope: "da"}
-			if ia, err = opts.Cache.sim(ki); err != nil {
+			k := simKey{node: node.Name, interval: opts.IntervalCycles, depth: -1}
+			if ia, err = opts.Cache.sim(k); err != nil {
 				return [2]Fig4Series{}, err
 			}
-			defer opts.Cache.release(ki, ia)
-			if da, err = opts.Cache.sim(kd); err != nil {
+			defer opts.Cache.release(k, ia)
+			if da, err = opts.Cache.sim(k); err != nil {
 				return [2]Fig4Series{}, err
 			}
-			defer opts.Cache.release(kd, da)
+			defer opts.Cache.release(k, da)
 		} else if ia, da, err = newPair(node, opts.IntervalCycles); err != nil {
 			return [2]Fig4Series{}, err
 		}

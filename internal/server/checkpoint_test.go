@@ -452,8 +452,8 @@ func TestRestoreRejectsCorruptAndMismatched(t *testing.T) {
 }
 
 // withCoreAmbient returns a copy of a scalar session's checkpoint
-// envelope whose core NBCP v1 blob stores the given thermal ambient, with
-// both CRCs recomputed. It walks the envelope (checkpoint.go) and the v1
+// envelope whose core NBCP v4 blob stores the given thermal ambient, with
+// both CRCs recomputed. It walks the envelope (checkpoint.go) and the v4
 // layout (internal/core/checkpoint.go) to the field.
 func withCoreAmbient(t *testing.T, env []byte, width int, ambient float64) []byte {
 	t.Helper()
@@ -465,7 +465,8 @@ func withCoreAmbient(t *testing.T, env []byte, width int, ambient float64) []byt
 	off += 4 + int(le.Uint32(out[off:]))
 	core := out[off+4 : len(out)-4]
 	// Core: header, node and encoding strings, the rest of the
-	// fingerprint, counters, totals and window, encoder state.
+	// fingerprint, counters, totals and window, window counts, encoder
+	// state.
 	amb := 8
 	for range 2 {
 		amb += 2 + int(le.Uint16(core[amb:]))
@@ -473,6 +474,7 @@ func withCoreAmbient(t *testing.T, env []byte, width int, ambient float64) []byt
 	amb += 4 + 8 + 8 + 8 + 1
 	amb += 8 + 8
 	amb += 2*(1+width)*24 + 8 + 1 + 8 + 8
+	amb += width*8 + width*(width-1)/2*8
 	amb += 8 + 4 + 1
 	if got := math.Float64frombits(le.Uint64(core[amb:])); got < 200 || got > 500 {
 		t.Fatalf("core field at offset %d is %g, not an ambient in kelvin", amb, got)

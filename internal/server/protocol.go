@@ -5,8 +5,8 @@
 // incrementally (?stream=samples) or on GET /v1/sessions/{id}/result.
 // Sessions are partitioned across shards for lock locality and recycled
 // through a keyed pool via Simulator.Reset(), so a hot service pays the
-// capacitance extraction, thermal eigendecomposition and memo warm-up once
-// per distinct configuration, not once per session.
+// capacitance extraction and thermal eigendecomposition once per distinct
+// configuration, not once per session.
 //
 // v1 API compatibility promise: the /v1 wire surface is append-only.
 // Fields and endpoints may be added; existing JSON field names, endpoint
@@ -36,8 +36,10 @@ type CreateSessionRequest struct {
 	CouplingDepth *int `json:"coupling_depth,omitempty"`
 	// TrackWireTemps copies per-wire temperatures into every sample.
 	TrackWireTemps bool `json:"track_wire_temps,omitempty"`
-	// MemoSizeLog2 sizes the transition memo (2^k entries); zero selects
-	// the default, negative disables memoization.
+	// MemoSizeLog2 sizes a multi-bus session's transition memo (2^k
+	// entries); zero selects the default, negative disables memoization.
+	// A scalar session counts pair patterns, has no memo and only
+	// validates the size.
 	MemoSizeLog2 int `json:"memo_size_log2,omitempty"`
 	// DropSamples disables in-memory sample retention; combine with
 	// ?stream=samples step requests for unbounded sessions.
@@ -193,7 +195,8 @@ type EnergySplit struct {
 	CoupNonAdjJ float64 `json:"coup_non_adj_j"`
 }
 
-// MemoStats is the session's transition-memo effectiveness.
+// MemoStats is the session's transition-memo effectiveness; zero for a
+// scalar session, which has no memo.
 type MemoStats struct {
 	Hits    uint64  `json:"hits"`
 	Misses  uint64  `json:"misses"`

@@ -30,8 +30,7 @@ type poolKey struct {
 }
 
 // pool recycles idle simulators by configuration. A Get hit skips the
-// capacitance model build and thermal eigendecomposition and keeps the
-// warm transition memo.
+// capacitance model build and thermal eigendecomposition.
 type pool struct {
 	mu     sync.Mutex
 	free   map[poolKey][]*core.Simulator

@@ -81,9 +81,10 @@ func WithInterval(cycles uint64) Option {
 	}
 }
 
-// WithMemoSize sizes the transition-energy memo to 2^log2 entries; a
-// negative log2 disables memoization (the direct kernel runs every
-// cycle). Memoized and direct runs are bit-identical.
+// WithMemoSize sizes the multi-bus (K > 1) transition-energy memo to
+// 2^log2 entries; a negative log2 disables it (the direct kernel runs
+// every cycle). A single bus counts pair patterns and has no memo, so
+// there the size is only validated.
 func WithMemoSize(log2 int) Option {
 	return func(cfg *BusConfig) error {
 		cfg.MemoSizeLog2 = log2

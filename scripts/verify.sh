@@ -5,6 +5,8 @@
 # the recorded baseline (benchgate fails the run when any kernel is more
 # than 2x slower than BENCH_hotpath.json), the nanobusd end-to-end smoke,
 # the adaptive cooling-code gate, and the kill -9 durability chaos gate.
+# It also checks the arm64 build of the energy kernel for fused
+# multiply-adds (scripts/fma_guard.sh).
 #
 # CI-safe by construction: no interactive input, no TTY assumptions, and
 # every stage's exit status stops the run. Benchmark output goes through
@@ -24,6 +26,10 @@ echo "==> build (nanobus_nofault)"
 go build -tags nanobus_nofault ./...
 echo "==> vet"
 go vet ./...
+echo "==> fma guard"
+# The scalar energy kernel's count-to-energy sum must not be fused into
+# multiply-adds on arm64 (see the script).
+sh scripts/fma_guard.sh
 echo "==> nanolint (ratcheted)"
 # The baseline records tolerated debt per file+rule; -ratchet fails the
 # run if the repo has MORE findings than recorded (a regression) or FEWER
