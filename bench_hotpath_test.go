@@ -104,36 +104,31 @@ func BenchmarkTransition(b *testing.B) {
 	})
 }
 
-// BenchmarkThermalAdvance compares one interval step under the exact
-// propagator against the paper's sub-stepped RK4.
+// BenchmarkThermalAdvance measures one 100K-cycle interval step of a
+// 32-wire network under the exact propagator.
 func BenchmarkThermalAdvance(b *testing.B) {
 	p := make([]float64, 32)
 	for i := range p {
 		p[i] = 1
 	}
 	dt := 100_000 / itrs.N130.ClockHz
-	for _, mode := range []struct {
-		name string
-		rk4  bool
-	}{{"exact", false}, {"rk4", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			net, err := thermal.NewFromNode(itrs.N130, 32, thermal.NodeOptions{UseRK4: mode.rk4})
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Prime outside the timer: the propagator factorises lazily.
+	b.Run("exact", func(b *testing.B) {
+		net, err := thermal.NewFromNode(itrs.N130, 32, thermal.NodeOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Prime outside the timer: the propagator factorises lazily.
+		if err := net.Advance(dt, p); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			if err := net.Advance(dt, p); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := net.Advance(dt, p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // loopSource replays a captured window forever, so RunPair benchmarks
@@ -170,41 +165,32 @@ func captureBenchWindow(b *testing.B, n uint64) []trace.Cycle {
 	return window
 }
 
-// BenchmarkRunPair measures end-to-end ns/cycle of the dual-bus pipeline:
-// "optimized" is the default configuration (exact propagator),
-// "unoptimized" the sub-stepped RK4 of the pre-overhaul hot path. Both
-// run the pair-count energy kernel.
+// BenchmarkRunPair measures end-to-end ns/cycle of the dual-bus pipeline
+// in the default configuration ("optimized": pair-count energy kernel,
+// exact thermal propagator).
 func BenchmarkRunPair(b *testing.B) {
 	window := captureBenchWindow(b, 1<<16)
-	for _, mode := range []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"optimized", core.Config{Node: itrs.N130, CouplingDepth: -1, DropSamples: true}},
-		{"unoptimized", core.Config{Node: itrs.N130, CouplingDepth: -1, DropSamples: true,
-			Thermal: thermal.NodeOptions{UseRK4: true}}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			mk := func() *core.Simulator {
-				sim, err := core.New(mode.cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return sim
-			}
-			ia, da := mk(), mk()
-			src := &loopSource{cycles: window}
-			b.ReportAllocs()
-			b.ResetTimer()
-			res, err := core.RunPair(src, ia, da, uint64(b.N))
+	cfg := core.Config{Node: itrs.N130, CouplingDepth: -1, DropSamples: true}
+	b.Run("optimized", func(b *testing.B) {
+		mk := func() *core.Simulator {
+			sim, err := core.New(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if res.Cycles != uint64(b.N) {
-				b.Fatalf("ran %d of %d cycles", res.Cycles, b.N)
-			}
-		})
-	}
+			return sim
+		}
+		ia, da := mk(), mk()
+		src := &loopSource{cycles: window}
+		b.ReportAllocs()
+		b.ResetTimer()
+		res, err := core.RunPair(src, ia, da, uint64(b.N))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Cycles != uint64(b.N) {
+			b.Fatalf("ran %d of %d cycles", res.Cycles, b.N)
+		}
+	})
 }
 
 // BenchmarkStepBatch compares the per-word context loop against the

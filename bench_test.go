@@ -185,26 +185,8 @@ func BenchmarkEnergyTransitionSequential(b *testing.B) {
 	}
 }
 
-// BenchmarkRK4Step measures one thermal-network integration interval.
-func BenchmarkRK4Step(b *testing.B) {
-	net, err := thermal.NewFromNode(itrs.N130, 32, thermal.NodeOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := make([]float64, 32)
-	for i := range p {
-		p[i] = 1
-	}
-	dt := 100_000 / itrs.N130.ClockHz
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := net.Advance(dt, p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRK45Interval compares the adaptive integrator on the same task.
+// BenchmarkRK45Interval runs the adaptive integrator over the 100K-cycle
+// interval that BenchmarkThermalAdvance/exact steps exactly.
 func BenchmarkRK45Interval(b *testing.B) {
 	net, err := thermal.NewFromNode(itrs.N130, 32, thermal.NodeOptions{})
 	if err != nil {

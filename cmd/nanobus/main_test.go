@@ -53,6 +53,11 @@ func TestCmdSteady(t *testing.T) {
 	if err := cmdSteady([]string{"-node", "bogus"}); err == nil {
 		t.Error("bogus node accepted")
 	}
+	for _, power := range []string{"NaN", "-5"} {
+		if err := cmdSteady([]string{"-power", power}); err == nil {
+			t.Errorf("power %s accepted", power)
+		}
+	}
 }
 
 func TestCmdDelayTemp(t *testing.T) {

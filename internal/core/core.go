@@ -3,9 +3,9 @@
 // encoder) drive the per-line energy model every cycle; every interval
 // (100K cycles by default, the paper's choice) the accumulated per-line
 // energies become piecewise-constant power inputs to the thermal-RC
-// network, which is advanced with the exact interval propagator (or the
-// paper's RK4 when requested); samples of interval energy and
-// average/maximum wire temperature reproduce the traces of Figs. 4-5.
+// network, which is advanced with the exact interval propagator (the
+// paper's RK4 is the tests' oracle for it); samples of interval energy
+// and average/maximum wire temperature reproduce the traces of Figs. 4-5.
 // Each interval's energy is accumulated as exact integer pair-pattern
 // counts (energy.Accumulator) and converted to joules once, when the
 // interval closes, so it does not depend on how the words were batched.

@@ -1,8 +1,11 @@
 // Package ode provides initial-value-problem integrators for the thermal
 // network. The paper integrates its thermal-RC equations with a classical
-// fourth-order Runge-Kutta method (Sec. 5.3); that integrator is the
-// default here. An adaptive Dormand-Prince RK45 and an explicit Euler
-// method are provided for cross-validation and ablation studies.
+// fourth-order Runge-Kutta method (Sec. 5.3). Production code advances the
+// network with internal/thermal's exact propagators instead, so this
+// package is imported only by tests and benchmarks: RK4 is the oracle the
+// propagators must match, and an adaptive Dormand-Prince RK45 and an
+// explicit Euler method serve cross-validation and ablation studies.
+// scripts/ode_guard.sh fails if a non-test package imports it.
 package ode
 
 import (

@@ -30,8 +30,8 @@
 //
 // applied to the temperature deviation from the banded steady state
 // (solved spectrally the same way with 1/lambda in place of the decay).
-// The paper's sub-stepped RK4 on the flattened banded system remains the
-// validation fallback behind GridConfig.ForceRK4.
+// As for Network, this propagator is the only integrator; the tests check
+// it against the paper's sub-stepped RK4 on the flattened banded system.
 package thermal
 
 import (
@@ -40,7 +40,6 @@ import (
 
 	"nanobus/internal/itrs"
 	"nanobus/internal/linalg"
-	"nanobus/internal/ode"
 	"nanobus/internal/units"
 )
 
@@ -71,12 +70,6 @@ type GridConfig struct {
 	HeatCapacity float64
 	// InterLayerPower is the constant heating input per wire (W/m).
 	InterLayerPower float64
-	// MaxStep bounds the RK4 internal step in seconds; zero picks half of
-	// the fastest grid mode's time constant.
-	MaxStep float64
-	// ForceRK4 integrates Advance with sub-stepped RK4 on the flattened
-	// banded system instead of the exact spectral propagator.
-	ForceRK4 bool
 }
 
 // Grid is the banded thermal network of K parallel buses.
@@ -92,11 +85,7 @@ type Grid struct {
 	temps    []float64 // [K*W] bus-major
 	dynPower []float64
 
-	useRK4 bool
-	integ  *ode.RK4
-
-	// Spectral factorization of the Kronecker sum (nil under ForceRK4
-	// until first needed — RK4 never needs it).
+	// Spectral factorization of the Kronecker sum.
 	alpha, beta        []float64 // eigenvalues of A and B (ascending)
 	qa, qat, qb, qbt   *linalg.Matrix
 	lastDt             float64
@@ -137,7 +126,6 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 		interPower: cfg.InterLayerPower,
 		temps:      make([]float64, k*w),
 		dynPower:   make([]float64, k*w),
-		useRK4:     cfg.ForceRK4,
 	}
 	if cfg.RLateral > 0 && w > 1 {
 		g.gLat = 1 / cfg.RLateral
@@ -148,18 +136,8 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 	for i := range g.temps {
 		g.temps[i] = cfg.Ambient
 	}
-	maxStep := cfg.MaxStep
-	if maxStep <= 0 {
-		// Fastest mode bound: all conduction paths of an interior node in
-		// parallel, halved for the same safety margin Network uses.
-		gMax := g.gVert + 2*g.gLat + 2*g.gBus
-		maxStep = g.heatCap / gMax / 2
-	}
-	g.integ = ode.NewRK4(maxStep)
-	if !g.useRK4 {
-		if err := g.factor(); err != nil {
-			return nil, err
-		}
+	if err := g.factor(); err != nil {
+		return nil, err
 	}
 	return g, nil
 }
@@ -321,11 +299,14 @@ func (g *Grid) Reset() {
 	}
 }
 
-// Dim implements ode.System over the flattened grid.
+// Dim is the dimension of the ode.System that Derivatives defines over
+// the flattened grid.
 func (g *Grid) Dim() int { return g.buses * g.wires }
 
-// Derivatives implements ode.System: the banded heat balance with
-// intra-bus neighbors at stride 1 and inter-bus neighbors at stride W.
+// Derivatives is the ode.System right-hand side: the banded heat balance
+// under the dynamic power of the last Advance, with intra-bus neighbors at
+// stride 1 and inter-bus neighbors at stride W. Advance does not use it;
+// it is the reference that the tests' RK4 oracle integrates.
 func (g *Grid) Derivatives(t float64, y, dydt []float64) {
 	k, w := g.buses, g.wires
 	for b := 0; b < k; b++ {
@@ -360,33 +341,10 @@ func (g *Grid) Derivatives(t float64, y, dydt []float64) {
 //
 //nanolint:hotpath one call per sampling interval for all K buses; allocates nothing
 func (g *Grid) Advance(dt float64, power []float64) error {
-	if dt <= 0 {
-		return fmt.Errorf("thermal: non-positive dt %g", dt)
-	}
-	if power == nil {
-		for i := range g.dynPower {
-			g.dynPower[i] = 0
-		}
-	} else {
-		if len(power) != len(g.dynPower) {
-			return fmt.Errorf("thermal: power length %d, want %d", len(power), len(g.dynPower))
-		}
-		for i, p := range power {
-			if math.IsNaN(p) || math.IsInf(p, 0) || p < 0 {
-				return fmt.Errorf("thermal: invalid power %g on bus %d wire %d", p, i/g.wires, i%g.wires)
-			}
-		}
-		copy(g.dynPower, power)
-	}
-	if g.useRK4 {
-		_, err := g.integ.Integrate(g, 0, dt, g.temps)
+	if err := checkStep(dt, power, len(g.dynPower)); err != nil {
 		return err
 	}
-	if g.expL == nil {
-		if err := g.factor(); err != nil {
-			return err
-		}
-	}
+	loadPower(g.dynPower, power)
 	return g.spectralAdvance(dt)
 }
 
@@ -405,25 +363,7 @@ func (g *Grid) spectralAdvance(dt float64) error {
 		}
 		g.lastDt = dt
 	}
-	// Steady state X*: solve c * (Q Lambda Q^T) X* = RHS spectrally.
-	for b := 0; b < k; b++ {
-		prow := g.pm.Row(b)
-		for j := 0; j < w; j++ {
-			prow[j] = g.interPower + g.gVert*g.ambient + g.dynPower[b*w+j]
-		}
-	}
-	if err := g.toEigen(g.pm, g.um); err != nil {
-		return err
-	}
-	c := g.heatCap
-	for b := 0; b < k; b++ {
-		bb := g.beta[b]
-		urow := g.um.Row(b)
-		for j := 0; j < w; j++ {
-			urow[j] /= c * (bb + g.alpha[j])
-		}
-	}
-	if err := g.fromEigen(g.um, g.sm); err != nil {
+	if err := g.steady(g.dynPower); err != nil {
 		return err
 	}
 	// Transient: decay the deviation from steady state in the eigenbasis.
@@ -457,6 +397,34 @@ func (g *Grid) spectralAdvance(dt float64) error {
 	return nil
 }
 
+// steady solves the banded steady state X* for the power slab (nil
+// meaning zero dynamic power) into sm: c * (Q Lambda Q^T) X* = RHS,
+// spectrally. It touches only the pm, um, tm and sm scratch.
+func (g *Grid) steady(power []float64) error {
+	k, w := g.buses, g.wires
+	for b := 0; b < k; b++ {
+		prow := g.pm.Row(b)
+		for j := 0; j < w; j++ {
+			prow[j] = g.interPower + g.gVert*g.ambient
+			if power != nil {
+				prow[j] += power[b*w+j]
+			}
+		}
+	}
+	if err := g.toEigen(g.pm, g.um); err != nil {
+		return err
+	}
+	c := g.heatCap
+	for b := 0; b < k; b++ {
+		bb := g.beta[b]
+		urow := g.um.Row(b)
+		for j := 0; j < w; j++ {
+			urow[j] /= c * (bb + g.alpha[j])
+		}
+	}
+	return g.fromEigen(g.um, g.sm)
+}
+
 // toEigen computes dst = Q_B^T src Q_A through the tm scratch.
 func (g *Grid) toEigen(src, dst *linalg.Matrix) error {
 	if err := g.qbt.MulInto(src, g.tm); err != nil {
@@ -477,43 +445,15 @@ func (g *Grid) fromEigen(src, dst *linalg.Matrix) error {
 // constant power slab (nil meaning zero dynamic power). It does not
 // modify the grid state.
 func (g *Grid) SteadyState(power []float64) ([]float64, error) {
-	if power != nil && len(power) != g.buses*g.wires {
-		return nil, fmt.Errorf("thermal: power length %d, want %d", len(power), g.buses*g.wires)
-	}
-	// Work on a throwaway copy of the grid's input/scratch state so the
-	// query is side-effect free on temperatures.
-	saved := g.Temps(nil)
-	savedPower := make([]float64, len(g.dynPower))
-	copy(savedPower, g.dynPower)
-	if power == nil {
-		for i := range g.dynPower {
-			g.dynPower[i] = 0
-		}
-	} else {
-		copy(g.dynPower, power)
-	}
-	var out []float64
-	var err error
-	if g.expL == nil {
-		err = g.factor()
-	}
-	if err == nil {
-		// Reuse the spectral machinery: steady state is the t -> inf limit,
-		// i.e. the sm matrix spectralAdvance computes. A large dt makes the
-		// transient underflow to zero regardless of the starting point.
-		err = g.spectralAdvance(math.Inf(1))
-		if err == nil {
-			out = g.Temps(nil)
-		}
-	}
-	restoreErr := g.SetTemps(saved)
-	copy(g.dynPower, savedPower)
-	g.lastDt = 0 // invalidate the inf-dt decay cache
-	if err != nil {
+	if err := checkPower(power, len(g.dynPower)); err != nil {
 		return nil, err
 	}
-	if restoreErr != nil {
-		return nil, restoreErr
+	if err := g.steady(power); err != nil {
+		return nil, err
+	}
+	out := make([]float64, 0, len(g.temps))
+	for b := 0; b < g.buses; b++ {
+		out = append(out, g.sm.Row(b)...)
 	}
 	return out, nil
 }
@@ -521,8 +461,7 @@ func (g *Grid) SteadyState(power []float64) ([]float64, error) {
 // GridNodeOptions configure NewGridFromNode.
 type GridNodeOptions struct {
 	// NodeOptions carry the single-bus knobs (ambient, heat capacity,
-	// lateral/inter-layer ablations, vias, RK4 fallback). MaxStep bounds
-	// the RK4 substep exactly as for NewFromNode.
+	// lateral/inter-layer ablations, vias).
 	NodeOptions
 	// BusGapPitches is the edge-to-edge gap between adjacent buses in
 	// intra-bus wire pitches; zero selects DefaultBusGapPitches. The
@@ -557,8 +496,6 @@ func NewGridFromNode(node itrs.Node, wires, buses int, opts GridNodeOptions) (*G
 		Ambient:      units.AmbientK,
 		RVertical:    rv,
 		HeatCapacity: g.HeatCapacity(hcOpts),
-		MaxStep:      opts.MaxStep,
-		ForceRK4:     opts.UseRK4,
 	}
 	if opts.Ambient > 0 {
 		cfg.Ambient = opts.Ambient

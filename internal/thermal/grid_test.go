@@ -8,26 +8,26 @@ import (
 	"nanobus/internal/itrs"
 )
 
-// twinGrids builds two identical K-bus grids from the node, one on the
-// exact banded propagator (the default) and one forced onto RK4 — the
-// banded mirror of twinNetworks.
+// twinGrids builds two identical K-bus grids from the node, one for
+// Advance (the exact banded propagator) and one for the rk4Advance oracle
+// — the banded mirror of twinNetworks.
 func twinGrids(t *testing.T, wires, buses int) (exact, rk4 *Grid) {
 	t.Helper()
 	exact, err := NewGridFromNode(itrs.N90, wires, buses, GridNodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rk4, err = NewGridFromNode(itrs.N90, wires, buses, GridNodeOptions{NodeOptions: NodeOptions{UseRK4: true}})
+	rk4, err = NewGridFromNode(itrs.N90, wires, buses, GridNodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return exact, rk4
 }
 
-// TestGridMatchesRK4 drives the banded exact propagator and RK4 through
-// the same random piecewise-constant power schedule and requires
-// agreement to well within RK4's truncation error — the banded twin of
-// the tridiagonal TestPropagatorMatchesRK4.
+// TestGridMatchesRK4 drives the banded exact propagator and the RK4
+// oracle through the same random piecewise-constant power schedule and
+// requires agreement to well within RK4's truncation error — the banded
+// twin of the tridiagonal TestPropagatorMatchesRK4.
 func TestGridMatchesRK4(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, shape := range []struct{ wires, buses int }{{8, 1}, {4, 2}, {8, 4}, {2, 8}} {
@@ -42,7 +42,7 @@ func TestGridMatchesRK4(t *testing.T) {
 			if err := exact.Advance(dt, p); err != nil {
 				t.Fatal(err)
 			}
-			if err := rk4.Advance(dt, p); err != nil {
+			if err := rk4Advance(rk4, dt, p); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -248,6 +248,69 @@ func TestGridSetAmbient(t *testing.T) {
 	for i, temp := range g.Temps(nil) {
 		if temp != old+25 {
 			t.Fatalf("node %d at %g K after Reset, new ambient is %g K", i, temp, old+25)
+		}
+	}
+}
+
+// TestGridAdvanceValidation is the banded twin of TestAdvanceValidation:
+// Advance rejects a non-finite dt and SteadyState a non-finite or negative
+// power, and neither moves the temperatures.
+func TestGridAdvanceValidation(t *testing.T) {
+	g, err := NewGridFromNode(itrs.N90, 2, 2, GridNodeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Advance(1e-3, []float64{1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	before := g.Temps(nil)
+	for _, dt := range []float64{math.NaN(), math.Inf(1)} {
+		if err := g.Advance(dt, nil); err == nil {
+			t.Errorf("dt %g accepted", dt)
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), -1} {
+		if _, err := g.SteadyState([]float64{0, 0, 0, bad}); err == nil {
+			t.Errorf("power %g accepted by SteadyState", bad)
+		}
+	}
+	for i, temp := range g.Temps(nil) {
+		if math.Float64bits(temp) != math.Float64bits(before[i]) {
+			t.Errorf("node %d moved from %g to %g K on rejected input", i, before[i], temp)
+		}
+	}
+}
+
+// TestGridSteadyStateIsPure pins that SteadyState is a query: it leaves
+// the temperatures alone, and the next Advance matches a grid that never
+// asked, bit for bit.
+func TestGridSteadyStateIsPure(t *testing.T) {
+	asked, _ := twinGrids(t, 4, 3)
+	plain, _ := twinGrids(t, 4, 3)
+	p := []float64{1, 2, 3, 4, 40, 30, 20, 10, 5, 5, 5, 5}
+	for _, g := range []*Grid{asked, plain} {
+		if err := g.Advance(1e-4, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := asked.Temps(nil)
+	if _, err := asked.SteadyState(nil); err != nil {
+		t.Fatal(err)
+	}
+	for i, temp := range asked.Temps(nil) {
+		if math.Float64bits(temp) != math.Float64bits(before[i]) {
+			t.Fatalf("node %d moved from %g to %g K during SteadyState", i, before[i], temp)
+		}
+	}
+	for _, g := range []*Grid{asked, plain} {
+		if err := g.Advance(1e-4, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := asked.Temps(nil), plain.Temps(nil)
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			t.Errorf("node %d: %.17g K after SteadyState, %.17g K without", i, a[i], b[i])
 		}
 	}
 }

@@ -19,9 +19,8 @@
 //	M(dt) = C^{-1/2} Q e^{-Λ dt} Q^T C^{1/2}
 //
 // so each Advance is a tridiagonal steady-state solve plus a single dense
-// matvec θ(dt) = θ* + M (θ(0) - θ*) — machine-precision exact for any dt,
-// and cheaper per call than the sub-stepped RK4 integration it replaces
-// (which remains available behind NodeOptions.UseRK4 for validation). The
+// matvec θ(dt) = θ* + M (θ(0) - θ*) — machine-precision exact for any dt.
+// The paper's sub-stepped RK4 is the tests' oracle for this step. The
 // O(n^3) M rebuild runs only when dt changes, i.e. once per run plus once
 // for the final partial interval.
 package thermal
@@ -56,13 +55,12 @@ func newPropagator(nw *Network) (*propagator, error) {
 	n := nw.n
 	d := make([]float64, n)
 	e := make([]float64, n-1)
+	// With every C_i equal to c, S = G/c.
 	for i := 0; i < n; i++ {
-		d[i] = nw.ssDiag[i] / nw.heatCap[i]
+		d[i] = nw.ssDiag[i] / nw.heatCap
 	}
-	if nw.gLat != nil {
-		for i := 0; i+1 < n; i++ {
-			e[i] = -nw.gLat[i] / math.Sqrt(nw.heatCap[i]*nw.heatCap[i+1])
-		}
+	for i := 0; i+1 < n; i++ {
+		e[i] = nw.ssSup[i] / nw.heatCap
 	}
 	lambda, q, err := linalg.SymTridiagEigen(d, e)
 	if err != nil {
@@ -84,7 +82,7 @@ func newPropagator(nw *Network) (*propagator, error) {
 		w:        make([]float64, n),
 	}
 	for i := 0; i < n; i++ {
-		p.sqrtC[i] = math.Sqrt(nw.heatCap[i])
+		p.sqrtC[i] = math.Sqrt(nw.heatCap)
 		p.invSqrtC[i] = 1 / p.sqrtC[i]
 	}
 	return p, nil

@@ -8,15 +8,15 @@ import (
 	"nanobus/internal/itrs"
 )
 
-// twinNetworks builds two identical networks from the node, one using the
-// exact propagator (the default) and one forced onto the paper's RK4.
+// twinNetworks builds two identical networks from the node: one for
+// Advance (the exact propagator) and one for the rk4Advance oracle.
 func twinNetworks(t *testing.T, wires int) (exact, rk4 *Network) {
 	t.Helper()
 	exact, err := NewFromNode(itrs.N90, wires, NodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rk4, err = NewFromNode(itrs.N90, wires, NodeOptions{UseRK4: true})
+	rk4, err = NewFromNode(itrs.N90, wires, NodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,9 +31,9 @@ func randomPower(rng *rand.Rand, n int) []float64 {
 	return p
 }
 
-// TestPropagatorMatchesRK4 drives both integrators through the same random
-// piecewise-constant power schedule and requires agreement to well within
-// RK4's own truncation error.
+// TestPropagatorMatchesRK4 drives Advance and the RK4 oracle through the
+// same random piecewise-constant power schedule and requires agreement to
+// well within RK4's own truncation error.
 func TestPropagatorMatchesRK4(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, wires := range []int{1, 2, 8, 32} {
@@ -47,7 +47,7 @@ func TestPropagatorMatchesRK4(t *testing.T) {
 			if err := exact.Advance(dt, p); err != nil {
 				t.Fatal(err)
 			}
-			if err := rk4.Advance(dt, p); err != nil {
+			if err := rk4Advance(rk4, dt, p); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -117,7 +117,7 @@ func TestPropagatorNoLateral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewFromNode(itrs.N90, 4, NodeOptions{DisableLateral: true, UseRK4: true})
+	ref, err := NewFromNode(itrs.N90, 4, NodeOptions{DisableLateral: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestPropagatorNoLateral(t *testing.T) {
 		if err := nw.Advance(2e-4, p); err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.Advance(2e-4, p); err != nil {
+		if err := rk4Advance(ref, 2e-4, p); err != nil {
 			t.Fatal(err)
 		}
 	}

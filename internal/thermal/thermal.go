@@ -14,9 +14,10 @@
 // system is linear and time-invariant, so Advance applies the exact affine
 // propagator built from the eigendecomposition of the symmetrized
 // conductance system (see propagator.go) — machine-precision for any dt.
-// The paper's own method, classical fourth-order Runge-Kutta with automatic
-// sub-stepping (Sec. 5.3), is kept as a validation fallback behind
-// NodeOptions.UseRK4 / Config.ForceRK4. An analytic steady-state solver
+// That propagator is the only integrator. The paper's own method, classical
+// fourth-order Runge-Kutta with automatic sub-stepping (Sec. 5.3), is the
+// tests' oracle: it integrates Derivatives, the Eqs. 3-4 right-hand side,
+// and must agree with Advance. An analytic steady-state solver
 // (tridiagonal Thomas algorithm) cross-validates the transients.
 package thermal
 
@@ -26,72 +27,54 @@ import (
 
 	"nanobus/internal/itrs"
 	"nanobus/internal/linalg"
-	"nanobus/internal/ode"
 	"nanobus/internal/units"
 )
 
-// Network is the thermal-RC network of one bus.
+// Network is the thermal-RC network of one bus. Every wire shares the
+// same coefficients.
 type Network struct {
 	n       int
 	ambient float64
-	// rVert[i] is the vertical thermal resistance of wire i in K*m/W
-	// (per unit length).
-	rVert []float64
-	// rLat[i] is the lateral resistance between wires i and i+1 in K*m/W.
-	rLat []float64
-	// heatCap[i] is the thermal capacitance in J/(K*m).
-	heatCap []float64
-	// interPower[i] is the constant inter-layer heating input in W/m
+	// gVert is the vertical conductance of a wire, 1/Ri in W/(K*m) (per
+	// unit length); gLat the wire-to-wire lateral conductance 1/Rinter
+	// (0 without lateral coupling).
+	gVert, gLat float64
+	// heatCap is the per-wire thermal capacitance in J/(K*m).
+	heatCap float64
+	// interPower is the constant inter-layer heating input per wire in W/m
 	// (Eq. 7 expressed as a power source; see NewFromNode).
-	interPower []float64
+	interPower float64
 
 	temps []float64
-	integ *ode.RK4
 	// dynPower is the dynamic (switching) power input during the current
 	// Advance call, W/m.
 	dynPower []float64
 
-	// Precomputed conduction structure: gVert[i] = 1/rVert[i], gLat[i] =
-	// 1/rLat[i] (nil without lateral coupling), and the tridiagonal
-	// conductance matrix G used by the steady-state solver and the exact
-	// propagator (ssSub/ssDiag/ssSup, Thomas-algorithm layout).
-	gVert, gLat          []float64
+	// ssSub/ssDiag/ssSup is the tridiagonal conductance matrix G used by
+	// the steady-state solver and the exact propagator (Thomas-algorithm
+	// layout).
 	ssSub, ssDiag, ssSup []float64
 
-	// useRK4 selects the paper's sub-stepped RK4 integration instead of
-	// the exact propagator; prop is built lazily on first exact Advance.
-	useRK4 bool
-	prop   *propagator
+	// prop is the exact propagator, built on the first Advance.
+	prop *propagator
 }
 
-// Config assembles a Network directly from per-wire parameters. Most
-// callers should use NewFromNode instead.
+// Config assembles a Network directly from uniform per-wire parameters.
+// Most callers should use NewFromNode instead.
 type Config struct {
 	// Wires is the number of bus lines.
 	Wires int
 	// Ambient is the constant substrate/reference temperature in kelvin.
 	Ambient float64
-	// RVertical is the per-wire vertical resistance (K*m/W). A single
-	// element is broadcast to all wires.
-	RVertical []float64
-	// RLateral is the wire-to-wire lateral resistance (K*m/W), length
-	// Wires-1 or a single broadcast element. Zero-length disables lateral
-	// coupling (the pre-paper models' assumption).
-	RLateral []float64
-	// HeatCapacity is the per-wire thermal capacitance (J/(K*m)), one
-	// element broadcast or per wire.
-	HeatCapacity []float64
-	// InterLayerPower is the constant heating input per wire (W/m);
-	// empty means none.
-	InterLayerPower []float64
-	// MaxStep bounds the RK4 internal step in seconds; zero picks half
-	// of the smallest wire time constant.
-	MaxStep float64
-	// ForceRK4 integrates Advance with the paper's sub-stepped RK4
-	// instead of the exact interval propagator (validation fallback; the
-	// two agree to integration tolerance, the propagator to machine
-	// precision).
-	ForceRK4 bool
+	// RVertical is the per-wire vertical resistance (K*m/W).
+	RVertical float64
+	// RLateral is the wire-to-wire lateral resistance (K*m/W); zero
+	// disables lateral coupling (the pre-paper models' assumption).
+	RLateral float64
+	// HeatCapacity is the per-wire thermal capacitance (J/(K*m)).
+	HeatCapacity float64
+	// InterLayerPower is the constant heating input per wire (W/m).
+	InterLayerPower float64
 }
 
 // New builds a Network from the configuration.
@@ -103,134 +86,48 @@ func New(cfg Config) (*Network, error) {
 	if cfg.Ambient <= 0 {
 		return nil, fmt.Errorf("thermal: non-positive ambient %g K", cfg.Ambient)
 	}
-	rv, err := broadcast("RVertical", cfg.RVertical, n)
-	if err != nil {
-		return nil, err
+	if cfg.RVertical <= 0 {
+		return nil, fmt.Errorf("thermal: RVertical %g <= 0", cfg.RVertical)
 	}
-	hc, err := broadcast("HeatCapacity", cfg.HeatCapacity, n)
-	if err != nil {
-		return nil, err
+	if cfg.HeatCapacity <= 0 {
+		return nil, fmt.Errorf("thermal: HeatCapacity %g <= 0", cfg.HeatCapacity)
 	}
-	var rl []float64
-	if len(cfg.RLateral) > 0 && n > 1 {
-		rl, err = broadcast("RLateral", cfg.RLateral, n-1)
-		if err != nil {
-			return nil, err
-		}
+	if cfg.RLateral < 0 {
+		return nil, fmt.Errorf("thermal: RLateral %g < 0", cfg.RLateral)
 	}
-	for i, v := range rv {
-		if v <= 0 {
-			return nil, fmt.Errorf("thermal: RVertical[%d] = %g <= 0", i, v)
-		}
-	}
-	for i, v := range hc {
-		if v <= 0 {
-			return nil, fmt.Errorf("thermal: HeatCapacity[%d] = %g <= 0", i, v)
-		}
-	}
-	for i, v := range rl {
-		if v <= 0 {
-			return nil, fmt.Errorf("thermal: RLateral[%d] = %g <= 0", i, v)
-		}
-	}
-	ip := make([]float64, n)
-	if len(cfg.InterLayerPower) > 0 {
-		bip, err := broadcast("InterLayerPower", cfg.InterLayerPower, n)
-		if err != nil {
-			return nil, err
-		}
-		copy(ip, bip)
+	if cfg.InterLayerPower < 0 {
+		return nil, fmt.Errorf("thermal: negative inter-layer power %g", cfg.InterLayerPower)
 	}
 	nw := &Network{
 		n:          n,
 		ambient:    cfg.Ambient,
-		rVert:      rv,
-		rLat:       rl,
-		heatCap:    hc,
-		interPower: ip,
+		gVert:      1 / cfg.RVertical,
+		heatCap:    cfg.HeatCapacity,
+		interPower: cfg.InterLayerPower,
 		temps:      make([]float64, n),
 		dynPower:   make([]float64, n),
-		useRK4:     cfg.ForceRK4,
+		ssSub:      make([]float64, n),
+		ssDiag:     make([]float64, n),
+		ssSup:      make([]float64, n),
 	}
 	for i := range nw.temps {
 		nw.temps[i] = cfg.Ambient
+		nw.ssDiag[i] = nw.gVert
 	}
-	// Precompute the conductance structure shared by the steady-state
-	// solver, the RK4 right-hand side and the exact propagator.
-	nw.gVert = make([]float64, n)
-	for i, r := range rv {
-		nw.gVert[i] = 1 / r
-	}
-	if len(rl) > 0 {
-		nw.gLat = make([]float64, n-1)
-		for i, r := range rl {
-			nw.gLat[i] = 1 / r
-		}
-	}
-	nw.ssSub = make([]float64, n)
-	nw.ssDiag = make([]float64, n)
-	nw.ssSup = make([]float64, n)
-	for i := 0; i < n; i++ {
-		nw.ssDiag[i] = nw.gVert[i]
-		if nw.gLat != nil {
+	if cfg.RLateral > 0 && n > 1 {
+		nw.gLat = 1 / cfg.RLateral
+		for i := 0; i < n; i++ {
 			if i > 0 {
-				nw.ssDiag[i] += nw.gLat[i-1]
-				nw.ssSub[i] = -nw.gLat[i-1]
+				nw.ssDiag[i] += nw.gLat
+				nw.ssSub[i] = -nw.gLat
 			}
 			if i < n-1 {
-				nw.ssDiag[i] += nw.gLat[i]
-				nw.ssSup[i] = -nw.gLat[i]
+				nw.ssDiag[i] += nw.gLat
+				nw.ssSup[i] = -nw.gLat
 			}
 		}
 	}
-	maxStep := cfg.MaxStep
-	if maxStep <= 0 {
-		maxStep = nw.minTimeConstant() / 2
-	}
-	nw.integ = ode.NewRK4(maxStep)
 	return nw, nil
-}
-
-func broadcast(name string, v []float64, n int) ([]float64, error) {
-	switch len(v) {
-	case n:
-		out := make([]float64, n)
-		copy(out, v)
-		return out, nil
-	case 1:
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = v[0]
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("thermal: %s has %d elements, want 1 or %d", name, len(v), n)
-	}
-}
-
-// minTimeConstant returns the smallest Ri*Ci product, which bounds the
-// fastest network mode (lateral coupling only speeds modes up, hence the
-// conservative /2 factor applied by New).
-func (nw *Network) minTimeConstant() float64 {
-	minTau := math.Inf(1)
-	for i := 0; i < nw.n; i++ {
-		reff := nw.rVert[i]
-		// Lateral paths reduce the effective resistance.
-		if len(nw.rLat) > 0 {
-			g := 1 / nw.rVert[i]
-			if i > 0 {
-				g += 1 / nw.rLat[i-1]
-			}
-			if i < nw.n-1 {
-				g += 1 / nw.rLat[i]
-			}
-			reff = 1 / g
-		}
-		if tau := reff * nw.heatCap[i]; tau < minTau {
-			minTau = tau
-		}
-	}
-	return minTau
 }
 
 // N returns the number of wires.
@@ -295,27 +192,24 @@ func (nw *Network) SetTemps(t []float64) error {
 	return nil
 }
 
-// Dim implements ode.System.
+// Dim is the dimension of the ode.System that Derivatives defines.
 func (nw *Network) Dim() int { return nw.n }
 
-// Derivatives implements ode.System: the paper's Eqs. 3-4 rearranged for
-// dθ/dt, with the inter-layer heating added as a constant power source.
-// Resistances enter as the precomputed conductances, so the inner loop is
-// division-free.
+// Derivatives is the ode.System right-hand side: the paper's Eqs. 3-4
+// rearranged for dθ/dt under the dynamic power of the last Advance, with
+// the inter-layer heating added as a constant power source. Advance does
+// not use it; it is the reference that the tests' RK4 oracle integrates.
 func (nw *Network) Derivatives(t float64, y, dydt []float64) {
 	n := nw.n
 	for i := 0; i < n; i++ {
-		p := nw.dynPower[i] + nw.interPower[i]
-		q := p - (y[i]-nw.ambient)*nw.gVert[i]
-		if nw.gLat != nil {
-			if i > 0 {
-				q -= (y[i] - y[i-1]) * nw.gLat[i-1]
-			}
-			if i < n-1 {
-				q -= (y[i] - y[i+1]) * nw.gLat[i]
-			}
+		q := nw.dynPower[i] + nw.interPower - (y[i]-nw.ambient)*nw.gVert
+		if i > 0 {
+			q -= (y[i] - y[i-1]) * nw.gLat
 		}
-		dydt[i] = q / nw.heatCap[i]
+		if i < n-1 {
+			q -= (y[i] - y[i+1]) * nw.gLat
+		}
+		dydt[i] = q / nw.heatCap
 	}
 }
 
@@ -323,33 +217,14 @@ func (nw *Network) Derivatives(t float64, y, dydt []float64) {
 // dynamic power (W/m, piecewise constant over the interval — the paper's
 // 100K-cycle interval power). power may be nil for an idle interval.
 //
-// By default the step is the exact affine propagator (see propagator.go):
-// one tridiagonal steady-state solve plus a matvec-scale-matvec through the
-// precomputed eigenbasis, exact to machine precision for any dt. With
-// UseRK4/ForceRK4 set the paper's sub-stepped RK4 integration runs instead.
+// The step is the exact affine propagator (see propagator.go): one
+// tridiagonal steady-state solve plus a matvec through the precomputed
+// eigenbasis, exact to machine precision for any dt.
 func (nw *Network) Advance(dt float64, power []float64) error {
-	if dt <= 0 {
-		return fmt.Errorf("thermal: non-positive dt %g", dt)
-	}
-	if power == nil {
-		for i := range nw.dynPower {
-			nw.dynPower[i] = 0
-		}
-	} else {
-		if len(power) != nw.n {
-			return fmt.Errorf("thermal: power length %d, want %d", len(power), nw.n)
-		}
-		for i, p := range power {
-			if math.IsNaN(p) || math.IsInf(p, 0) || p < 0 {
-				return fmt.Errorf("thermal: invalid power %g on wire %d", p, i)
-			}
-		}
-		copy(nw.dynPower, power)
-	}
-	if nw.useRK4 {
-		_, err := nw.integ.Integrate(nw, 0, dt, nw.temps)
+	if err := checkStep(dt, power, nw.n); err != nil {
 		return err
 	}
+	loadPower(nw.dynPower, power)
 	if nw.prop == nil {
 		p, err := newPropagator(nw)
 		if err != nil {
@@ -358,6 +233,41 @@ func (nw *Network) Advance(dt float64, power []float64) error {
 		nw.prop = p
 	}
 	return nw.prop.advance(nw, dt)
+}
+
+// checkStep validates one Advance: dt must be finite and positive, and
+// power must pass checkPower.
+func checkStep(dt float64, power []float64, n int) error {
+	if !(dt > 0) || math.IsInf(dt, 1) {
+		return fmt.Errorf("thermal: dt %g is not finite and positive", dt)
+	}
+	return checkPower(power, n)
+}
+
+// checkPower validates a dynamic power input of n nodes: nil (idle) or n
+// finite, non-negative values in W/m.
+func checkPower(power []float64, n int) error {
+	if power == nil {
+		return nil
+	}
+	if len(power) != n {
+		return fmt.Errorf("thermal: power length %d, want %d", len(power), n)
+	}
+	for i, p := range power {
+		if math.IsNaN(p) || math.IsInf(p, 0) || p < 0 {
+			return fmt.Errorf("thermal: invalid power %g on node %d", p, i)
+		}
+	}
+	return nil
+}
+
+// loadPower copies a validated power input into dst; nil zeroes it.
+func loadPower(dst, power []float64) {
+	if power == nil {
+		clear(dst)
+		return
+	}
+	copy(dst, power)
 }
 
 // Reset returns every wire to the current ambient temperature. The network
@@ -377,8 +287,8 @@ func (nw *Network) Reset() {
 // with the Thomas algorithm. It does not modify the network state.
 func (nw *Network) SteadyState(power []float64) ([]float64, error) {
 	n := nw.n
-	if power != nil && len(power) != n {
-		return nil, fmt.Errorf("thermal: power length %d, want %d", len(power), n)
+	if err := checkPower(power, n); err != nil {
+		return nil, err
 	}
 	out := make([]float64, n)
 	err := nw.steadyInto(power, make([]float64, n), make([]float64, n), make([]float64, n), out)
@@ -393,7 +303,7 @@ func (nw *Network) SteadyState(power []float64) ([]float64, error) {
 // the temperatures. The propagator calls this once per Advance.
 func (nw *Network) steadyInto(power, rhs, cp, dp, out []float64) error {
 	for i := 0; i < nw.n; i++ {
-		r := nw.interPower[i] + nw.gVert[i]*nw.ambient
+		r := nw.interPower + nw.gVert*nw.ambient
 		if power != nil {
 			r += power[i]
 		}
@@ -521,11 +431,6 @@ type NodeOptions struct {
 	// the ILD (see VerticalResistanceWithVias). Zero means no vias — the
 	// paper's pessimistic upper-layer assumption.
 	ViaAreaFraction float64
-	// MaxStep bounds the RK4 internal step; zero auto-selects.
-	MaxStep float64
-	// UseRK4 selects the paper's sub-stepped RK4 integration instead of
-	// the exact interval propagator (validation fallback).
-	UseRK4 bool
 }
 
 // NewFromNode builds the thermal network of a wires-wide global bus on the
@@ -547,10 +452,8 @@ func NewFromNode(node itrs.Node, wires int, opts NodeOptions) (*Network, error) 
 	cfg := Config{
 		Wires:        wires,
 		Ambient:      units.AmbientK,
-		RVertical:    []float64{rv},
-		HeatCapacity: []float64{g.HeatCapacity(hcOpts)},
-		MaxStep:      opts.MaxStep,
-		ForceRK4:     opts.UseRK4,
+		RVertical:    rv,
+		HeatCapacity: g.HeatCapacity(hcOpts),
 	}
 	if opts.Ambient > 0 {
 		cfg.Ambient = opts.Ambient
@@ -560,11 +463,11 @@ func NewFromNode(node itrs.Node, wires int, opts NodeOptions) (*Network, error) 
 		if err != nil {
 			return nil, err
 		}
-		cfg.RLateral = []float64{rl}
+		cfg.RLateral = rl
 	}
 	if !opts.DisableInterLayer {
 		dTheta := InterLayerRise(node)
-		cfg.InterLayerPower = []float64{dTheta / rv}
+		cfg.InterLayerPower = dTheta / rv
 	}
 	return New(cfg)
 }

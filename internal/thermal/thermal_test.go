@@ -240,24 +240,38 @@ func TestNewFromNodeWarmsTowardInterLayerRise(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{Wires: 0, Ambient: 300, RVertical: []float64{1}, HeatCapacity: []float64{1}},
-		{Wires: 2, Ambient: 0, RVertical: []float64{1}, HeatCapacity: []float64{1}},
-		{Wires: 2, Ambient: 300, RVertical: []float64{1, 2, 3}, HeatCapacity: []float64{1}},
-		{Wires: 2, Ambient: 300, RVertical: []float64{-1}, HeatCapacity: []float64{1}},
-		{Wires: 2, Ambient: 300, RVertical: []float64{1}, HeatCapacity: []float64{0}},
-		{Wires: 3, Ambient: 300, RVertical: []float64{1}, HeatCapacity: []float64{1}, RLateral: []float64{1, -1}},
+		{Wires: 0, Ambient: 300, RVertical: 1, HeatCapacity: 1},
+		{Wires: 2, Ambient: 0, RVertical: 1, HeatCapacity: 1},
+		{Wires: 2, Ambient: 300, RVertical: -1, HeatCapacity: 1},
+		{Wires: 2, Ambient: 300, RVertical: 1, HeatCapacity: 0},
+		{Wires: 3, Ambient: 300, RVertical: 1, HeatCapacity: 1, RLateral: -1},
+		{Wires: 3, Ambient: 300, RVertical: 1, HeatCapacity: 1, InterLayerPower: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("config %d accepted", i)
 		}
 	}
+	if _, err := New(Config{Wires: 3, Ambient: 300, RVertical: 1, HeatCapacity: 1}); err != nil {
+		t.Errorf("config without lateral coupling rejected: %v", err)
+	}
 }
 
 func TestAdvanceValidation(t *testing.T) {
 	nw := newTestNetwork(t, 3)
+	if err := nw.Advance(1e-3, []float64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	before := nw.Temps(nil)
 	if err := nw.Advance(0, nil); err == nil {
 		t.Error("zero dt accepted")
+	}
+	// A NaN dt used to slip past the dt <= 0 test and turn every
+	// temperature into NaN; an infinite one is no interval either.
+	for _, dt := range []float64{math.NaN(), math.Inf(1)} {
+		if err := nw.Advance(dt, nil); err == nil {
+			t.Errorf("dt %g accepted", dt)
+		}
 	}
 	if err := nw.Advance(1e-3, []float64{1}); err == nil {
 		t.Error("short power slice accepted")
@@ -266,16 +280,18 @@ func TestAdvanceValidation(t *testing.T) {
 		t.Error("short power slice accepted by SteadyState")
 	}
 	// Failure injection: NaN, Inf and negative powers are rejected before
-	// they can corrupt the integration state.
+	// they can corrupt the integration state, by Advance and SteadyState.
 	for _, bad := range []float64{math.NaN(), math.Inf(1), -1} {
 		if err := nw.Advance(1e-3, []float64{bad, 0, 0}); err == nil {
 			t.Errorf("power %g accepted", bad)
 		}
+		if _, err := nw.SteadyState([]float64{0, 0, bad}); err == nil {
+			t.Errorf("power %g accepted by SteadyState", bad)
+		}
 	}
-	before := nw.Temps(nil)
-	for i, temp := range before {
-		if math.IsNaN(temp) {
-			t.Errorf("wire %d corrupted to NaN by rejected input", i)
+	for i, temp := range nw.Temps(nil) {
+		if math.Float64bits(temp) != math.Float64bits(before[i]) {
+			t.Errorf("wire %d moved from %g to %g K on rejected input", i, before[i], temp)
 		}
 	}
 }

@@ -6,7 +6,8 @@
 # than 2x slower than BENCH_hotpath.json), the nanobusd end-to-end smoke,
 # the adaptive cooling-code gate, and the kill -9 durability chaos gate.
 # It also checks the arm64 build of the energy kernel for fused
-# multiply-adds (scripts/fma_guard.sh).
+# multiply-adds (scripts/fma_guard.sh) and that internal/ode stays a
+# test-only package (scripts/ode_guard.sh).
 #
 # CI-safe by construction: no interactive input, no TTY assumptions, and
 # every stage's exit status stops the run. Benchmark output goes through
@@ -26,6 +27,10 @@ echo "==> build (nanobus_nofault)"
 go build -tags nanobus_nofault ./...
 echo "==> vet"
 go vet ./...
+echo "==> ode guard"
+# RK4 and the other internal/ode integrators are test-only oracles: no
+# non-test package may import them (see the script).
+sh scripts/ode_guard.sh
 echo "==> fma guard"
 # The scalar energy kernel's count-to-energy sum must not be fused into
 # multiply-adds on arm64 (see the script).
