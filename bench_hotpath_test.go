@@ -104,31 +104,39 @@ func BenchmarkTransition(b *testing.B) {
 	})
 }
 
-// BenchmarkThermalAdvance measures one 100K-cycle interval step of a
-// 32-wire network under the exact propagator.
+// BenchmarkThermalAdvance measures one 100K-cycle interval step of the
+// exact propagator on both of its paths: a 32-wire network (exact, the
+// dense K = 1 step) and the SoC shape of four coupled 32-wire buses
+// (grid_k4, the Kronecker-factored step).
 func BenchmarkThermalAdvance(b *testing.B) {
-	p := make([]float64, 32)
-	for i := range p {
-		p[i] = 1
-	}
 	dt := 100_000 / itrs.N130.ClockHz
-	b.Run("exact", func(b *testing.B) {
-		net, err := thermal.NewFromNode(itrs.N130, 32, thermal.NodeOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Prime outside the timer: the propagator factorises lazily.
-		if err := net.Advance(dt, p); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := net.Advance(dt, p); err != nil {
+	for _, leg := range []struct {
+		name  string
+		buses int
+	}{{"exact", 1}, {"grid_k4", 4}} {
+		b.Run(leg.name, func(b *testing.B) {
+			g, err := thermal.NewGridFromNode(itrs.N130, 32, leg.buses, thermal.GridNodeOptions{})
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			p := make([]float64, g.N())
+			for i := range p {
+				p[i] = 1
+			}
+			// Prime outside the timer: the first Advance factors the
+			// grid and builds its step for this dt.
+			if err := g.Advance(dt, p); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := g.Advance(dt, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // loopSource replays a captured window forever, so RunPair benchmarks

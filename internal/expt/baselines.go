@@ -5,7 +5,6 @@ import (
 
 	"nanobus/internal/core"
 	"nanobus/internal/itrs"
-	"nanobus/internal/thermal"
 	"nanobus/internal/units"
 	"nanobus/internal/workload"
 )
@@ -114,10 +113,4 @@ func Baselines(benchName string, node itrs.Node, cycles uint64) (*BaselineCompar
 	}
 	out.WorstCaseTemp = ws[len(ws)/2]
 	return out, nil
-}
-
-// NewThermalForBaselines builds a fresh network matching the comparison's
-// configuration (exported for tests that probe the steady-state helpers).
-func NewThermalForBaselines(node itrs.Node, wires int) (*thermal.Network, error) {
-	return thermal.NewFromNode(node, wires, thermal.NodeOptions{})
 }

@@ -249,7 +249,10 @@ func PlanRepeaters(node Node, length float64) (RepeaterPlan, error) {
 	return repeater.InsertDefault(node, length)
 }
 
-// ThermalNetwork is the bus thermal-RC network.
+// ThermalNetwork is the bus thermal-RC network (paper Sec. 4): a
+// one-bus view of the thermal grid, advanced by the exact interval
+// propagator. Temp, MaxTemp and AvgTemp take a wire index; Advance,
+// SteadyState, SetAmbient and SetTemps reject non-finite inputs.
 type ThermalNetwork = thermal.Network
 
 // ThermalOptions configure NewThermalNetwork.

@@ -1,6 +1,7 @@
 package nanobus_test
 
 import (
+	"math"
 	"testing"
 
 	"nanobus"
@@ -72,6 +73,30 @@ func TestFacadeRepeatersThermalExtraction(t *testing.T) {
 	caps, err := nanobus.NewCapacitanceMatrix(nanobus.Node45, 16)
 	if err != nil || caps.N() != 16 {
 		t.Errorf("NewCapacitanceMatrix: %v", err)
+	}
+}
+
+// TestThermalNetworkRejectsNonFinite: the public thermal surface refuses
+// NaN and infinite inputs instead of letting them reach the temperatures.
+func TestThermalNetworkRejectsNonFinite(t *testing.T) {
+	if _, err := nanobus.NewThermalNetwork(nanobus.Node130, 4, nanobus.ThermalOptions{Ambient: math.Inf(1)}); err == nil {
+		t.Error("infinite ambient option accepted")
+	}
+	net, err := nanobus.NewThermalNetwork(nanobus.Node130, 4, nanobus.ThermalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.SetAmbient(math.NaN()); err == nil {
+		t.Error("SetAmbient(NaN) accepted")
+	}
+	if err := net.SetTemps([]float64{320, math.NaN(), 320, 320}); err == nil {
+		t.Error("SetTemps with a NaN accepted")
+	}
+	if err := net.Advance(1e-3, nil); err != nil {
+		t.Fatal(err)
+	}
+	if avg := net.AvgTemp(); math.IsNaN(avg) || math.IsInf(avg, 0) {
+		t.Errorf("average temperature %g after rejected inputs", avg)
 	}
 }
 

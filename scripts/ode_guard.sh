@@ -1,6 +1,6 @@
 #!/bin/sh
-# Test-only guard for internal/ode. The thermal networks advance with
-# their exact propagators; the paper's RK4 and the other integrators are
+# Test-only guard for internal/ode. The thermal network advances with
+# its exact propagator; the paper's RK4 and the other integrators are
 # the tests' oracle and ablation tools. This fails if any non-test
 # package imports nanobus/internal/ode (`go list`'s .Imports excludes test
 # imports).

@@ -6,8 +6,9 @@
 # than 2x slower than BENCH_hotpath.json), the nanobusd end-to-end smoke,
 # the adaptive cooling-code gate, and the kill -9 durability chaos gate.
 # It also checks the arm64 build of the energy kernel for fused
-# multiply-adds (scripts/fma_guard.sh) and that internal/ode stays a
-# test-only package (scripts/ode_guard.sh).
+# multiply-adds (scripts/fma_guard.sh), that internal/ode stays a
+# test-only package (scripts/ode_guard.sh), and that the perfbench module
+# still builds and passes its self-test against this checkout.
 #
 # CI-safe by construction: no interactive input, no TTY assumptions, and
 # every stage's exit status stops the run. Benchmark output goes through
@@ -27,6 +28,11 @@ echo "==> build (nanobus_nofault)"
 go build -tags nanobus_nofault ./...
 echo "==> vet"
 go vet ./...
+echo "==> perfbench module"
+# perfbench is its own Go module (it replaces nanobus with this
+# checkout), so ./... above skips it: a change to an internal API it
+# imports would pass every other stage and break the benchmark build.
+(cd perfbench && go vet . && go test .)
 echo "==> ode guard"
 # RK4 and the other internal/ode integrators are test-only oracles: no
 # non-test package may import them (see the script).
