@@ -1,5 +1,5 @@
-// Hot-path micro-benchmarks for the perf-critical kernels: the memoized
-// transition-energy lookup, the exact thermal propagator, the end-to-end
+// Hot-path micro-benchmarks for the perf-critical kernels: the
+// per-transition energy kernel, the exact thermal propagator, the end-to-end
 // RunPair pipeline, and sweep scaling across worker counts. scripts/bench.sh
 // runs these with -benchmem and records the results in BENCH_hotpath.json.
 package nanobus_test
@@ -54,8 +54,8 @@ func benchModel(b *testing.B) *energy.Model {
 	return m
 }
 
-// BenchmarkTransition compares the direct O(s^2) transition kernel against
-// the memoized lookup on the same address stream.
+// BenchmarkTransition times the direct O(s^2) per-transition energy
+// kernel on an address stream.
 func BenchmarkTransition(b *testing.B) {
 	m := benchModel(b)
 	words := addressWords(1 << 14)
@@ -71,36 +71,6 @@ func BenchmarkTransition(b *testing.B) {
 			}
 			prev = cur
 		}
-	})
-	b.Run("memo", func(b *testing.B) {
-		memo, err := energy.NewMemo(m, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Warm the memo with one full pass over the stream so the timed
-		// loop measures the steady state at any -benchtime; hit_pct counts
-		// only the timed lookups.
-		prev := uint64(0)
-		for _, cur := range words {
-			if _, err := memo.Transition(prev, cur, out); err != nil {
-				b.Fatal(err)
-			}
-			prev = cur
-		}
-		warm := memo.Stats()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cur := words[i&(len(words)-1)]
-			if _, err := memo.Transition(prev, cur, out); err != nil {
-				b.Fatal(err)
-			}
-			prev = cur
-		}
-		b.StopTimer()
-		st := memo.Stats()
-		hits, misses := st.Hits-warm.Hits, st.Misses-warm.Misses
-		b.ReportMetric(100*float64(hits)/float64(hits+misses), "hit_pct")
 	})
 }
 

@@ -13,21 +13,22 @@ import (
 
 // Checkpoint format (NBCP). A snapshot is a self-describing binary blob,
 // deterministic down to the byte for a given simulator state. One codec
-// handles five layouts, named by the version word:
+// handles six layouts, named by the version word:
 //
 //	v4  static-encoder Simulator, and a K == 1 MultiSim (its blobs are
 //	    interchangeable with Simulator.Snapshot/Restore)
-//	v2  MultiSim with K > 1 buses
+//	v6  MultiSim with K > 1 buses
 //	v5  Simulator running the adaptive controller
 //	v1  v4 without the window counts (read only)
+//	v2  v6 without the window counts (read only)
 //	v3  v5 without the window counts (read only)
 //
-// v4 and v5 are v1 and v3 with the accumulator window extended by the
-// scalar kernel's exact pair-pattern counts (see energy.AccumulatorState).
-// Snapshot writes v2, v4 and v5. Restore still reads v1 and v3 blobs: their
-// float window becomes the accumulator's carry, added to the counts when
-// the interval closes, so a blob taken before the counts existed resumes
-// where it stopped.
+// v4, v5 and v6 are v1, v3 and v2 with each accumulator window extended
+// by its exact pair-pattern counts (see energy.AccumulatorState).
+// Snapshot writes v4, v5 and v6. Restore still reads v1, v2 and v3 blobs:
+// their float window becomes the accumulator's carry, added to the counts
+// when the interval closes, so a blob taken before the counts existed
+// resumes where it stopped.
 //
 // Integers and float bit patterns are little-endian; a string is a u16
 // length and its bytes; a bool is one byte; a line energy is three f64
@@ -41,19 +42,19 @@ import (
 //	             no-repeaters bool
 //	  v3, v5     node, adaptive base, adaptive cool, ceiling, guard and
 //	             hysteresis f64, then v1's fields from width on
-//	  v2         v1's fields, buses u32, bus-coupling-disabled bool,
+//	  v2, v6     v1's fields, buses u32, bus-coupling-disabled bool,
 //	             bus gap pitches f64
 //	counters     cycles u64, cycles into the open interval u64
 //	scalar body  bus block | thermal | samples
-//	v2 body      thermal (K*W temperatures, bus-major) |
+//	v2, v6 body  thermal (K*W temperatures, bus-major) |
 //	             per bus: bus block | samples
 //	bus block    cumulative total, W per-line totals, accumulator window
 //	             (held word u64, first bool, cycles u64, idle cycles u64,
 //	             window total, W window lines), then
-//	  v4, v5     window counts: W toggle counts u64, W(W-1)/2 pair
+//	  v4, v5, v6 window counts: W toggle counts u64, W(W-1)/2 pair
 //	             counts i64 (pairs i < j, row-major), then
-//	  v1, v2, v4 encoder state: prev u64, last u32, first bool (zero for
-//	             stateless schemes)
+//	  v1, v2,    encoder state: prev u64, last u32, first bool (zero for
+//	  v4, v6     stateless schemes)
 //	  v3, v5     controller: mode u16, just-switched bool, base and cool
 //	             occupancy u64, base and cool encoder states (the
 //	             inactive one keeps private history, e.g. CoolSpread's
@@ -65,18 +66,15 @@ import (
 //	             wire i64, wire-temp count u32 and temps f64; v3 and v5
 //	             add a cool-mode bool and a switched bool
 //
-// In v4 and v5 the float window is the carry, zero unless the blob's
-// history passes through a v1 or v3 restore in the same interval.
+// In v4, v5 and v6 the float window is the carry, zero unless the blob's
+// history passes through a v1, v2 or v3 restore in the same interval.
 //
-// The K > 1 transition memo is never serialized: its contents are a pure
-// function of the model, so a restored simulator re-warms (the "dropped
-// and rewarmed" policy). Snapshot first drains the shared memo's pending
-// counts into the windows. The round trip is still bit-exact (restore
-// then re-snapshot reproduces the blob), but a continued K > 1 run agrees
-// with the source only to rounding (~1e-12 relative): the restored cold
-// memo evicts on a different schedule, so its count drains associate
-// float additions differently. Scalar restores continue bit-identically,
-// because the scalar window is integers.
+// The K > 1 transition-key memo is never serialized: a restored simulator
+// re-warms it (the "dropped and rewarmed" policy). Snapshot first drains
+// the memo's pending counts into the windows. Every window is integers,
+// so neither the drain nor the cold memo's different eviction schedule
+// changes a later result: a restored simulator, K = 1 or K > 1, continues
+// bit-identically to the source, and so does the source itself.
 //
 // Restore decodes and validates the whole blob before it touches the
 // target: envelope, version, fingerprint, every count against the
@@ -98,10 +96,11 @@ var ErrCheckpointMismatch = errors.New("core: checkpoint configuration mismatch"
 const (
 	checkpointMagic           = "NBCP"
 	checkpointVersion         = 4 // static-encoder Simulator
-	checkpointVersionMulti    = 2 // MultiSim, K > 1
+	checkpointVersionMulti    = 6 // MultiSim, K > 1
 	checkpointVersionAdaptive = 5 // adaptive Simulator
 	// The float-window layouts, read only.
 	checkpointVersionV1 = 1 // static-encoder Simulator
+	checkpointVersionV2 = 2 // MultiSim, K > 1
 	checkpointVersionV3 = 3 // adaptive Simulator
 )
 
@@ -227,7 +226,9 @@ func (m *MultiSim) Snapshot() ([]byte, error) {
 	w.u64(m.cycleInInterval)
 	w.thermal(m.grid.Ambient(), m.grid.Temps(nil))
 	for k := 0; k < m.buses; k++ {
-		w.busEnergy(m.totalEnergy[k], m.lineTotals[k*m.width:(k+1)*m.width], m.acc.BusState(k))
+		win := m.acc.BusState(k)
+		w.busEnergy(m.totalEnergy[k], m.lineTotals[k*m.width:(k+1)*m.width], win)
+		w.counts(win.Toggles, win.Pairs)
 		w.encState(m.encs[k])
 		w.samples(m.samples[k], nil)
 	}
@@ -236,8 +237,8 @@ func (m *MultiSim) Snapshot() ([]byte, error) {
 
 // Restore overwrites the multi-bus simulator's state from a Snapshot blob
 // (see Simulator.Restore for the validation contract). K == 1 delegates
-// to Simulator.Restore; K > 1 accepts only v2 and reports any other
-// version as ErrCheckpointCorrupt.
+// to Simulator.Restore; K > 1 accepts only v6 and v2 and reports any
+// other version as ErrCheckpointCorrupt.
 func (m *MultiSim) Restore(data []byte) error {
 	if m.single != nil {
 		return m.single.Restore(data)
@@ -246,8 +247,9 @@ func (m *MultiSim) Restore(data []byte) error {
 	if err != nil {
 		return err
 	}
-	if v != checkpointVersionMulti {
-		return fmt.Errorf("%w: unsupported version %d (want %d for a multi-bus target)", ErrCheckpointCorrupt, v, checkpointVersionMulti)
+	if v != checkpointVersionMulti && v != checkpointVersionV2 {
+		return fmt.Errorf("%w: unsupported version %d (want %d or %d for a multi-bus target)", ErrCheckpointCorrupt, v,
+			checkpointVersionMulti, checkpointVersionV2)
 	}
 	if err := r.fingerprint(m.fingerprint()); err != nil {
 		return err
@@ -263,6 +265,9 @@ func (m *MultiSim) Restore(data []byte) error {
 	for k := 0; k < m.buses && r.err == nil; k++ {
 		var lines []energy.LineEnergy
 		totalEnergy[k], lines, wins[k] = r.busEnergy(m.width)
+		if v == checkpointVersionMulti {
+			wins[k].Toggles, wins[k].Pairs = r.counts(m.width, wins[k].Cycles)
+		}
 		lineTotals = append(lineTotals, lines...)
 		ests[k] = r.encState()
 		samples[k] = r.samples(nil)
@@ -321,7 +326,8 @@ func (s *Simulator) fingerprint() []fpField {
 	return append(fp, busFingerprint(s.enc.Width(), s.interval, s.length, s.cfg)...)
 }
 
-// fingerprint lists the multi-bus simulator's identity in v2 layout order.
+// fingerprint lists the multi-bus simulator's identity in v6 (v2) layout
+// order.
 func (m *MultiSim) fingerprint() []fpField {
 	fp := append([]fpField{{"node", m.cfg.Node.Name}, {"encoding", m.encs[0].Name()}},
 		busFingerprint(m.width, m.interval, m.length, m.cfg.Config)...)
@@ -486,7 +492,7 @@ func (r *ckptReader) busEnergy(width int) (energy.LineEnergy, []energy.LineEnerg
 		IdleCycles: r.u64(), Total: r.lineEnergy(), Lines: r.lines(width)}
 }
 
-// counts writes v4/v5's window counts.
+// counts writes v4/v5/v6's window counts.
 func (w *ckptWriter) counts(toggles []uint64, pairs []int64) {
 	for _, t := range toggles {
 		w.u64(t)
@@ -496,7 +502,7 @@ func (w *ckptWriter) counts(toggles []uint64, pairs []int64) {
 	}
 }
 
-// counts reads v4/v5's window counts for a width-n bus whose window holds
+// counts reads v4/v5/v6's window counts for a width-n bus whose window holds
 // cycles cycles. Counts no such window could hold are corrupt: a wire
 // switches at most once a cycle (T_i <= cycles), and a pair's count moves
 // by one only when both wires switch (|P_ij| <= min(T_i, T_j)).

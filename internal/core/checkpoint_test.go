@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"flag"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"nanobus/internal/encoding"
+	"nanobus/internal/energy"
 	"nanobus/internal/faultinject"
 	"nanobus/internal/itrs"
 )
@@ -318,10 +320,28 @@ func TestFlushPanicFailpoint(t *testing.T) {
 
 var updateCkpt = flag.Bool("update-ckpt", false, "rewrite the current-layout testdata/ckpt_v*.bin from fresh runs")
 
-// ckptTarget is the checkpoint surface Simulator and MultiSim share.
+// ckptTarget is the checkpoint and stepping surface Simulator and
+// MultiSim share.
 type ckptTarget interface {
 	Snapshot() ([]byte, error)
 	Restore([]byte) error
+	StepBatch(context.Context, []uint32) (int, error)
+	Finish() error
+}
+
+// busFigures returns a target's per-bus samples and cumulative energies
+// (one bus for a Simulator).
+func busFigures(tgt ckptTarget) ([][]Sample, []energy.LineEnergy) {
+	if s, ok := tgt.(*Simulator); ok {
+		return [][]Sample{s.Samples()}, []energy.LineEnergy{s.TotalEnergy()}
+	}
+	m := tgt.(*MultiSim)
+	samples := make([][]Sample, m.Buses())
+	totals := make([]energy.LineEnergy, m.Buses())
+	for k := range samples {
+		samples[k], totals[k] = m.Samples(k), m.TotalEnergy(k)
+	}
+	return samples, totals
 }
 
 // pinnedAdaptive is the adaptive pins' controller: the probe trajectory's
@@ -332,9 +352,10 @@ var pinnedAdaptive = AdaptiveConfig{Base: "BI", Cool: "CoolSpread", CeilingK: 31
 // pinnedCkpts are the committed blobs, one per NBCP layout. target builds
 // a simulator with the blob's configuration; run drives a fresh target to
 // the pinned state. A frozen blob was written by an earlier codec (the
-// float-window layouts v1 and v3): -update-ckpt never rewrites it, and
-// its run and tail serve the resume check instead. Snapshot of a frozen
-// blob's target writes the resnap layout.
+// float-window layouts v1, v2 and v3): -update-ckpt never rewrites it,
+// and its run and tail serve the resume check instead. Snapshot of a
+// frozen blob's target writes the resnap layout. New entries go last, so
+// FuzzRestore's seed numbering stays put.
 var pinnedCkpts = []struct {
 	file    string
 	version byte
@@ -352,13 +373,9 @@ var pinnedCkpts = []struct {
 	},
 	{
 		// K = 4 BI, one sample per bus plus a partly filled window.
-		file: "ckpt_v2.bin", version: checkpointVersionMulti,
+		file: "ckpt_v2.bin", version: checkpointVersionV2, frozen: true, resnap: checkpointVersionMulti,
 		target: func(t *testing.T) ckptTarget { return newMultiForCkpt(t, 4) },
-		run: func(t *testing.T, tgt ckptTarget) {
-			if _, err := tgt.(*MultiSim).StepBatch(context.Background(), ckptWords(11, 1300*4)); err != nil {
-				t.Fatal(err)
-			}
-		},
+		run:    runPinnedMulti, tail: ckptWords(12, 1700*4),
 	},
 	{
 		// Adaptive, cut mid-interval right after the switch.
@@ -376,6 +393,12 @@ var pinnedCkpts = []struct {
 		target: func(t *testing.T) ckptTarget { return newAdaptiveSim(t, 1000, pinnedAdaptive) },
 		run:    runPinnedAdaptive, tail: hotWords(2500),
 	},
+	{
+		// ckpt_v2.bin's run, in the counts layout.
+		file: "ckpt_v6.bin", version: checkpointVersionMulti,
+		target: func(t *testing.T) ckptTarget { return newMultiForCkpt(t, 4) },
+		run:    runPinnedMulti,
+	},
 }
 
 func pinnedV1Config() Config {
@@ -383,7 +406,13 @@ func pinnedV1Config() Config {
 }
 
 func runPinnedStatic(t *testing.T, tgt ckptTarget) {
-	if _, err := tgt.(*Simulator).StepBatch(context.Background(), ckptWords(7, 1111)); err != nil {
+	if _, err := tgt.StepBatch(context.Background(), ckptWords(7, 1111)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func runPinnedMulti(t *testing.T, tgt ckptTarget) {
+	if _, err := tgt.StepBatch(context.Background(), ckptWords(11, 1300*4)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -443,7 +472,7 @@ func TestCheckpointLayoutsPinned(t *testing.T) {
 			t.Fatalf("%s: Snapshot: %v", pc.file, err)
 		}
 		if pc.frozen {
-			checkFrozenResume(t, i, tgt.(*Simulator), got)
+			checkFrozenResume(t, i, tgt, got)
 			continue
 		}
 		if !bytes.Equal(got, want) {
@@ -469,21 +498,23 @@ func TestCheckpointLayoutsPinned(t *testing.T) {
 // (whose re-snapshot is snap) with the blob's tail words. Its float
 // window rides in the current layout as the carry, so a second target
 // restored from snap must continue bit for bit like the first. Against
-// an uninterrupted run of the same words on the count kernel, it must
-// agree to rounding: the blob's energies were summed by the memo kernel.
-func checkFrozenResume(t *testing.T, i int, restored *Simulator, snap []byte) {
+// an uninterrupted run of the same words on the count kernel, every bus
+// must agree to rounding: the blob's energies were summed by a float
+// kernel (the scalar memo for v1 and v3, the multi-bus float window for
+// v2).
+func checkFrozenResume(t *testing.T, i int, restored ckptTarget, snap []byte) {
 	t.Helper()
 	pc := pinnedCkpts[i]
 	if snap[4] != pc.resnap {
 		t.Fatalf("%s: re-snapshot is v%d, want v%d", pc.file, snap[4], pc.resnap)
 	}
-	second := pc.target(t).(*Simulator)
+	second := pc.target(t)
 	if err := second.Restore(snap); err != nil {
 		t.Fatalf("%s: Restore of its re-snapshot: %v", pc.file, err)
 	}
-	uninterrupted := pc.target(t).(*Simulator)
+	uninterrupted := pc.target(t)
 	pc.run(t, uninterrupted)
-	for _, sim := range []*Simulator{restored, second, uninterrupted} {
+	for _, sim := range []ckptTarget{restored, second, uninterrupted} {
 		if _, err := sim.StepBatch(context.Background(), pc.tail); err != nil {
 			t.Fatal(err)
 		}
@@ -491,29 +522,33 @@ func checkFrozenResume(t *testing.T, i int, restored *Simulator, snap []byte) {
 			t.Fatal(err)
 		}
 	}
-	sameSamples(t, pc.file+" restored vs re-snapshot", restored.Samples(), second.Samples())
+	got, gotTotals := busFigures(restored)
+	again, _ := busFigures(second)
+	want, wantTotals := busFigures(uninterrupted)
 	const tol = 1e-12
-	want := uninterrupted.Samples()
-	got := restored.Samples()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d samples, uninterrupted run has %d", pc.file, len(got), len(want))
-	}
 	close := func(a, b float64) bool { return math.Abs(a-b) <= tol*math.Abs(b) }
-	for k := range want {
-		x, y := got[k], want[k]
-		same := x.EndCycle == y.EndCycle && x.MaxWire == y.MaxWire && x.Encoder == y.Encoder &&
-			x.Switched == y.Switched && len(x.WireTemps) == len(y.WireTemps) &&
-			close(x.Energy, y.Energy) && close(x.Self, y.Self) && close(x.CoupAdj, y.CoupAdj) &&
-			close(x.CoupNonAdj, y.CoupNonAdj) && close(x.AvgTemp, y.AvgTemp) && close(x.MaxTemp, y.MaxTemp)
-		for j := 0; same && j < len(x.WireTemps); j++ {
-			same = close(x.WireTemps[j], y.WireTemps[j])
+	for bus := range want {
+		name := fmt.Sprintf("%s bus %d", pc.file, bus)
+		sameSamples(t, name+" restored vs re-snapshot", got[bus], again[bus])
+		if len(got[bus]) != len(want[bus]) {
+			t.Fatalf("%s: %d samples, uninterrupted run has %d", name, len(got[bus]), len(want[bus]))
 		}
-		if !same {
-			t.Fatalf("%s: resumed sample %d is not within %g of the uninterrupted run:\n  %+v\n  %+v", pc.file, k, tol, x, y)
+		for k := range want[bus] {
+			x, y := got[bus][k], want[bus][k]
+			same := x.EndCycle == y.EndCycle && x.MaxWire == y.MaxWire && x.Encoder == y.Encoder &&
+				x.Switched == y.Switched && len(x.WireTemps) == len(y.WireTemps) &&
+				close(x.Energy, y.Energy) && close(x.Self, y.Self) && close(x.CoupAdj, y.CoupAdj) &&
+				close(x.CoupNonAdj, y.CoupNonAdj) && close(x.AvgTemp, y.AvgTemp) && close(x.MaxTemp, y.MaxTemp)
+			for j := 0; same && j < len(x.WireTemps); j++ {
+				same = close(x.WireTemps[j], y.WireTemps[j])
+			}
+			if !same {
+				t.Fatalf("%s: resumed sample %d is not within %g of the uninterrupted run:\n  %+v\n  %+v", name, k, tol, x, y)
+			}
 		}
-	}
-	if a, b := restored.TotalEnergy().Total(), uninterrupted.TotalEnergy().Total(); !close(a, b) {
-		t.Fatalf("%s: resumed total %g J, uninterrupted %g J", pc.file, a, b)
+		if a, b := gotTotals[bus].Total(), wantTotals[bus].Total(); !close(a, b) {
+			t.Fatalf("%s: resumed total %g J, uninterrupted %g J", name, a, b)
+		}
 	}
 }
 

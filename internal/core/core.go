@@ -9,8 +9,9 @@
 // Each interval's energy is accumulated as exact integer pair-pattern
 // counts (energy.Accumulator) and converted to joules once, when the
 // interval closes, so it does not depend on how the words were batched.
-// The multi-bus kernel (MultiSim, K > 1) memoizes transition energies
-// instead; Config.MemoSizeLog2 sizes that memo.
+// The multi-bus kernel (MultiSim, K > 1) keeps the same counts per bus
+// and batches them through a shared transition-key memo;
+// Config.MemoSizeLog2 sizes that memo.
 package core
 
 import (
@@ -85,11 +86,13 @@ type Config struct {
 	// Decay overrides the non-adjacent coupling decay model; nil uses the
 	// node's calibrated default.
 	Decay *capmodel.DecayModel
-	// MemoSizeLog2 sizes the multi-bus transition-energy memo (2^k
+	// MemoSizeLog2 sizes the multi-bus transition-key memo (2^k
 	// entries) of a MultiSim with K > 1 buses: zero selects
 	// energy.DefaultMemoSizeLog2, a negative value disables memoization
-	// (the direct kernel runs every cycle). The scalar kernel (Simulator,
-	// K = 1) has no memo and only validates the size; see energy.Memo.
+	// (every word is counted as the scalar kernel counts it). The memo
+	// size changes speed only, never a result. The scalar kernel
+	// (Simulator, K = 1) has no memo and only validates the size; see
+	// energy.Memo.
 	MemoSizeLog2 int
 }
 

@@ -35,15 +35,16 @@ type MultiConfig struct {
 }
 
 // MultiSim drives K buses in lockstep through one struct-of-arrays
-// kernel: one shared transition memo probed across all buses, one
+// kernel: one shared transition-key memo probed across all buses, one
 // contiguous [K*W] power slab, and one banded thermal grid advanced once
 // per sampling interval for the whole die region.
 //
-// K == 1 delegates to an inner *Simulator, so single-bus results are
-// bit-identical (Float64bits) to the scalar pipeline. For K > 1 the
-// memo-slot count-aggregation kernel sums float energies where the
-// scalar accumulator counts pair patterns exactly: energies agree to
-// rounding (~1e-12 relative), not bit exact.
+// K == 1 delegates to an inner *Simulator. For K > 1 each bus's window is
+// exact pair-pattern counts, read out as the scalar Simulator reads its
+// own: every sample energy, cumulative total and per-line energy of bus k
+// is bit-identical (Float64bits) to a scalar Simulator run on bus k's
+// column, whatever the memo size and whenever the run is snapshotted.
+// Temperatures differ, because the buses share one thermal grid.
 type MultiSim struct {
 	cfg      MultiConfig
 	buses    int
@@ -64,6 +65,7 @@ type MultiSim struct {
 	samples         [][]Sample // per bus
 
 	lineBuf     []energy.LineEnergy // [W] per-bus flush scratch
+	windows     []energy.LineEnergy // [K] flush scratch: each bus's interval energy
 	power       []float64           // [K*W] bus-major interval power slab
 	encBuf      []uint64            // [chunkRows] per-bus physical words
 	colBuf      []uint32            // [chunkRows] per-bus data-word column
@@ -159,6 +161,7 @@ func NewMulti(cfg MultiConfig) (*MultiSim, error) {
 
 	m.samples = make([][]Sample, cfg.Buses)
 	m.lineBuf = make([]energy.LineEnergy, m.width)
+	m.windows = make([]energy.LineEnergy, cfg.Buses)
 	m.power = make([]float64, cfg.Buses*m.width)
 	m.lineTotals = make([]energy.LineEnergy, cfg.Buses*m.width)
 	m.totalEnergy = make([]energy.LineEnergy, cfg.Buses)
@@ -295,8 +298,9 @@ func (m *MultiSim) StepIdleBatch(ctx context.Context, n uint64) (uint64, error) 
 }
 
 // flush closes the current interval of n cycles for all K buses: drain
-// the shared memo counts, convert per-line energies to one [K*W] power
-// slab, advance the banded grid once, and emit one sample per bus.
+// the shared memo counts, read each bus's window as the scalar flush
+// does into one [K*W] power slab, advance the banded grid once, and emit
+// one sample per bus.
 func (m *MultiSim) flush(n uint64) {
 	if n == 0 {
 		return
@@ -314,7 +318,8 @@ func (m *MultiSim) flush(n uint64) {
 	dt := float64(n) * m.cfg.Node.CyclePeriod()
 	w := m.width
 	for k := 0; k < m.buses; k++ {
-		m.acc.BusLines(k, m.lineBuf)
+		tot := m.acc.BusLines(k, m.lineBuf)
+		m.windows[k] = tot
 		for i := range m.lineBuf {
 			le := m.lineBuf[i]
 			m.lineTotals[k*w+i].Self += le.Self
@@ -322,7 +327,6 @@ func (m *MultiSim) flush(n uint64) {
 			m.lineTotals[k*w+i].CoupNonAdj += le.CoupNonAdj
 			m.power[k*w+i] = le.Total() / dt / m.length
 		}
-		tot := m.acc.BusTotal(k)
 		m.totalEnergy[k].Self += tot.Self
 		m.totalEnergy[k].CoupAdj += tot.CoupAdj
 		m.totalEnergy[k].CoupNonAdj += tot.CoupNonAdj
@@ -338,7 +342,7 @@ func (m *MultiSim) flush(n uint64) {
 	}
 
 	for k := 0; k < m.buses; k++ {
-		tot := m.acc.BusTotal(k)
+		tot := m.windows[k]
 		maxT, maxW := m.grid.BusMaxTemp(k)
 		sample := Sample{
 			EndCycle:   m.cycles,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -111,14 +112,18 @@ func TestMultiSimK1BitIdentical(t *testing.T) {
 
 // TestMultiSimMatchesIndependentSims checks the K>1 struct-of-arrays path
 // against K independent scalar simulators with inter-bus coupling
-// disabled: energies agree to rounding and temperatures to the thermal
-// solver's tolerance.
+// disabled, at memo sizes 2^1 (an eviction on almost every miss), the
+// default and off: every sample's energy and components, every
+// cumulative total and per-line energy must be bit-identical, and the
+// temperatures must agree to the thermal solvers' tolerance (the
+// decoupled grid and the per-bus network step through different
+// propagators).
 func TestMultiSimMatchesIndependentSims(t *testing.T) {
 	const buses = 4
 	const rows = 2600
 	const intervalCycles = 1000
 
-	makeCfg := func() Config {
+	makeCfg := func(memo int) Config {
 		enc, err := encoding.New("BI")
 		if err != nil {
 			t.Fatalf("encoding.New: %v", err)
@@ -128,17 +133,7 @@ func TestMultiSimMatchesIndependentSims(t *testing.T) {
 			Encoder:        enc,
 			CouplingDepth:  -1,
 			IntervalCycles: intervalCycles,
-		}
-	}
-
-	msim, err := NewMulti(MultiConfig{Config: makeCfg(), Buses: buses, DisableBusCoupling: true})
-	if err != nil {
-		t.Fatalf("NewMulti: %v", err)
-	}
-	sims := make([]*Simulator, buses)
-	for k := range sims {
-		if sims[k], err = New(makeCfg()); err != nil {
-			t.Fatalf("New: %v", err)
+			MemoSizeLog2:   memo,
 		}
 	}
 
@@ -156,13 +151,12 @@ func TestMultiSimMatchesIndependentSims(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	if _, err := msim.StepBatch(ctx, interleave(cols)); err != nil {
-		t.Fatalf("multi StepBatch: %v", err)
-	}
-	if err := msim.Finish(); err != nil {
-		t.Fatalf("multi Finish: %v", err)
-	}
+	sims := make([]*Simulator, buses)
 	for k := range sims {
+		var err error
+		if sims[k], err = New(makeCfg(0)); err != nil {
+			t.Fatalf("New: %v", err)
+		}
 		if _, err := sims[k].StepBatch(ctx, cols[k]); err != nil {
 			t.Fatalf("scalar StepBatch: %v", err)
 		}
@@ -178,44 +172,69 @@ func TestMultiSimMatchesIndependentSims(t *testing.T) {
 		}
 		return math.Abs(a-b) <= tol*scale
 	}
-	for k := 0; k < buses; k++ {
-		mt, st := msim.TotalEnergy(k), sims[k].TotalEnergy()
-		if !relClose(mt.Total(), st.Total(), 1e-9) {
-			t.Fatalf("bus %d total energy: multi %g scalar %g", k, mt.Total(), st.Total())
+	mlines := make([]energy.LineEnergy, sims[0].Width())
+	slines := make([]energy.LineEnergy, sims[0].Width())
+	for _, memo := range []int{1, 0, -1} {
+		msim, err := NewMulti(MultiConfig{Config: makeCfg(memo), Buses: buses, DisableBusCoupling: true})
+		if err != nil {
+			t.Fatalf("NewMulti: %v", err)
 		}
-		ms, ss := msim.Samples(k), sims[k].Samples()
-		if len(ms) != len(ss) {
-			t.Fatalf("bus %d sample counts: %d vs %d", k, len(ms), len(ss))
+		if _, err := msim.StepBatch(ctx, interleave(cols)); err != nil {
+			t.Fatalf("multi StepBatch: %v", err)
 		}
-		for i := range ms {
-			if ms[i].EndCycle != ss[i].EndCycle {
-				t.Fatalf("bus %d sample %d end cycle: %d vs %d", k, i, ms[i].EndCycle, ss[i].EndCycle)
-			}
-			if !relClose(ms[i].Energy, ss[i].Energy, 1e-9) {
-				t.Fatalf("bus %d sample %d energy: %g vs %g", k, i, ms[i].Energy, ss[i].Energy)
-			}
-			// The decoupled grid and the per-bus network integrate the same
-			// system with the same spectral method; temperatures should agree
-			// far beyond thermal-model accuracy.
-			if !relClose(ms[i].MaxTemp, ss[i].MaxTemp, 1e-9) {
-				t.Fatalf("bus %d sample %d max temp: %v vs %v", k, i, ms[i].MaxTemp, ss[i].MaxTemp)
-			}
+		if err := msim.Finish(); err != nil {
+			t.Fatalf("multi Finish: %v", err)
 		}
-		mtemp, stemp := msim.BusTemps(k), sims[k].Temps()
-		for j := range stemp {
-			if !relClose(mtemp[j], stemp[j], 1e-9) {
-				t.Fatalf("bus %d wire %d temp: %v vs %v", k, j, mtemp[j], stemp[j])
+		if st := msim.MemoStats(); memo == 1 && st.Misses <= st.Capacity {
+			t.Fatalf("memo 2^1: %+v never evicted", st)
+		}
+		for k := 0; k < buses; k++ {
+			name := fmt.Sprintf("memo %d bus %d", memo, k)
+			if mt, st := msim.TotalEnergy(k), sims[k].TotalEnergy(); !sameEnergy(mt, st) {
+				t.Fatalf("%s total energy: multi %+v scalar %+v", name, mt, st)
+			}
+			msim.LineEnergies(k, mlines)
+			sims[k].LineEnergies(slines)
+			for i := range mlines {
+				if !sameEnergy(mlines[i], slines[i]) {
+					t.Fatalf("%s line %d energy: multi %+v scalar %+v", name, i, mlines[i], slines[i])
+				}
+			}
+			ms, ss := msim.Samples(k), sims[k].Samples()
+			if len(ms) != len(ss) {
+				t.Fatalf("%s sample counts: %d vs %d", name, len(ms), len(ss))
+			}
+			for i := range ms {
+				x, y := ms[i], ss[i]
+				if x.EndCycle != y.EndCycle || !sameEnergy(
+					energy.LineEnergy{Self: x.Self, CoupAdj: x.CoupAdj, CoupNonAdj: x.CoupNonAdj},
+					energy.LineEnergy{Self: y.Self, CoupAdj: y.CoupAdj, CoupNonAdj: y.CoupNonAdj}) ||
+					math.Float64bits(x.Energy) != math.Float64bits(y.Energy) {
+					t.Fatalf("%s sample %d: multi %+v scalar %+v", name, i, x, y)
+				}
+				// The decoupled grid and the per-bus network integrate the
+				// same system with the same spectral method; temperatures
+				// should agree far beyond thermal-model accuracy.
+				if !relClose(x.MaxTemp, y.MaxTemp, 1e-9) {
+					t.Fatalf("%s sample %d max temp: %v vs %v", name, i, x.MaxTemp, y.MaxTemp)
+				}
+			}
+			mtemp, stemp := msim.BusTemps(k), sims[k].Temps()
+			for j := range stemp {
+				if !relClose(mtemp[j], stemp[j], 1e-9) {
+					t.Fatalf("%s wire %d temp: %v vs %v", name, j, mtemp[j], stemp[j])
+				}
 			}
 		}
 	}
 
 	// With coupling enabled, a hot bus must warm its quiet neighbour above
 	// the neighbour's uncoupled temperature.
-	coupled, err := NewMulti(MultiConfig{Config: makeCfg(), Buses: 2})
+	coupled, err := NewMulti(MultiConfig{Config: makeCfg(0), Buses: 2})
 	if err != nil {
 		t.Fatalf("NewMulti coupled: %v", err)
 	}
-	uncoupled, err := NewMulti(MultiConfig{Config: makeCfg(), Buses: 2, DisableBusCoupling: true})
+	uncoupled, err := NewMulti(MultiConfig{Config: makeCfg(0), Buses: 2, DisableBusCoupling: true})
 	if err != nil {
 		t.Fatalf("NewMulti uncoupled: %v", err)
 	}
@@ -329,21 +348,10 @@ type multiRun struct {
 	samples []Sample
 }
 
-// relCloseMulti mirrors the K > 1 replay contract (see MultiSim.Snapshot):
-// a warm-memo replay re-associates the count-aggregation drains, so
-// energies agree to ~1e-12 relative, not bit for bit.
-func relCloseMulti(a, b float64) bool {
-	d := math.Abs(a - b)
-	if b == 0 {
-		return d == 0
-	}
-	return d <= 1e-11*math.Abs(b)
-}
-
 // TestMultiSimResetReplay pins Reset's contract at K > 1: the simulator
 // returns to its post-NewMulti state (cycles, samples, totals, grid
 // temperatures) while keeping the warm shared memo, so an identical
-// replay reproduces the first run to rounding and hits the memo where
+// replay reproduces the first run bit for bit and hits the memo where
 // the first run missed. It also exercises the streaming callback,
 // LineEnergies, MemoStats, Err and IntervalCycles on the K > 1 path.
 func TestMultiSimResetReplay(t *testing.T) {
@@ -444,33 +452,20 @@ func TestMultiSimResetReplay(t *testing.T) {
 
 	for k := range first {
 		f, s := first[k], second[k]
-		if !relCloseMulti(s.total.Self, f.total.Self) ||
-			!relCloseMulti(s.total.CoupAdj, f.total.CoupAdj) ||
-			!relCloseMulti(s.total.CoupNonAdj, f.total.CoupNonAdj) {
+		if !sameEnergy(s.total, f.total) {
 			t.Fatalf("bus %d replay totals drifted: %+v vs %+v", k, s.total, f.total)
 		}
 		for j := range f.lines {
-			if !relCloseMulti(s.lines[j].Self, f.lines[j].Self) {
+			if !sameEnergy(s.lines[j], f.lines[j]) {
 				t.Fatalf("bus %d line %d replay energy drifted", k, j)
 			}
 		}
 		for j := range f.temps {
-			if !relCloseMulti(s.temps[j], f.temps[j]) {
+			if math.Float64bits(s.temps[j]) != math.Float64bits(f.temps[j]) {
 				t.Fatalf("bus %d wire %d replay temp drifted: %v vs %v", k, j, s.temps[j], f.temps[j])
 			}
 		}
-		if len(s.samples) != len(f.samples) {
-			t.Fatalf("bus %d sample counts differ: %d vs %d", k, len(s.samples), len(f.samples))
-		}
-		for i := range f.samples {
-			if s.samples[i].EndCycle != f.samples[i].EndCycle {
-				t.Fatalf("bus %d sample %d EndCycle %d vs %d",
-					k, i, s.samples[i].EndCycle, f.samples[i].EndCycle)
-			}
-			if !relCloseMulti(s.samples[i].Energy, f.samples[i].Energy) {
-				t.Fatalf("bus %d sample %d replay energy drifted", k, i)
-			}
-		}
+		sameSamples(t, fmt.Sprintf("bus %d replay", k), s.samples, f.samples)
 	}
 
 	// Streaming: every flush fires one callback per bus in bus order, and
@@ -489,7 +484,7 @@ func TestMultiSimResetReplay(t *testing.T) {
 				t.Fatalf("run %d callback %d tagged bus %d, want %d", runIdx, i, g.bus, i%buses)
 			}
 			ref := second[g.bus].samples[perBus[g.bus]]
-			if g.s.EndCycle != ref.EndCycle || !relCloseMulti(g.s.Energy, ref.Energy) {
+			if g.s.EndCycle != ref.EndCycle || math.Float64bits(g.s.Energy) != math.Float64bits(ref.Energy) {
 				t.Fatalf("run %d bus %d streamed sample %d differs from retained",
 					runIdx, g.bus, perBus[g.bus])
 			}

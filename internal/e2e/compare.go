@@ -44,25 +44,13 @@ func Reference(ctx context.Context, cfg client.SessionConfig, batches [][]uint32
 }
 
 // Bits is the float comparison that defines "bit-identical": equal
-// IEEE-754 bit patterns.
+// IEEE-754 bit patterns. It is the only one: every session, scalar or
+// multi-bus, restored or not, is held to it.
 func Bits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-
-// RelClose is the rounding-level comparison for post-restore replays of
-// multi-bus sessions: a K>1 restore re-warms the shared memo from a cold
-// table and re-associates the count-aggregation sums, so continued runs
-// agree to ~1e-12 relative rather than bit-exactly (see
-// MultiSim.Snapshot).
-func RelClose(a, b float64) bool {
-	d, m := math.Abs(a-b), math.Abs(b)
-	if m == 0 {
-		return d == 0
-	}
-	return d/m <= 1e-11
-}
 
 // SameAsLibrary requires a scalar, non-adaptive session result to be
 // bit-identical to a finished library bus: the result the service would
-// have built from that bus, compared under SameResult with Bits.
+// have built from that bus, compared under SameResult.
 func SameAsLibrary(res *client.Result, bus *nanobus.Bus) error {
 	want := &client.Result{
 		Cycles:   bus.Cycles(),
@@ -82,7 +70,7 @@ func SameAsLibrary(res *client.Result, bus *nanobus.Bus) error {
 			WireTempsK: s.WireTemps, Encoder: s.Encoder, Switched: s.Switched,
 		})
 	}
-	return SameResult(want, res, Bits)
+	return SameResult(want, res)
 }
 
 // SameStream requires the SAMPLE frames streamed live for a session to be
@@ -92,22 +80,21 @@ func SameStream(res *client.Result, streamed []client.Sample) error {
 	if len(streamed) > len(res.Samples) {
 		return fmt.Errorf("streamed %d samples, result has %d", len(streamed), len(res.Samples))
 	}
-	c := &cmp{eq: Bits}
+	c := &cmp{}
 	c.samples("streamed", res.Samples[:len(streamed)], streamed)
 	return c.err
 }
 
 // SameResult is the one definition of two session results agreeing. It
-// compares every figure of the model under eq (Bits for bit-identity,
-// RelClose after a multi-bus restore) and every integer and tag exactly:
-// cycles, width, the energy split, the temperature aggregates and the
-// full temperature vector, every field of every sample, the per-bus
+// compares every figure of the model by Bits and every integer and tag
+// exactly: cycles, width, the energy split, the temperature aggregates
+// and the full temperature vector, every field of every sample, the per-bus
 // blocks of a multi-bus session and the adaptive controller's block. Only
 // the session ID and the memo statistics, which describe the session
 // rather than the model, are left out. The error names the first field
 // that differs.
-func SameResult(want, got *client.Result, eq func(a, b float64) bool) error {
-	c := &cmp{eq: eq}
+func SameResult(want, got *client.Result) error {
+	c := &cmp{}
 	same(c, "Cycles", want.Cycles, got.Cycles)
 	same(c, "Width", want.Width, got.Width)
 	c.split("Total", want.Total, got.Total)
@@ -157,7 +144,6 @@ func SameResult(want, got *client.Result, eq func(a, b float64) bool) error {
 
 // cmp records the first difference a comparison finds.
 type cmp struct {
-	eq  func(a, b float64) bool
 	err error
 }
 
@@ -168,7 +154,7 @@ func same[T comparable](c *cmp, name string, want, got T) {
 }
 
 func (c *cmp) float(name string, want, got float64) {
-	if c.err == nil && !c.eq(want, got) {
+	if c.err == nil && !Bits(want, got) {
 		c.err = fmt.Errorf("%s: got %.17g, want %.17g", name, got, want)
 	}
 }

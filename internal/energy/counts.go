@@ -72,6 +72,28 @@ func (c *pairCounts) addNarrow(diff, rising uint64) {
 	}
 }
 
+// addCount counts n repetitions of a transition straight into T and P,
+// as n addNarrow calls would: the multi-bus accumulator's drain of one
+// memo slot (multi.go). For each switching wire i, the switching wires
+// j > i that move opposite to it (their rising bit differs) add +n to
+// P_ij and the ones that move with it add −n.
+func (c *pairCounts) addCount(diff, rising, n uint64) {
+	v := int64(n)
+	for d := diff; d != 0; {
+		i := bits.TrailingZeros64(d) & 63
+		c.toggles[i] += n
+		d &= d - 1
+		row := (*[64]int64)(c.pairs[i<<6 : i<<6+64])
+		opp := (rising ^ -(rising >> uint(i) & 1)) & d
+		for e := opp; e != 0; e &= e - 1 {
+			row[bits.TrailingZeros64(e)&63] += v
+		}
+		for e := d &^ opp; e != 0; e &= e - 1 {
+			row[bits.TrailingZeros64(e)&63] -= v
+		}
+	}
+}
+
 // addWide parks a transition in the next block slot, folding the block
 // when it fills.
 func (c *pairCounts) addWide(diff, rising uint64) {
@@ -138,24 +160,23 @@ func (c *pairCounts) energy(m *Model, i int) LineEnergy {
 		return LineEnergy{}
 	}
 	n := c.n
-	row := m.coup[i]
+	row := m.coup[i][:n]
+	// Wire j's term is c_ij·(T_i + P_ij), with P_ij stored at [j][i] for
+	// j < i and at [i][j] for j > i. Both sums run in ascending j: the
+	// non-adjacent wires below i-1 and above i+1, the adjacent ones i-1
+	// then i+1.
 	var adj, non float64
-	for j := 0; j < n; j++ {
-		var p int64
-		switch {
-		case j < i:
-			p = c.pairs[j<<6|i]
-		case j > i:
-			p = c.pairs[i<<6|j]
-		default:
-			continue
-		}
-		e := float64(row[j] * float64(t+p))
-		if j == i-1 || j == i+1 {
-			adj += e
-		} else {
-			non += e
-		}
+	for j := 0; j < i-1; j++ {
+		non += float64(row[j] * float64(t+c.pairs[(j<<6|i)&(64*64-1)]))
+	}
+	if i > 0 {
+		adj += float64(row[i-1] * float64(t+c.pairs[((i-1)<<6|i)&(64*64-1)]))
+	}
+	if i+1 < n {
+		adj += float64(row[i+1] * float64(t+c.pairs[(i<<6|(i+1))&(64*64-1)]))
+	}
+	for j := i + 2; j < n; j++ {
+		non += float64(row[j] * float64(t+c.pairs[(i<<6|j)&(64*64-1)]))
 	}
 	half := 0.5 * m.vdd2
 	return LineEnergy{

@@ -99,7 +99,8 @@ func (s exactSum) float(k int) float64 {
 // 256-bit sum of Model.Transition to 1e-13 relative. Where a component
 // cancels to (nearly) zero, the bound is relative to its all-quiet scale
 // ½Vdd²·T_i·Σc instead: the per-transition kernel leaves rounding residue
-// there that the counts do not.
+// there that the counts do not. The stream then rides as bus 0 of the
+// K > 1 route, checkMultiRoute.
 func FuzzPairCounts(f *testing.F) {
 	for i, w := range []uint8{1, 2, 7, 8, 31, 33, 62, 64} {
 		f.Add(w-1, uint8(0x15*i), int64(i), uint16(600+450*i))
@@ -205,15 +206,131 @@ func FuzzPairCounts(f *testing.F) {
 		if want := uint64(len(words)); acc.Cycles() < want {
 			t.Fatalf("width %d: %d cycles for %d words", n, acc.Cycles(), want)
 		}
+		checkMultiRoute(t, m, rng, mix, words)
 	})
 }
 
-// TestPairCountsRoutesAgree feeds the same transitions through the narrow
-// route alone and the mask block alone: the integers must be identical.
+// checkMultiRoute drives K ∈ {2, 4} streams (words as bus 0, the mix for
+// the rest) through a MultiAccumulator at memo sizes 2^1, the default and
+// off, in random lockstep chunks with mid-window drains and BusState/
+// SetBusState hand-offs to a fresh accumulator. Every bus's counts must
+// equal a scalar Accumulator's over its stream exactly, and its BusLines
+// must match the scalar Lines by Float64bits. With bit 6 of mix set,
+// every bus also carries a burst that repeats two keys 2^16 times each,
+// stepped as one chunk with no drain inside it, so each key's count
+// passes the uint16 limit and the overflow drain runs.
+func checkMultiRoute(t *testing.T, m *Model, rng *rand.Rand, mix uint8, words []uint64) {
+	t.Helper()
+	n := m.n
+	cols := make([][]uint64, 2<<rng.Intn(2))
+	cols[0] = words
+	for k := 1; k < len(cols); k++ {
+		cols[k] = countsStream(rng, mix, len(words))
+	}
+	at, burstLen := -1, 0
+	if mix&0x40 != 0 {
+		at, burstLen = rng.Intn(len(words)+1), 1<<17
+		a := rng.Uint64()
+		b := a ^ (1<<uint(rng.Intn(n)) | rng.Uint64()&mask(n))
+		burst := make([]uint64, burstLen)
+		for i := range burst {
+			burst[i] = a
+			if i&1 != 0 {
+				burst[i] = b
+			}
+		}
+		for k, col := range cols {
+			cols[k] = append(append(append([]uint64(nil), col[:at]...), burst...), col[at:]...)
+		}
+	}
+	rows := len(cols[0])
+	got, want := make([]LineEnergy, n), make([]LineEnergy, n)
+	check := func(memo int, multi *MultiAccumulator, scalars []*Accumulator) {
+		t.Helper()
+		multi.Drain()
+		for k, sc := range scalars {
+			ms, ss := multi.BusState(k), sc.State()
+			for i := range ss.Toggles {
+				if ms.Toggles[i] != ss.Toggles[i] {
+					t.Fatalf("width %d, K %d, memo %d, bus %d: T_%d = %d, scalar %d", n, len(cols), memo, k, i, ms.Toggles[i], ss.Toggles[i])
+				}
+			}
+			for i := range ss.Pairs {
+				if ms.Pairs[i] != ss.Pairs[i] {
+					t.Fatalf("width %d, K %d, memo %d, bus %d: pair %d = %d, scalar %d", n, len(cols), memo, k, i, ms.Pairs[i], ss.Pairs[i])
+				}
+			}
+			if ms.Prev != ss.Prev || ms.First != ss.First || ms.Cycles != ss.Cycles {
+				t.Fatalf("width %d, K %d, memo %d, bus %d: state %+v, scalar %+v", n, len(cols), memo, k, ms, ss)
+			}
+			gt, wt := multi.BusLines(k, got), sc.Lines(want)
+			for i := range want {
+				if !sameLine(got[i], want[i]) {
+					t.Fatalf("width %d, K %d, memo %d, bus %d line %d: %+v, scalar %+v", n, len(cols), memo, k, i, got[i], want[i])
+				}
+			}
+			if !sameLine(gt, wt) {
+				t.Fatalf("width %d, K %d, memo %d, bus %d total: %+v, scalar %+v", n, len(cols), memo, k, gt, wt)
+			}
+		}
+	}
+	for _, memo := range []int{1, 0, -1} {
+		fresh := func() *MultiAccumulator {
+			a, err := NewMultiAccumulator(m, len(cols))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if memo >= 0 {
+				if err := a.EnableMemo(memo); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return a
+		}
+		multi := fresh()
+		scalars := make([]*Accumulator, len(cols))
+		for k := range scalars {
+			scalars[k] = NewAccumulator(m)
+		}
+		for r := 0; r < rows; {
+			c := min(rows-r, 1+rng.Intn(4096))
+			if r == at {
+				c = burstLen
+			} else if r < at {
+				c = min(c, at-r)
+			}
+			for k, col := range cols {
+				multi.StepBus(k, col[r:r+c])
+				scalars[k].StepBatch(col[r : r+c])
+			}
+			multi.AddCycles(uint64(c))
+			r += c
+			switch rng.Intn(4) {
+			case 0:
+				check(memo, multi, scalars)
+			case 1:
+				multi.Drain()
+				next := fresh()
+				for k := range cols {
+					if err := next.SetBusState(k, multi.BusState(k)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				multi = next
+			}
+		}
+		check(memo, multi, scalars)
+	}
+}
+
+// TestPairCountsRoutesAgree feeds the same transitions, each repeated one
+// to three times, through every route into the counts: the narrow route
+// alone, the mask block alone, and addCount with the repetition count.
+// The integers must be identical.
 func TestPairCountsRoutesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{1, 5, 33, 64} {
-		narrow, wide := newPairCounts(n), newPairCounts(n)
+		narrow, wide, counted := newPairCounts(n), newPairCounts(n), newPairCounts(n)
 		prev := uint64(0)
 		for k := 0; k < 1000; k++ {
 			cur := rng.Uint64() & mask(n)
@@ -224,22 +341,27 @@ func TestPairCountsRoutesAgree(t *testing.T) {
 			if diff == 0 {
 				continue
 			}
-			narrow.addNarrow(diff, cur&diff)
-			wide.addWide(diff, cur&diff)
+			reps := 1 + k%3
+			for r := 0; r < reps; r++ {
+				narrow.addNarrow(diff, cur&diff)
+				wide.addWide(diff, cur&diff)
+			}
+			counted.addCount(diff, cur&diff, uint64(reps))
 			prev = cur
 		}
-		narrow.fold()
-		wide.fold()
 		nt, np := narrow.export()
-		wt, wp := wide.export()
-		for i := range nt {
-			if nt[i] != wt[i] {
-				t.Fatalf("width %d: T_%d narrow %d, wide %d", n, i, nt[i], wt[i])
+		for name, c := range map[string]*pairCounts{"wide": &wide, "addCount": &counted} {
+			c.fold()
+			ct, cp := c.export()
+			for i := range nt {
+				if nt[i] != ct[i] {
+					t.Fatalf("width %d: T_%d narrow %d, %s %d", n, i, nt[i], name, ct[i])
+				}
 			}
-		}
-		for k := range np {
-			if np[k] != wp[k] {
-				t.Fatalf("width %d: pair %d narrow %d, wide %d", n, k, np[k], wp[k])
+			for k := range np {
+				if np[k] != cp[k] {
+					t.Fatalf("width %d: pair %d narrow %d, %s %d", n, k, np[k], name, cp[k])
+				}
 			}
 		}
 	}

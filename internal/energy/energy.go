@@ -133,18 +133,12 @@ func (m *Model) Transition(prev, cur uint64, out []LineEnergy) (LineEnergy, erro
 	if len(out) != m.n {
 		return LineEnergy{}, fmt.Errorf("energy: out length %d, want %d", len(out), m.n)
 	}
-	return m.transition(prev, cur, out), nil
-}
-
-// transition is the no-check kernel behind Transition, for callers whose
-// scratch slice is sized to the model by construction (the Accumulator).
-func (m *Model) transition(prev, cur uint64, out []LineEnergy) LineEnergy {
 	for i := range out {
 		out[i] = LineEnergy{}
 	}
 	diff := (prev ^ cur) & mask(m.n)
 	if diff == 0 {
-		return LineEnergy{}
+		return LineEnergy{}, nil
 	}
 	var idx [64]int
 	var les [64]LineEnergy
@@ -153,11 +147,11 @@ func (m *Model) transition(prev, cur uint64, out []LineEnergy) LineEnergy {
 	for a := 0; a < s; a++ {
 		out[idx[a]] = les[a]
 	}
-	return total
+	return total, nil
 }
 
 // transitionSparse computes the energies of the s switching lines of a
-// transition. The transition is described by its memoizable key: diff is
+// transition. The transition is described by its key: diff is
 // the switching mask (already width-masked, non-zero) and rising = cur&diff
 // is the subset of switching lines that rise — the per-line energies depend
 // on nothing else, because quiet lines contribute their coupling

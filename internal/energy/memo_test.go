@@ -1,6 +1,7 @@
 package energy
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -40,51 +41,56 @@ func addressStream(rng *rand.Rand, n int) []uint64 {
 	return words
 }
 
-// TestMemoTransitionBitIdentical is the tentpole property: for random word
-// streams and bus widths the memoized Transition is bit-identical to the
-// direct kernel — both on cold misses and on replayed hits.
+// TestMemoTransitionBitIdentical is the memo's contract: for random word
+// streams and bus widths, a bus counted through a tiny memo table (so
+// keys are evicted and drained constantly) holds the same counts as a
+// scalar Accumulator fed the same words, and reads the same energies bit
+// for bit — after cold misses, replayed hits and evictions alike.
 func TestMemoTransitionBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, width := range []int{1, 2, 7, 32, 33, 64} {
 		m := memoTestModel(t, width)
-		memo, err := NewMemo(m, 8) // small table: exercises eviction too
+		multi, err := NewMultiAccumulator(m, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := multi.EnableMemo(3); err != nil {
+			t.Fatal(err)
+		}
+		scalar := NewAccumulator(m)
 		words := addressStream(rng, 2000)
-		wantOut := make([]LineEnergy, width)
-		gotOut := make([]LineEnergy, width)
-		prev := uint64(0)
-		for k, cur := range words {
-			wantTot, err := m.Transition(prev, cur, wantOut)
-			if err != nil {
-				t.Fatal(err)
+		got, want := make([]LineEnergy, width), make([]LineEnergy, width)
+		for len(words) > 0 {
+			chunk := words[:min(len(words), 1+rng.Intn(300))]
+			words = words[len(chunk):]
+			multi.StepBus(0, chunk)
+			scalar.StepBatch(chunk)
+			multi.Drain()
+			gotTot, wantTot := multi.BusLines(0, got), scalar.Lines(want)
+			if !sameLine(gotTot, wantTot) {
+				t.Fatalf("width %d: memo total %+v != scalar %+v", width, gotTot, wantTot)
 			}
-			gotTot, err := memo.Transition(prev, cur, gotOut)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotTot != wantTot {
-				t.Fatalf("width %d step %d: memo total %+v != direct %+v", width, k, gotTot, wantTot)
-			}
-			for i := range wantOut {
-				if gotOut[i] != wantOut[i] {
-					t.Fatalf("width %d step %d line %d: memo %+v != direct %+v", width, k, i, gotOut[i], wantOut[i])
+			for i := range want {
+				if !sameLine(got[i], want[i]) {
+					t.Fatalf("width %d line %d: memo %+v != scalar %+v", width, i, got[i], want[i])
 				}
 			}
-			prev = cur
 		}
-		st := memo.Stats()
-		if st.Hits+st.Misses == 0 {
-			t.Errorf("width %d: no lookups recorded", width)
-		}
-		if st.Hits == 0 {
-			t.Errorf("width %d: address-like stream produced zero hits", width)
+		st := multi.Memo().Stats()
+		if st.Hits == 0 || st.Misses == 0 {
+			t.Errorf("width %d: address-like stream gave %d hits, %d misses", width, st.Hits, st.Misses)
 		}
 		if st.Entries > st.Capacity {
 			t.Errorf("width %d: %d entries in a %d-slot table", width, st.Entries, st.Capacity)
 		}
 	}
+}
+
+// sameLine compares two energies component by component by bit pattern.
+func sameLine(a, b LineEnergy) bool {
+	return math.Float64bits(a.Self) == math.Float64bits(b.Self) &&
+		math.Float64bits(a.CoupAdj) == math.Float64bits(b.CoupAdj) &&
+		math.Float64bits(a.CoupNonAdj) == math.Float64bits(b.CoupNonAdj)
 }
 
 // TestAccumulatorMemoBitIdentical drives two accumulators — one after
@@ -118,22 +124,24 @@ func TestAccumulatorMemoBitIdentical(t *testing.T) {
 	}
 }
 
+// TestMemoStatsAndHitRate counts probes on a table shared by two buses:
+// the second bus's identical transition hits the first one's key, and a
+// held word never reaches the table.
 func TestMemoStatsAndHitRate(t *testing.T) {
 	m := memoTestModel(t, 8)
-	memo, err := NewMemo(m, 4)
+	a, err := NewMultiAccumulator(m, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := a.EnableMemo(4); err != nil {
+		t.Fatal(err)
+	}
+	memo := a.Memo()
 	if memo.Stats().HitRate() != 0 {
 		t.Error("hit rate nonzero before any lookup")
 	}
-	out := make([]LineEnergy, 8)
-	if _, err := memo.Transition(0, 0xFF, out); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := memo.Transition(0, 0xFF, out); err != nil {
-		t.Fatal(err)
-	}
+	a.StepBus(0, []uint64{0, 0xFF})
+	a.StepBus(1, []uint64{0, 0xFF})
 	st := memo.Stats()
 	if st.Misses != 1 || st.Hits != 1 || st.Entries != 1 || st.Capacity != 16 {
 		t.Errorf("stats = %+v, want 1 miss, 1 hit, 1 entry, 16 slots", st)
@@ -142,38 +150,25 @@ func TestMemoStatsAndHitRate(t *testing.T) {
 		t.Errorf("hit rate %g, want 0.5", st.HitRate())
 	}
 	// A zero-diff transition never touches the cache.
-	if _, err := memo.Transition(7, 7, out); err != nil {
-		t.Fatal(err)
-	}
+	a.StepBus(0, []uint64{0xFF, 0xFF})
 	if got := memo.Stats(); got.Hits+got.Misses != 2 {
 		t.Errorf("no-op transition counted: %+v", got)
-	}
-	if memo.Model() != m {
-		t.Error("Model() accessor broken")
 	}
 }
 
 func TestNewMemoValidation(t *testing.T) {
-	m := memoTestModel(t, 4)
-	if _, err := NewMemo(nil, 0); err == nil {
-		t.Error("nil model accepted")
-	}
-	if _, err := NewMemo(m, -1); err == nil {
+	if _, err := newMemo(-1); err == nil {
 		t.Error("negative size accepted")
 	}
-	if _, err := NewMemo(m, 40); err == nil {
+	if _, err := newMemo(40); err == nil {
 		t.Error("oversized table accepted")
 	}
-	memo, err := NewMemo(m, 0)
+	memo, err := newMemo(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if memo.Stats().Capacity != 1<<DefaultMemoSizeLog2 {
 		t.Errorf("default capacity %d, want %d", memo.Stats().Capacity, 1<<DefaultMemoSizeLog2)
-	}
-	out := make([]LineEnergy, 3)
-	if _, err := memo.Transition(0, 1, out); err == nil {
-		t.Error("wrong out length accepted")
 	}
 }
 

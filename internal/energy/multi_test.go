@@ -1,25 +1,16 @@
 package energy
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
 	"nanobus/internal/itrs"
 )
 
-// relCloseScaled reports |a-b| <= tol * max(|a|,|b|) — a genuinely
-// relative comparison (the shared relClose helper's +1 floor would make
-// any tolerance absolute against ~1e-12 J energies).
-func relCloseScaled(a, b, tol float64) bool {
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return math.Abs(a-b) <= tol*scale
-}
-
 // TestMultiAccumulatorMatchesScalar drives K buses through a
 // MultiAccumulator and the same word streams through K independent scalar
-// Accumulators, in several rounds with drains in between, and checks the
-// window energies agree to rounding.
+// Accumulators, in several rounds with drains in between, and requires
+// bit-identical window energies.
 func TestMultiAccumulatorMatchesScalar(t *testing.T) {
 	const width, buses = 16, 5
 	m := testModel(t, width, itrs.N90)
@@ -60,17 +51,16 @@ func TestMultiAccumulatorMatchesScalar(t *testing.T) {
 
 		multi.Drain()
 		for k := 0; k < buses; k++ {
-			multi.BusLines(k, lineBuf)
-			scalars[k].Lines(scalarLines)
+			got := multi.BusLines(k, lineBuf)
+			want := scalars[k].Lines(scalarLines)
 			for j := range lineBuf {
-				if !relCloseScaled(lineBuf[j].Total(), scalarLines[j].Total(), 1e-9) {
-					t.Fatalf("round %d bus %d line %d: multi %g scalar %g",
-						r, k, j, lineBuf[j].Total(), scalarLines[j].Total())
+				if !sameLine(lineBuf[j], scalarLines[j]) {
+					t.Fatalf("round %d bus %d line %d: multi %+v scalar %+v",
+						r, k, j, lineBuf[j], scalarLines[j])
 				}
 			}
-			if !relCloseScaled(multi.BusTotal(k).Total(), scalars[k].Total().Total(), 1e-9) {
-				t.Fatalf("round %d bus %d total: multi %g scalar %g",
-					r, k, multi.BusTotal(k).Total(), scalars[k].Total().Total())
+			if !sameLine(got, want) {
+				t.Fatalf("round %d bus %d total: multi %+v scalar %+v", r, k, got, want)
 			}
 		}
 		if multi.Cycles() != scalars[0].Cycles() {
@@ -120,15 +110,25 @@ func TestMultiAccumulatorIdleAndState(t *testing.T) {
 		t.Fatalf("SetBusState: %v", err)
 	}
 	got := b.BusState(1)
-	if got.Prev != st.Prev || got.Total != st.Total || got.Cycles != st.Cycles {
+	if got.Prev != st.Prev || got.Total != st.Total || got.Cycles != st.Cycles || got.IdleCycles != st.IdleCycles {
 		t.Fatalf("state round trip mismatch: %+v vs %+v", got, st)
+	}
+	// Words 0x1 .. 0x1f switch wires 1-4 once each.
+	for i := range st.Toggles {
+		want := uint64(0)
+		if i >= 1 && i <= 4 {
+			want = 1
+		}
+		if st.Toggles[i] != want || got.Toggles[i] != want {
+			t.Fatalf("wire %d toggles: %d before the round trip, %d after, want %d", i, st.Toggles[i], got.Toggles[i], want)
+		}
 	}
 	if err := b.SetBusState(0, AccumulatorState{Lines: make([]LineEnergy, width+1)}); err == nil {
 		t.Fatal("SetBusState accepted wrong line count")
 	}
 
 	a.ResetAll()
-	if a.Cycles() != 0 || a.BusTotal(0) != (LineEnergy{}) {
+	if a.Cycles() != 0 || a.BusLines(0, make([]LineEnergy, width)) != (LineEnergy{}) {
 		t.Fatal("ResetAll left window state")
 	}
 	if st := a.BusState(0); !st.First {

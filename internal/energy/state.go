@@ -6,11 +6,10 @@ import "fmt"
 // word it holds, the first-word flag, cycle counters, and the window
 // accumulated so far.
 //
-// The scalar Accumulator's window is its pair-pattern counts (Toggles and
-// Pairs) plus a float carry (Total and Lines) that is non-zero only after
-// restoring a checkpoint written before the counts existed. The
-// MultiAccumulator's window is the float Total and Lines alone, with
-// Toggles and Pairs nil.
+// The window is the pair-pattern counts (Toggles and Pairs) plus a float
+// carry (Total and Lines) that is non-zero only after restoring a
+// checkpoint written before the counts existed. A MultiAccumulator bus
+// has the same state: each bus's window is a scalar Accumulator.
 type AccumulatorState struct {
 	// Prev is the word currently held on the bus (width-masked).
 	Prev uint64

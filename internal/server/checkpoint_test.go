@@ -57,7 +57,7 @@ func runSeq(t *testing.T, sess client.Session, first, last uint64) client.StepSu
 // gates' shared definition (e2e.SameResult).
 func sameResult(t *testing.T, want, got *client.Result) {
 	t.Helper()
-	if err := e2e.SameResult(want, got, e2e.Bits); err != nil {
+	if err := e2e.SameResult(want, got); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -36,8 +36,9 @@ type CreateSessionRequest struct {
 	CouplingDepth *int `json:"coupling_depth,omitempty"`
 	// TrackWireTemps copies per-wire temperatures into every sample.
 	TrackWireTemps bool `json:"track_wire_temps,omitempty"`
-	// MemoSizeLog2 sizes a multi-bus session's transition memo (2^k
+	// MemoSizeLog2 sizes a multi-bus session's transition-key memo (2^k
 	// entries); zero selects the default, negative disables memoization.
+	// It changes speed only, never a result.
 	// A scalar session counts pair patterns, has no memo and only
 	// validates the size.
 	MemoSizeLog2 int `json:"memo_size_log2,omitempty"`

@@ -18,7 +18,7 @@ type Option func(*BusConfig) error
 // the zero-magic BusConfig (where zero CouplingDepth means self-only
 // capacitance), New defaults to the paper's full model: all coupling
 // pairs, the default 10 mm length, the default 100K-cycle sampling
-// interval, and the memoized energy kernel.
+// interval, and the pair-count energy kernel.
 //
 //	sim, err := nanobus.New(nanobus.Node90,
 //	        nanobus.WithEncoding("BI"),
@@ -81,10 +81,11 @@ func WithInterval(cycles uint64) Option {
 	}
 }
 
-// WithMemoSize sizes the multi-bus (K > 1) transition-energy memo to
-// 2^log2 entries; a negative log2 disables it (the direct kernel runs
-// every cycle). A single bus counts pair patterns and has no memo, so
-// there the size is only validated.
+// WithMemoSize sizes the multi-bus (K > 1) transition-key memo to
+// 2^log2 entries; a negative log2 disables it (every word is counted as
+// a single bus counts it). The size changes speed only, never a result.
+// A single bus counts pair patterns and has no memo, so there the size
+// is only validated.
 func WithMemoSize(log2 int) Option {
 	return func(cfg *BusConfig) error {
 		cfg.MemoSizeLog2 = log2

@@ -186,10 +186,10 @@ func transportLeg(ctx context.Context, bin string) error {
 	if peakBase <= ceiling {
 		return fmt.Errorf("static base peak %.6f K does not exceed the ceiling %.6f K", peakBase, ceiling)
 	}
-	if err := e2e.SameResult(ref, httpAgain, e2e.Bits); err != nil {
+	if err := e2e.SameResult(ref, httpAgain); err != nil {
 		return fmt.Errorf("http re-run differs from http reference: %w", err)
 	}
-	if err := e2e.SameResult(ref, nbwpRes, e2e.Bits); err != nil {
+	if err := e2e.SameResult(ref, nbwpRes); err != nil {
 		return fmt.Errorf("nbwp differs from http reference: %w", err)
 	}
 	// SAMPLE frames streamed live over NBWP carry the same tags as the

@@ -10,8 +10,7 @@
 // including a checkpoint-envelope download and an inline resurrect-and-
 // replay, which must work even against this store-less daemon — and
 // requires every figure, per-bus blocks included, to be bit-identical
-// across HTTP and NBWP; the replayed tail must agree to rounding (a K>1
-// restore re-warms the memo cold, see MultiSim.Snapshot).
+// across HTTP and NBWP and after the resurrect-and-replay.
 //
 //	go build -o /tmp/nanobusd ./cmd/nanobusd
 //	go run ./scripts/nanobusd_smoke -bin /tmp/nanobusd
@@ -236,7 +235,7 @@ func runMultiSchedule(ctx context.Context, tr client.Transport, head, tail []uin
 	if err := res2.Close(ctx); err != nil {
 		return nil, fmt.Errorf("multi replay close: %w", err)
 	}
-	if err := e2e.SameResult(ref, replay, e2e.RelClose); err != nil {
+	if err := e2e.SameResult(ref, replay); err != nil {
 		return nil, fmt.Errorf("resurrect replay: %w", err)
 	}
 	return ref, nil
@@ -272,10 +271,10 @@ func driveMulti(ctx context.Context, baseURL, nbwpAddr string) error {
 	if err := nc.Goodbye(ctx); err != nil {
 		return fmt.Errorf("multi nbwp goodbye: %w", err)
 	}
-	if err := e2e.SameResult(httpRes, nbwpRes, e2e.Bits); err != nil {
+	if err := e2e.SameResult(httpRes, nbwpRes); err != nil {
 		return fmt.Errorf("multi http vs nbwp: %w", err)
 	}
-	fmt.Printf("nanobusd_smoke: multi: %d buses x %d rows + %d idle bit-identical across transports, checkpoint replay agrees (total %.4g J, hottest bus %d)\n",
+	fmt.Printf("nanobusd_smoke: multi: %d buses x %d rows + %d idle bit-identical across transports, checkpoint replay bit-identical (total %.4g J, hottest bus %d)\n",
 		mBuses, mHeadRows+mTailRows, mIdle, httpRes.Total.TotalJ, httpRes.MaxBus)
 	return nil
 }
