@@ -220,7 +220,6 @@ func (m *MultiSim) Snapshot() ([]byte, error) {
 	if m.err != nil {
 		return nil, fmt.Errorf("snapshot: %w", m.err)
 	}
-	m.acc.Drain()
 	w := newCkptWriter(checkpointVersionMulti, m.fingerprint())
 	w.u64(m.cycles)
 	w.u64(m.cycleInInterval)

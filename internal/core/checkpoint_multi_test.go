@@ -174,7 +174,7 @@ func TestMultiRestoreRejections(t *testing.T) {
 
 // addressSlab returns rows of address-like traffic for each of buses
 // buses (strides, holds and far jumps, phase-shifted per bus), packed
-// cycle-major: the repeated transitions the K > 1 memo aggregates.
+// cycle-major: the repeated transitions the memo aggregates.
 func addressSlab(seed int64, buses, rows int) []uint32 {
 	rng := rand.New(rand.NewSource(seed))
 	cols := make([][]uint32, buses)

@@ -298,6 +298,103 @@ func TestSnapshotPoisonedFails(t *testing.T) {
 	}
 }
 
+// TestPoisonedFlushDropsPendingCounts fails an interval flush while the
+// memo holds pending counts of the failed interval (K = 1 and K = 4):
+// the window is discarded with them, so nothing of the failed interval
+// reaches the window a restore or reset starts from.
+func TestPoisonedFlushDropsPendingCounts(t *testing.T) {
+	for _, buses := range []int{1, 4} {
+		faultinject.Reset()
+		m := newMultiForCkpt(t, buses)
+		if err := faultinject.Set("core.interval.flush", "error"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.StepBatch(context.Background(), addressSlab(7, buses, 1000)); !errors.Is(err, ErrPoisoned) {
+			t.Fatalf("K %d: StepBatch under injected flush failure = %v, want ErrPoisoned", buses, err)
+		}
+		faultinject.Reset()
+		for k := 0; k < buses; k++ {
+			var st energy.AccumulatorState
+			if m.single != nil {
+				st = m.single.acc.State()
+			} else {
+				st = m.acc.BusState(k)
+			}
+			for i, n := range st.Toggles {
+				if n != 0 {
+					t.Fatalf("K %d bus %d: poisoned flush left %d transitions of wire %d in the window", buses, k, n, i)
+				}
+			}
+		}
+	}
+}
+
+// TestSnapshotWithPendingCounts snapshots a K = 1 run every 350 words,
+// mid-interval, while the memo holds pending counts: the snapshotted run
+// and a fresh simulator restored from a mid-run blob must both end
+// bit-identical to the run without snapshots.
+func TestSnapshotWithPendingCounts(t *testing.T) {
+	const rows, every, cut = 6000, 350, 2450
+	words := addressSlab(43, 1, rows)
+	ctx := context.Background()
+	mk := func() *Simulator {
+		return newSim(t, Config{IntervalCycles: 1000, CouplingDepth: -1, TrackWireTemps: true, Encoder: encoding.NewBI()})
+	}
+	plain := mk()
+	if _, err := plain.StepBatch(ctx, words); err != nil {
+		t.Fatal(err)
+	}
+	observed := mk()
+	var mid []byte
+	for r := 0; r < rows; r += every {
+		end := min(r+every, rows)
+		before := observed.MemoStats()
+		if _, err := observed.StepBatch(ctx, words[r:end]); err != nil {
+			t.Fatal(err)
+		}
+		// The chunk before the cut (rows 2100-2450) stays inside one
+		// interval, so the transitions it counted through the memo are
+		// still pending there when the snapshot is taken.
+		if after := observed.MemoStats(); end == cut && after.Hits == before.Hits {
+			t.Fatal("no memo hits pending at the cut")
+		}
+		blob, err := observed.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if end == cut {
+			mid = blob
+		}
+	}
+	resumed := mk()
+	if err := resumed.Restore(mid); err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	if _, err := resumed.StepBatch(ctx, words[cut:]); err != nil {
+		t.Fatal(err)
+	}
+	lp, lo := make([]energy.LineEnergy, plain.Width()), make([]energy.LineEnergy, plain.Width())
+	plain.LineEnergies(lp)
+	for _, s := range []*Simulator{plain, observed, resumed} {
+		if err := s.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for label, s := range map[string]*Simulator{"snapshotted": observed, "resumed": resumed} {
+		sameSamples(t, label+" vs plain", s.Samples(), plain.Samples())
+		if !sameEnergy(s.TotalEnergy(), plain.TotalEnergy()) {
+			t.Fatalf("%s: total %+v, plain %+v", label, s.TotalEnergy(), plain.TotalEnergy())
+		}
+		s.LineEnergies(lo)
+		plain.LineEnergies(lp)
+		for i := range lp {
+			if !sameEnergy(lo[i], lp[i]) {
+				t.Fatalf("%s line %d: %+v, plain %+v", label, i, lo[i], lp[i])
+			}
+		}
+	}
+}
+
 // TestFlushPanicFailpoint proves the scripted panic failpoint fires where
 // armed — the chaos harness relies on it to model mid-interval crashes.
 func TestFlushPanicFailpoint(t *testing.T) {

@@ -9,9 +9,10 @@
 // Each interval's energy is accumulated as exact integer pair-pattern
 // counts (energy.Accumulator) and converted to joules once, when the
 // interval closes, so it does not depend on how the words were batched.
-// The multi-bus kernel (MultiSim, K > 1) keeps the same counts per bus
-// and batches them through a shared transition-key memo;
-// Config.MemoSizeLog2 sizes that memo.
+// Narrow transitions reach the counts through a transition-key memo
+// that batches repeats of one transition; the multi-bus kernel (MultiSim,
+// K > 1) keeps the same counts per bus and shares one memo among its
+// buses. Config.MemoSizeLog2 sizes the memo.
 package core
 
 import (
@@ -86,13 +87,11 @@ type Config struct {
 	// Decay overrides the non-adjacent coupling decay model; nil uses the
 	// node's calibrated default.
 	Decay *capmodel.DecayModel
-	// MemoSizeLog2 sizes the multi-bus transition-key memo (2^k
-	// entries) of a MultiSim with K > 1 buses: zero selects
+	// MemoSizeLog2 sizes the transition-key memo (2^k entries; one per
+	// Simulator, one shared by a MultiSim's buses): zero selects
 	// energy.DefaultMemoSizeLog2, a negative value disables memoization
-	// (every word is counted as the scalar kernel counts it). The memo
-	// size changes speed only, never a result. The scalar kernel
-	// (Simulator, K = 1) has no memo and only validates the size; see
-	// energy.Memo.
+	// (every transition is counted as it arrives). The memo size changes
+	// speed only, never a result; see energy.Memo.
 	MemoSizeLog2 int
 }
 
@@ -362,10 +361,15 @@ func (s *Simulator) Finish() error {
 // ErrPoisoned) and stops emitting samples; Reset clears it.
 func (s *Simulator) Err() error { return s.err }
 
-// MemoStats returns the zero value: the scalar kernel counts pair
-// patterns and has no transition memo. It is kept so a K = 1 MultiSim and
-// a session report the same shape as the multi-bus kernel.
-func (s *Simulator) MemoStats() energy.MemoStats { return energy.MemoStats{} }
+// MemoStats returns the transition-memo counters (zero value when
+// memoization is disabled). They are cumulative over the simulator's
+// life: Reset keeps the warm memo and its counters.
+func (s *Simulator) MemoStats() energy.MemoStats {
+	if m := s.acc.Memo(); m != nil {
+		return m.Stats()
+	}
+	return energy.MemoStats{}
+}
 
 // Reset returns the simulator to its post-New state so sweep drivers can
 // reuse one simulator (and its capacitance extraction and thermal

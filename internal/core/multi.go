@@ -116,8 +116,10 @@ func NewMulti(cfg MultiConfig) (*MultiSim, error) {
 	// Probe the shared configuration through the scalar constructor once,
 	// then rebuild the pieces in struct-of-arrays form. The probe also
 	// hands us resolved defaults (length, interval) and the energy model.
+	// Its memo would go unused: the shared one is built below.
 	probeCfg := cfg.Config
 	probeCfg.OnSample = nil
+	probeCfg.MemoSizeLog2 = -1
 	probe, err := New(probeCfg)
 	if err != nil {
 		return nil, err
@@ -297,10 +299,10 @@ func (m *MultiSim) StepIdleBatch(ctx context.Context, n uint64) (uint64, error) 
 	return n, nil
 }
 
-// flush closes the current interval of n cycles for all K buses: drain
-// the shared memo counts, read each bus's window as the scalar flush
-// does into one [K*W] power slab, advance the banded grid once, and emit
-// one sample per bus.
+// flush closes the current interval of n cycles for all K buses: read
+// each bus's window (the first read drains the shared memo) as the
+// scalar flush does into one [K*W] power slab, advance the banded grid
+// once, and emit one sample per bus.
 func (m *MultiSim) flush(n uint64) {
 	if n == 0 {
 		return
@@ -309,12 +311,10 @@ func (m *MultiSim) flush(n uint64) {
 		if m.err == nil {
 			m.err = fmt.Errorf("%w: interval flush: %w", ErrPoisoned, err)
 		}
-		m.acc.Drain()
 		m.acc.Reset()
 		m.cycleInInterval = 0
 		return
 	}
-	m.acc.Drain()
 	dt := float64(n) * m.cfg.Node.CyclePeriod()
 	w := m.width
 	for k := 0; k < m.buses; k++ {
@@ -444,8 +444,7 @@ func (m *MultiSim) BusTemps(k int) []float64 {
 }
 
 // MemoStats returns the shared transition-memo counters (zero value when
-// memoization is disabled, and for K == 1, whose scalar kernel has no
-// memo).
+// memoization is disabled); for K == 1, the scalar simulator's.
 func (m *MultiSim) MemoStats() energy.MemoStats {
 	if m.single != nil {
 		return m.single.MemoStats()

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -67,30 +69,51 @@ func TestResetReplaysBitIdentically(t *testing.T) {
 			t.Fatalf("sample %d diverges: %+v vs %+v vs %+v", i, first[i], s2[i], s3[i])
 		}
 	}
-	// The scalar kernel counts pair patterns and keeps no memo.
-	if st := reused.MemoStats(); st != (energy.MemoStats{}) {
-		t.Errorf("scalar simulator reports memo stats %+v, want zero", st)
+	// Reset keeps the memo and its counters: the reused simulator has
+	// probed it for both runs, the fresh one for one.
+	if r, f := reused.MemoStats(), fresh.MemoStats(); r.Hits+r.Misses != 2*(f.Hits+f.Misses) {
+		t.Errorf("reused memo stats %+v after two runs, fresh %+v after one", r, f)
 	}
 }
 
 // TestMemoConfig checks the scalar MemoSizeLog2 contract: the size only
-// sizes the multi-bus memo, so every accepted value runs the same count
-// kernel bit for bit and reports zero memo stats, and an out-of-range
-// size is still rejected.
+// sizes the transition-key memo, so every accepted value runs the same
+// counts bit for bit, a disabled memo reports zero stats, and an
+// out-of-range size is rejected.
 func TestMemoConfig(t *testing.T) {
-	on := newSim(t, Config{IntervalCycles: 100})
-	off := newSim(t, Config{IntervalCycles: 100, MemoSizeLog2: -1})
-	_, eOn, tOn, _ := driveRandom(t, on, 5, 1500)
-	_, eOff, tOff, _ := driveRandom(t, off, 5, 1500)
-	if eOn != eOff || tOn != tOff {
-		t.Fatalf("MemoSizeLog2 changed a scalar run: %v/%v J, %v/%v K", eOn, eOff, tOn, tOff)
+	words := make([]uint32, 3000)
+	for i, w := range addressSlab(5, 1, len(words)) {
+		words[i] = w
 	}
-	for _, sim := range []*Simulator{on, off} {
-		if st := sim.MemoStats(); st != (energy.MemoStats{}) {
-			t.Errorf("scalar simulator reports memo stats %+v, want zero", st)
+	run := func(memo int) *Simulator {
+		sim := newSim(t, Config{IntervalCycles: 100, MemoSizeLog2: memo})
+		if _, err := sim.StepBatch(context.Background(), words); err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		return sim
+	}
+	off := run(-1)
+	for _, memo := range []int{0, 1} {
+		on := run(memo)
+		if on.TotalEnergy() != off.TotalEnergy() {
+			t.Fatalf("memo 2^%d changed a scalar run: %+v vs %+v J", memo, on.TotalEnergy(), off.TotalEnergy())
+		}
+		sameSamples(t, fmt.Sprintf("memo 2^%d vs off", memo), on.Samples(), off.Samples())
+		want := uint64(1) << energy.DefaultMemoSizeLog2
+		if memo == 1 {
+			want = 2
+		}
+		if st := on.MemoStats(); st.Capacity != want || st.Hits == 0 || st.Misses == 0 {
+			t.Errorf("memo 2^%d: stats %+v, want hits and misses in %d slots", memo, st, want)
 		}
 	}
-	if _, err := New(Config{Node: on.cfg.Node, MemoSizeLog2: 99}); err == nil {
+	if st := off.MemoStats(); st != (energy.MemoStats{}) {
+		t.Errorf("memo-less simulator reports memo stats %+v, want zero", st)
+	}
+	if _, err := New(Config{Node: off.cfg.Node, MemoSizeLog2: 99}); err == nil {
 		t.Error("absurd memo size accepted")
 	}
 }

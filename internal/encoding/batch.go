@@ -49,22 +49,68 @@ func (b *BI) EncodeBatch(dst []uint64, src []uint32) {
 	}
 }
 
-// EncodeBatch implements BatchEncoder.
+// EncodeBatch implements BatchEncoder. The held word stays in a
+// register across the batch, and a fresh encoder's first word is handled
+// before the loop. Each word takes the first strictly cheapest of its
+// four modes.
 //
 //nanolint:hotpath per-chunk OEBI encode under Simulator.StepBatch; allocates nothing
 func (o *OEBI) EncodeBatch(dst []uint64, src []uint32) {
-	for i, w := range src {
-		dst[i] = o.Encode(w)
+	if len(src) == 0 {
+		return
 	}
+	dst = dst[:len(src)]
+	if o.first {
+		o.first = false
+		o.prev = uint64(src[0]) << 1
+		dst[0] = o.prev
+		src, dst = src[1:], dst[1:]
+	}
+	prev := o.prev
+	for i, w := range src {
+		plain := uint64(w) << 1
+		best, bestCost := plain, couplingCost(prev, plain, oebiPairs)
+		if c := couplingCost(prev, plain^oebiEven, oebiPairs); c < bestCost {
+			best, bestCost = plain^oebiEven, c
+		}
+		if c := couplingCost(prev, plain^oebiOdd, oebiPairs); c < bestCost {
+			best, bestCost = plain^oebiOdd, c
+		}
+		if c := couplingCost(prev, plain^oebiBoth, oebiPairs); c < bestCost {
+			best = plain ^ oebiBoth
+		}
+		prev = best
+		dst[i] = prev
+	}
+	o.prev = prev
 }
 
-// EncodeBatch implements BatchEncoder.
+// EncodeBatch implements BatchEncoder, as OEBI's does. Each word is sent
+// complemented only when that is strictly cheaper.
 //
 //nanolint:hotpath per-chunk CBI encode under Simulator.StepBatch; allocates nothing
 func (c *CBI) EncodeBatch(dst []uint64, src []uint32) {
-	for i, w := range src {
-		dst[i] = c.Encode(w)
+	if len(src) == 0 {
+		return
 	}
+	dst = dst[:len(src)]
+	if c.first {
+		c.first = false
+		c.prev = uint64(src[0])
+		dst[0] = c.prev
+		src, dst = src[1:], dst[1:]
+	}
+	prev := c.prev
+	for i, w := range src {
+		plain, inverted := uint64(w), uint64(^w)|1<<DataWidth
+		if couplingCost(prev, inverted, cbiPairs) < couplingCost(prev, plain, cbiPairs) {
+			prev = inverted
+		} else {
+			prev = plain
+		}
+		dst[i] = prev
+	}
+	c.prev = prev
 }
 
 // EncodeBatch implements BatchEncoder.

@@ -52,7 +52,7 @@ func TestCrosstalkClassMatchesCouplingCost(t *testing.T) {
 		for i := 0; i < 16; i++ {
 			classSum += CrosstalkClass(prev, cur, i, 16)
 		}
-		cost := couplingCost(prev, cur, 16)
+		cost := couplingCost(prev, cur, pairMask(16))
 		if classSum != 2*cost {
 			t.Fatalf("trial %d: class sum %d != 2*couplingCost %d (rising-only)", trial, classSum, cost)
 		}

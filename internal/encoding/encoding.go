@@ -50,16 +50,14 @@ const DataWidth = 32
 //
 // It scores all pairs at once on bit masks (DESIGN.md §10): a pair costs
 // 1 when exactly one of its wires toggles, 4 when the two switch in
-// opposite directions. Bits at or above width are ignored.
+// opposite directions. Bit i of pairs is set when pair i (wires i and
+// i+1) lies inside the bus; the OEBI and CBI widths are constants, so
+// their masks are too.
 //
 //nanolint:hotpath called up to four times per encoded OEBI/CBI word; pure arithmetic
-func couplingCost(prev, cur uint64, width int) int {
-	if width < 2 {
-		return 0
-	}
+func couplingCost(prev, cur, pairs uint64) int {
 	rise, fall := ^prev&cur, prev&^cur
 	tog := rise | fall
-	pairs := uint64(1)<<uint(width-1) - 1 // pair i spans wires i and i+1
 	single := (tog ^ tog>>1) & pairs
 	opposed := (rise&(fall>>1) | fall&(rise>>1)) & pairs
 	return bits.OnesCount64(single) + 4*bits.OnesCount64(opposed)
@@ -188,33 +186,22 @@ const (
 	oebiOddMask  = uint32(0xAAAAAAAA)
 )
 
-// oebiModes are the OEBI candidates as XOR masks over the uninverted
-// physical word, in tie-break order none, even, odd, both: each flips its
-// parity class's data wires and raises that class's invert line.
-var oebiModes = [4]uint64{
-	0,
-	uint64(oebiEvenMask)<<1 | 1<<(DataWidth+1),
-	uint64(oebiOddMask)<<1 | 1,
-	uint64(oebiEvenMask|oebiOddMask)<<1 | 1<<(DataWidth+1) | 1,
-}
+// The OEBI candidates are XOR masks over the uninverted physical word, in
+// tie-break order none, even, odd, both: each flips its parity class's
+// data wires and raises that class's invert line.
+const (
+	oebiEven = uint64(oebiEvenMask)<<1 | 1<<(DataWidth+1)
+	oebiOdd  = uint64(oebiOddMask)<<1 | 1
+	oebiBoth = oebiEven | oebiOdd
+	// oebiPairs masks the pairs of the 34-wire OEBI bus.
+	oebiPairs = 1<<(DataWidth+1) - 1
+)
 
-// Encode implements Encoder. The first strictly cheapest mode wins.
+// Encode implements Encoder: EncodeBatch of one word.
 func (o *OEBI) Encode(data uint32) uint64 {
-	plain := uint64(data) << 1
-	if o.first {
-		o.first = false
-		o.prev = plain
-		return plain
-	}
-	best, bestCost := plain, couplingCost(o.prev, plain, o.Width())
-	for _, m := range oebiModes[1:] {
-		cand := plain ^ m
-		if c := couplingCost(o.prev, cand, o.Width()); c < bestCost {
-			best, bestCost = cand, c
-		}
-	}
-	o.prev = best
-	return best
+	var out [1]uint64
+	o.EncodeBatch(out[:], []uint32{data})
+	return out[0]
 }
 
 // Reset implements Encoder.
@@ -257,21 +244,14 @@ func (*CBI) Name() string { return "CBI" }
 // Width implements Encoder.
 func (*CBI) Width() int { return DataWidth + 1 }
 
-// Encode implements Encoder.
+// cbiPairs masks the pairs of the 33-wire CBI bus.
+const cbiPairs = 1<<DataWidth - 1
+
+// Encode implements Encoder: EncodeBatch of one word.
 func (c *CBI) Encode(data uint32) uint64 {
-	if c.first {
-		c.first = false
-		c.prev = uint64(data)
-		return c.prev
-	}
-	plain := uint64(data)
-	inverted := uint64(^data) | 1<<DataWidth
-	if couplingCost(c.prev, inverted, c.Width()) < couplingCost(c.prev, plain, c.Width()) {
-		c.prev = inverted
-	} else {
-		c.prev = plain
-	}
-	return c.prev
+	var out [1]uint64
+	c.EncodeBatch(out[:], []uint32{data})
+	return out[0]
 }
 
 // Reset implements Encoder.

@@ -10,6 +10,14 @@ import (
 	"testing/quick"
 )
 
+// pairMask is couplingCost's pair mask for a width-bit bus.
+func pairMask(width int) uint64 {
+	if width < 2 {
+		return 0
+	}
+	return 1<<uint(width-1) - 1
+}
+
 // couplingCostRef is the definition couplingCost implements: the sum over
 // adjacent wire pairs below width of (vi - vj)^2, one pair at a time. The
 // encoder tests check mode decisions against it, and FuzzCouplingCost
@@ -292,7 +300,7 @@ func TestCouplingCostCases(t *testing.T) {
 		{0b01, 0b00, 1}, // discharge against quiet
 	}
 	for _, c := range cases {
-		if got := couplingCost(c.prev, c.cur, 2); got != c.want {
+		if got := couplingCost(c.prev, c.cur, pairMask(2)); got != c.want {
 			t.Errorf("couplingCost(%02b->%02b) = %d, want %d", c.prev, c.cur, got, c.want)
 		}
 	}

@@ -100,7 +100,7 @@ func FuzzCouplingCost(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, prev, cur uint64, width uint8) {
 		w := int(width)%64 + 1
-		if got, want := couplingCost(prev, cur, w), couplingCostRef(prev, cur, w); got != want {
+		if got, want := couplingCost(prev, cur, pairMask(w)), couplingCostRef(prev, cur, w); got != want {
 			t.Fatalf("couplingCost(%#x, %#x, %d) = %d, want %d", prev, cur, w, got, want)
 		}
 	})

@@ -13,26 +13,20 @@
 // energy is therefore fixed exactly by integers, and floats appear only
 // when the window is read.
 //
-// Two routes feed the counts. A narrow transition (at most narrowMax
-// switching lines) goes straight into T and P: s increments and s(s−1)/2
-// pair updates. A wider one is parked in a 64-slot block (its switching
-// mask and rising subset, two stores). A full block is transposed into
-// per-wire 64-bit columns — bit k of tog[i] (rise[i]) set when wire i
-// switched (rose) in the block's k-th transition — and folded into T and
-// P with popcounts: O(W²) word operations per 64 transitions instead of
-// O(s²) per transition. Both routes produce the same integers, so where
-// the split sits changes only the speed.
+// Two routes feed the counts. A narrow transition (at most memoMax
+// switching lines, memo.go) goes straight into T and P through addCount:
+// s increments and s(s−1)/2 pair updates per distinct key, once per run of
+// repeats when the transition-key memo batches them. A wider one is parked
+// in a 64-slot block (its switching mask and rising subset, two stores). A
+// full block is transposed into per-wire 64-bit columns — bit k of tog[i]
+// (rise[i]) set when wire i switched (rose) in the block's k-th
+// transition — and folded into T and P with popcounts: O(W²) word
+// operations per 64 transitions instead of O(s²) per transition. Both
+// routes produce the same integers, so where the split sits changes only
+// the speed.
 package energy
 
 import "math/bits"
-
-// narrowMax is the widest transition counted straight into the pair
-// counters; wider transitions go through the mask block. A block costs
-// two 64x64 transposes and a W(W−1)/2-pair fold per 64 transitions, on a
-// 33-wire bus as much as a few tens of pair updates per transition; a
-// transition of at most 4 lines needs at most 6. The sequential address
-// streams that dominate IA traffic switch one to three lines per word.
-const narrowMax = 4
 
 // pairCounts holds one window's counts for a width-n bus.
 type pairCounts struct {
@@ -52,31 +46,12 @@ func newPairCounts(n int) pairCounts {
 	return pairCounts{n: n, pairs: new([64 * 64]int64)}
 }
 
-// addNarrow counts a transition straight into T and P: diff is its
-// non-zero, width-masked switching mask and rising = cur&diff the lines
-// that rise.
-func (c *pairCounts) addNarrow(diff, rising uint64) {
-	for d := diff; ; {
-		i := bits.TrailingZeros64(d) & 63
-		c.toggles[i]++
-		if d &= d - 1; d == 0 {
-			return
-		}
-		ri := rising >> uint(i) & 1
-		for e := d; e != 0; e &= e - 1 {
-			j := bits.TrailingZeros64(e)
-			// +1 when the pair moves in opposite directions, -1 when it
-			// moves together.
-			c.pairs[(i<<6|j)&(64*64-1)] += int64((ri^rising>>uint(j)&1)<<1) - 1
-		}
-	}
-}
-
-// addCount counts n repetitions of a transition straight into T and P,
-// as n addNarrow calls would: the multi-bus accumulator's drain of one
-// memo slot (multi.go). For each switching wire i, the switching wires
-// j > i that move opposite to it (their rising bit differs) add +n to
-// P_ij and the ones that move with it add −n.
+// addCount counts n repetitions of a transition straight into T and P:
+// diff is its non-zero, width-masked switching mask and rising the lines
+// that rise. The memo's drain of one slot passes the slot's count; a
+// memo-less narrow step passes 1. For each switching wire i, the
+// switching wires j > i that move opposite to it (their rising bit
+// differs) add +n to P_ij and the ones that move with it add −n.
 func (c *pairCounts) addCount(diff, rising, n uint64) {
 	v := int64(n)
 	for d := diff; d != 0; {
@@ -117,13 +92,29 @@ func transpose64(a *[64]uint64) {
 	}
 }
 
+// foldDirect is the most pending transitions a read counts one by one
+// instead of transposing the block: two 64x64 transposes and a
+// W(W−1)/2-pair pass cost about as much as that many wide transitions'
+// pair updates on a 32-wire bus.
+const foldDirect = 16
+
 // fold moves the pending block into T and P and empties it. The block's
 // rows (one per transition) are transposed to per-wire columns. For a
 // pair, both = tog_i & tog_j marks the slots where both wires switched
 // and rise_i ^ rise_j those where they moved apart, so the block adds
-// 2·popcount(both & (rise_i ^ rise_j)) − popcount(both) to P_ij.
+// 2·popcount(both & (rise_i ^ rise_j)) − popcount(both) to P_ij. A block
+// read with at most foldDirect transitions, as traffic with few wide
+// rows leaves it at every interval flush, adds them through addCount.
 func (c *pairCounts) fold() {
 	if c.slots == 0 {
+		return
+	}
+	if c.slots <= foldDirect {
+		for k := range c.slots {
+			c.addCount(c.tog[k&63], c.rise[k&63], 1)
+			c.tog[k&63], c.rise[k&63] = 0, 0
+		}
+		c.slots = 0
 		return
 	}
 	tog, rise := c.tog, c.rise

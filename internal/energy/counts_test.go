@@ -92,11 +92,11 @@ func (s exactSum) float(k int) float64 {
 }
 
 // FuzzPairCounts drives one word stream through an Accumulator in random
-// splits across Step, StepBatch, idles, mid-window reads (which fold a
-// partial block) and State/SetState hand-offs to a fresh accumulator. The
-// counts must equal refCounts exactly, whichever route each transition
-// took. Every line's energy and the total must match, per component, a
-// 256-bit sum of Model.Transition to 1e-13 relative. Where a component
+// splits (replayScalar) with no memo, a 2^1 memo and the default one. The
+// counts must equal refCounts exactly on every route, whichever way each
+// transition took, and the memo routes' energies must equal the memo-less
+// route's by Float64bits. Every line's energy and the total must match,
+// per component, a 256-bit sum of Model.Transition to 1e-13 relative. Where a component
 // cancels to (nearly) zero, the bound is relative to its all-quiet scale
 // ½Vdd²·T_i·Σc instead: the per-transition kernel leaves rounding residue
 // there that the counts do not. The stream then rides as bus 0 of the
@@ -137,40 +137,33 @@ func FuzzPairCounts(f *testing.F) {
 			}
 		}
 
-		acc := NewAccumulator(m)
-		for rest := words; len(rest) > 0; {
-			chunk := rest[:min(len(rest), 1+rng.Intn(200))]
-			rest = rest[len(chunk):]
-			switch rng.Intn(5) {
-			case 0:
-				for _, w := range chunk {
-					acc.Step(w)
+		// The K = 1 routes: memo-less, then through a 2^1 table (constant
+		// evictions) and the default one. Each takes its own random split.
+		var acc *Accumulator
+		for _, memo := range []int{-1, 1, 0} {
+			got := replayScalar(t, m, rng, memo, words)
+			st := got.State()
+			for i := range ref.toggles {
+				if st.Toggles[i] != ref.toggles[i] {
+					t.Fatalf("width %d, memo %d: T_%d = %d, reference %d", n, memo, i, st.Toggles[i], ref.toggles[i])
 				}
-			case 1:
-				acc.StepBatch(chunk)
-			case 2:
-				acc.StepBatch(chunk)
-				acc.IdleN(uint64(rng.Intn(3)))
-				_ = acc.Total()
-			default:
-				acc.StepBatch(chunk)
-				next := NewAccumulator(m)
-				if err := next.SetState(acc.State()); err != nil {
-					t.Fatal(err)
+			}
+			for k := range ref.pairs {
+				if st.Pairs[k] != ref.pairs[k] {
+					t.Fatalf("width %d, memo %d: pair %d = %d, reference %d", n, memo, k, st.Pairs[k], ref.pairs[k])
 				}
-				acc = next
 			}
-		}
-
-		st := acc.State()
-		for i := range ref.toggles {
-			if st.Toggles[i] != ref.toggles[i] {
-				t.Fatalf("width %d: T_%d = %d, reference %d", n, i, st.Toggles[i], ref.toggles[i])
+			if acc == nil {
+				acc = got
+				continue
 			}
-		}
-		for k := range ref.pairs {
-			if st.Pairs[k] != ref.pairs[k] {
-				t.Fatalf("width %d: pair %d = %d, reference %d", n, k, st.Pairs[k], ref.pairs[k])
+			for i := 0; i < n; i++ {
+				if !sameLine(got.Line(i), acc.Line(i)) {
+					t.Fatalf("width %d, memo %d line %d: %+v, memo-less %+v", n, memo, i, got.Line(i), acc.Line(i))
+				}
+			}
+			if !sameLine(got.Total(), acc.Total()) {
+				t.Fatalf("width %d, memo %d total: %+v, memo-less %+v", n, memo, got.Total(), acc.Total())
 			}
 		}
 
@@ -210,15 +203,58 @@ func FuzzPairCounts(f *testing.F) {
 	})
 }
 
+// replayScalar steps words through an Accumulator with a memo of
+// 2^memo keys (0 the default, negative none) in random chunks split
+// across Step, StepBatch, idles, mid-window reads (which drain the memo
+// and fold a partial block) and State/SetState hand-offs to a fresh
+// accumulator with the same memo, and returns the last accumulator.
+func replayScalar(t *testing.T, m *Model, rng *rand.Rand, memo int, words []uint64) *Accumulator {
+	t.Helper()
+	fresh := func() *Accumulator {
+		a := NewAccumulator(m)
+		if memo >= 0 {
+			if err := a.EnableMemo(memo); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return a
+	}
+	acc := fresh()
+	for rest := words; len(rest) > 0; {
+		chunk := rest[:min(len(rest), 1+rng.Intn(200))]
+		rest = rest[len(chunk):]
+		switch rng.Intn(5) {
+		case 0:
+			for _, w := range chunk {
+				acc.Step(w)
+			}
+		case 1:
+			acc.StepBatch(chunk)
+		case 2:
+			acc.StepBatch(chunk)
+			acc.IdleN(uint64(rng.Intn(3)))
+			_ = acc.Total()
+		default:
+			acc.StepBatch(chunk)
+			next := fresh()
+			if err := next.SetState(acc.State()); err != nil {
+				t.Fatal(err)
+			}
+			acc = next
+		}
+	}
+	return acc
+}
+
 // checkMultiRoute drives K ∈ {2, 4} streams (words as bus 0, the mix for
 // the rest) through a MultiAccumulator at memo sizes 2^1, the default and
 // off, in random lockstep chunks with mid-window drains and BusState/
 // SetBusState hand-offs to a fresh accumulator. Every bus's counts must
 // equal a scalar Accumulator's over its stream exactly, and its BusLines
 // must match the scalar Lines by Float64bits. With bit 6 of mix set,
-// every bus also carries a burst that repeats two keys 2^16 times each,
-// stepped as one chunk with no drain inside it, so each key's count
-// passes the uint16 limit and the overflow drain runs.
+// every bus also carries a burst that repeats two narrow keys 2^16 times
+// each, stepped as one chunk with no drain inside it, so each key's
+// count passes the uint16 limit and the overflow drain runs.
 func checkMultiRoute(t *testing.T, m *Model, rng *rand.Rand, mix uint8, words []uint64) {
 	t.Helper()
 	n := m.n
@@ -231,7 +267,8 @@ func checkMultiRoute(t *testing.T, m *Model, rng *rand.Rand, mix uint8, words []
 	if mix&0x40 != 0 {
 		at, burstLen = rng.Intn(len(words)+1), 1<<17
 		a := rng.Uint64()
-		b := a ^ (1<<uint(rng.Intn(n)) | rng.Uint64()&mask(n))
+		// One or two switching lines: a narrow key, counted in the memo.
+		b := a ^ (1<<uint(rng.Intn(n)) | 1<<uint(rng.Intn(n)))
 		burst := make([]uint64, burstLen)
 		for i := range burst {
 			burst[i] = a
@@ -324,8 +361,10 @@ func checkMultiRoute(t *testing.T, m *Model, rng *rand.Rand, mix uint8, words []
 }
 
 // TestPairCountsRoutesAgree feeds the same transitions, each repeated one
-// to three times, through every route into the counts: the narrow route
-// alone, the mask block alone, and addCount with the repetition count.
+// to three times, through every route into the counts: addCount once per
+// repeat (the memo-less narrow route), the mask block alone (folded full
+// and, at random reads, part-full), and addCount with the repetition
+// count (a memo slot's drain).
 // The integers must be identical.
 func TestPairCountsRoutesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -343,8 +382,13 @@ func TestPairCountsRoutesAgree(t *testing.T) {
 			}
 			reps := 1 + k%3
 			for r := 0; r < reps; r++ {
-				narrow.addNarrow(diff, cur&diff)
+				narrow.addCount(diff, cur&diff, 1)
 				wide.addWide(diff, cur&diff)
+			}
+			if rng.Intn(30) == 0 {
+				// A read folds the block at whatever fill it has: either
+				// side of foldDirect.
+				wide.fold()
 			}
 			counted.addCount(diff, cur&diff, uint64(reps))
 			prev = cur

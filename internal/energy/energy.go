@@ -235,7 +235,10 @@ func (m *Model) transitionSparse(diff, rising uint64, idx []int, les []LineEnerg
 // The window is kept as exact integer pair-pattern counts (see counts.go)
 // and turned into energies only when it is read, so a window's energy is a
 // pure function of the transitions in it, whatever the order or batching
-// of the Step, StepBatch and State/SetState calls that fed them.
+// of the Step, StepBatch and State/SetState calls that fed them. With a
+// memo (EnableMemo, or a MultiAccumulator's shared one) narrow
+// transitions wait in the memo as pending counts; every read drains them
+// into the window first, and every reset or restore drops them with it.
 type Accumulator struct {
 	model *Model
 	prev  uint64
@@ -248,6 +251,11 @@ type Accumulator struct {
 	idleCycles uint64
 
 	counts pairCounts
+	// memo is the transition-key table this bus counts through (nil
+	// without one) and bus its column there: 0 for a scalar accumulator,
+	// k for bus k of a MultiAccumulator.
+	memo *Memo
+	bus  int
 	// carry is a float window restored from a checkpoint written before
 	// the counts existed (NBCP v1/v3). It is added when the window is
 	// read and cleared with it; on every fresh run it is zero, and
@@ -270,14 +278,27 @@ func NewAccumulator(m *Model) *Accumulator {
 // Model returns the underlying energy model.
 func (a *Accumulator) Model() *Model { return a.model }
 
-// EnableMemo checks a transition-memo size of 2^sizeLog2 entries
-// (0 = DefaultMemoSizeLog2) and does nothing else: the scalar accumulator
-// counts pair patterns and needs no memo. The size is still validated so
-// configurations shared with the multi-bus accumulator, whose EnableMemo
-// does attach one, are rejected in the same places.
+// EnableMemo attaches a transition-key memo of 2^sizeLog2 entries
+// (0 = DefaultMemoSizeLog2), replacing any previous one after draining
+// it. The memo changes speed only, never a count.
 func (a *Accumulator) EnableMemo(sizeLog2 int) error {
-	_, err := memoSizeLog2(sizeLog2)
-	return err
+	m, err := newMemo(sizeLog2, []*pairCounts{&a.counts})
+	if err != nil {
+		return err
+	}
+	a.drain()
+	a.memo, a.bus = m, 0
+	return nil
+}
+
+// Memo returns the attached transition memo, or nil.
+func (a *Accumulator) Memo() *Memo { return a.memo }
+
+// drain moves the memo's pending counts into the windows.
+func (a *Accumulator) drain() {
+	if a.memo != nil {
+		a.memo.drain()
+	}
 }
 
 // Step transmits word on the bus for one cycle and accrues the transition
@@ -302,6 +323,7 @@ func (a *Accumulator) IdleCycles() uint64 { return a.idleCycles }
 
 // Line returns the accumulated energy of wire i.
 func (a *Accumulator) Line(i int) LineEnergy {
+	a.drain()
 	a.counts.fold()
 	le := a.carry[i]
 	le.add(a.counts.energy(a.model, i))
@@ -312,6 +334,7 @@ func (a *Accumulator) Line(i int) LineEnergy {
 // returns the bus-wide total, as Total does: an interval flush reads both
 // from one pass over the counts.
 func (a *Accumulator) Lines(dst []LineEnergy) LineEnergy {
+	a.drain()
 	a.counts.fold()
 	tot := a.carryTotal
 	for i := range dst {
@@ -326,6 +349,7 @@ func (a *Accumulator) Lines(dst []LineEnergy) LineEnergy {
 // Total returns the accumulated bus-wide energy: the carry's total plus
 // every line's energy from the counts, summed in wire order.
 func (a *Accumulator) Total() LineEnergy {
+	a.drain()
 	a.counts.fold()
 	tot := a.carryTotal
 	for i := 0; i < a.model.n; i++ {
@@ -337,9 +361,11 @@ func (a *Accumulator) Total() LineEnergy {
 // Last returns the word currently held on the bus.
 func (a *Accumulator) Last() uint64 { return a.prev }
 
-// Reset zeroes the accumulated energies and cycle counts but keeps the bus
-// state (the held word), so interval-based callers can difference cheaply.
+// Reset zeroes the accumulated energies and cycle counts, pending memo
+// counts included, but keeps the bus state (the held word) and the warm
+// memo, so interval-based callers can difference cheaply.
 func (a *Accumulator) Reset() {
+	a.drain()
 	a.counts.reset()
 	clear(a.carry)
 	a.carryTotal = LineEnergy{}

@@ -2,6 +2,7 @@ package energy
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -95,8 +96,7 @@ func sameLine(a, b LineEnergy) bool {
 
 // TestAccumulatorMemoBitIdentical drives two accumulators — one after
 // EnableMemo, one not — through identical streams and requires
-// bit-identical per-line and total accumulations: on the scalar
-// accumulator EnableMemo only validates the size.
+// bit-identical per-line and total accumulations.
 func TestAccumulatorMemoBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, width := range []int{3, 32, 33} {
@@ -125,8 +125,9 @@ func TestAccumulatorMemoBitIdentical(t *testing.T) {
 }
 
 // TestMemoStatsAndHitRate counts probes on a table shared by two buses:
-// the second bus's identical transition hits the first one's key, and a
-// held word never reaches the table.
+// the second bus's identical narrow transition hits the first one's key,
+// while a held word and a wide transition (more than memoMax lines,
+// counted in the mask block) never reach the table.
 func TestMemoStatsAndHitRate(t *testing.T) {
 	m := memoTestModel(t, 8)
 	a, err := NewMultiAccumulator(m, 2)
@@ -140,8 +141,8 @@ func TestMemoStatsAndHitRate(t *testing.T) {
 	if memo.Stats().HitRate() != 0 {
 		t.Error("hit rate nonzero before any lookup")
 	}
-	a.StepBus(0, []uint64{0, 0xFF})
-	a.StepBus(1, []uint64{0, 0xFF})
+	a.StepBus(0, []uint64{0, 0x0F})
+	a.StepBus(1, []uint64{0, 0x0F})
 	st := memo.Stats()
 	if st.Misses != 1 || st.Hits != 1 || st.Entries != 1 || st.Capacity != 16 {
 		t.Errorf("stats = %+v, want 1 miss, 1 hit, 1 entry, 16 slots", st)
@@ -150,20 +151,28 @@ func TestMemoStatsAndHitRate(t *testing.T) {
 		t.Errorf("hit rate %g, want 0.5", st.HitRate())
 	}
 	// A zero-diff transition never touches the cache.
-	a.StepBus(0, []uint64{0xFF, 0xFF})
-	if got := memo.Stats(); got.Hits+got.Misses != 2 {
-		t.Errorf("no-op transition counted: %+v", got)
+	a.StepBus(0, []uint64{0x0F, 0x0F})
+	if got := memo.Stats(); got != st {
+		t.Errorf("no-op transition counted: %+v, was %+v", got, st)
+	}
+	// Nor does a wide one: 0x0F -> 0xF0 switches all eight lines.
+	if bits.OnesCount64(0x0F^0xF0) <= memoMax {
+		t.Fatalf("0x0F -> 0xF0 is not wider than memoMax %d", memoMax)
+	}
+	a.StepBus(0, []uint64{0xF0, 0x0F, 0xF0})
+	if got := memo.Stats(); got != st {
+		t.Errorf("wide transitions counted: %+v, was %+v", got, st)
 	}
 }
 
 func TestNewMemoValidation(t *testing.T) {
-	if _, err := newMemo(-1); err == nil {
+	if _, err := newMemo(-1, nil); err == nil {
 		t.Error("negative size accepted")
 	}
-	if _, err := newMemo(40); err == nil {
+	if _, err := newMemo(40, nil); err == nil {
 		t.Error("oversized table accepted")
 	}
-	memo, err := newMemo(0)
+	memo, err := newMemo(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,5 +220,49 @@ func TestAccumulatorResetAll(t *testing.T) {
 		if p != 0 {
 			t.Errorf("ResetAll left pair count %d at %d", p, k)
 		}
+	}
+}
+
+// TestMemoOverflowDrainK1 repeats two narrow keys (a -> b and back)
+// 2^16+2 times each inside one StepBatch call, with no read in between,
+// so each key's uint16 count passes overflowAt and its slot drains early.
+// The scalar accumulator's counts and energies must equal a memo-less
+// one's exactly.
+func TestMemoOverflowDrainK1(t *testing.T) {
+	const width = 33
+	m := memoTestModel(t, width)
+	a, b := uint64(0x1_2345_6780), uint64(0x1_2345_6787)
+	words := make([]uint64, 1<<17+5)
+	for i := range words {
+		words[i] = a
+		if i&1 != 0 {
+			words[i] = b
+		}
+	}
+	plain, memod := NewAccumulator(m), NewAccumulator(m)
+	if err := memod.EnableMemo(0); err != nil {
+		t.Fatal(err)
+	}
+	plain.StepBatch(words)
+	memod.StepBatch(words)
+	if st := memod.Memo().Stats(); st.Misses != 2 || st.Hits != uint64(len(words)-3) {
+		t.Fatalf("stats %+v, want 2 misses and %d hits", st, len(words)-3)
+	}
+	ps, ms := plain.State(), memod.State()
+	for i := range ps.Toggles {
+		if ps.Toggles[i] != ms.Toggles[i] {
+			t.Fatalf("T_%d = %d, memo-less %d", i, ms.Toggles[i], ps.Toggles[i])
+		}
+	}
+	if want := uint64(len(words) - 1); ms.Toggles[0] != want {
+		t.Fatalf("T_0 = %d, want %d", ms.Toggles[0], want)
+	}
+	for k := range ps.Pairs {
+		if ps.Pairs[k] != ms.Pairs[k] {
+			t.Fatalf("pair %d = %d, memo-less %d", k, ms.Pairs[k], ps.Pairs[k])
+		}
+	}
+	if !sameLine(plain.Total(), memod.Total()) {
+		t.Fatalf("total %+v, memo-less %+v", memod.Total(), plain.Total())
 	}
 }

@@ -29,8 +29,10 @@ type AccumulatorState struct {
 	Pairs []int64
 }
 
-// State returns a deep copy of the accumulator's serializable state.
+// State returns a deep copy of the accumulator's serializable state,
+// pending memo counts drained into the window.
 func (a *Accumulator) State() AccumulatorState {
+	a.drain()
 	a.counts.fold()
 	toggles, pairs := a.counts.export()
 	return AccumulatorState{
@@ -45,8 +47,9 @@ func (a *Accumulator) State() AccumulatorState {
 	}
 }
 
-// SetState overwrites the accumulator's state from a snapshot taken by
-// State on an accumulator over the same model. A state without counts
+// SetState overwrites the accumulator's state, pending memo counts
+// included, from a snapshot taken by State on an accumulator over the
+// same model. A state without counts
 // (nil Toggles and Pairs) restores an empty count window under its float
 // carry.
 func (a *Accumulator) SetState(st AccumulatorState) error {
@@ -60,6 +63,7 @@ func (a *Accumulator) SetState(st AccumulatorState) error {
 				len(st.Toggles), len(st.Pairs), n, n, n*(n-1)/2)
 		}
 	}
+	a.drain()
 	a.prev = st.Prev & mask(n)
 	a.first = st.First
 	a.cycles = st.Cycles

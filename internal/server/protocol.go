@@ -36,11 +36,10 @@ type CreateSessionRequest struct {
 	CouplingDepth *int `json:"coupling_depth,omitempty"`
 	// TrackWireTemps copies per-wire temperatures into every sample.
 	TrackWireTemps bool `json:"track_wire_temps,omitempty"`
-	// MemoSizeLog2 sizes a multi-bus session's transition-key memo (2^k
-	// entries); zero selects the default, negative disables memoization.
-	// It changes speed only, never a result.
-	// A scalar session counts pair patterns, has no memo and only
-	// validates the size.
+	// MemoSizeLog2 sizes the session's transition-key memo (2^k
+	// entries; a multi-bus session's buses share one); zero selects the
+	// default, negative disables memoization. It changes speed only,
+	// never a result.
 	MemoSizeLog2 int `json:"memo_size_log2,omitempty"`
 	// DropSamples disables in-memory sample retention; combine with
 	// ?stream=samples step requests for unbounded sessions.
@@ -196,8 +195,9 @@ type EnergySplit struct {
 	CoupNonAdjJ float64 `json:"coup_non_adj_j"`
 }
 
-// MemoStats is the session's transition-memo effectiveness; zero for a
-// scalar session, which has no memo.
+// MemoStats is the session's transition-memo effectiveness: the probes
+// since the session opened (a recycled simulator's earlier sessions are
+// not counted); zero when memoization is disabled.
 type MemoStats struct {
 	Hits    uint64  `json:"hits"`
 	Misses  uint64  `json:"misses"`

@@ -494,6 +494,7 @@ func (s *Server) buildSession(req CreateSessionRequest) (*session, *httpErr) {
 			buses:    1,
 			sem:      make(chan struct{}, 1),
 			lastMemo: sim.MemoStats(),
+			openMemo: sim.MemoStats(),
 			reqJSON:  reqJSON,
 			info:     info,
 		}, nil
@@ -518,6 +519,7 @@ func (s *Server) buildSession(req CreateSessionRequest) (*session, *httpErr) {
 			buses:    buses,
 			sem:      make(chan struct{}, 1),
 			lastMemo: msim.MemoStats(),
+			openMemo: msim.MemoStats(),
 			reqJSON:  reqJSON,
 			info:     info,
 		}, nil
@@ -549,6 +551,7 @@ func (s *Server) buildSession(req CreateSessionRequest) (*session, *httpErr) {
 		buses:    1,
 		sem:      make(chan struct{}, 1),
 		lastMemo: sim.MemoStats(),
+		openMemo: sim.MemoStats(),
 		reqJSON:  reqJSON,
 		info:     info,
 	}, nil
@@ -821,7 +824,6 @@ func (s *Server) resultLocked(sess *session, finish bool) (Result, *httpErr) {
 	for i, cs := range coreSamples {
 		samples[i] = fromCoreSample(cs)
 	}
-	st := sim.MemoStats()
 	res := Result{
 		ID:     sess.id,
 		Cycles: sim.Cycles(),
@@ -837,7 +839,7 @@ func (s *Server) resultLocked(sess *session, finish bool) (Result, *httpErr) {
 		MaxWire:  maxW,
 		TempsK:   sim.Temps(),
 		Samples:  samples,
-		Memo:     MemoStats{Hits: st.Hits, Misses: st.Misses, HitRate: st.HitRate()},
+		Memo:     sess.resultMemo(),
 	}
 	if sim.Adaptive() {
 		spec := sess.info.Adaptive
@@ -900,7 +902,6 @@ func (s *Server) multiResultLocked(sess *session) Result {
 	}
 	avg /= float64(len(temps))
 	maxT, maxBus, maxW := grid.MaxTemp()
-	st := m.MemoStats()
 	return Result{
 		ID:       sess.id,
 		Cycles:   m.Cycles(),
@@ -911,7 +912,7 @@ func (s *Server) multiResultLocked(sess *session) Result {
 		MaxWire:  maxW,
 		TempsK:   temps,
 		Samples:  []Sample{},
-		Memo:     MemoStats{Hits: st.Hits, Misses: st.Misses, HitRate: st.HitRate()},
+		Memo:     sess.resultMemo(),
 		Buses:    m.Buses(),
 		MaxBus:   maxBus,
 		PerBus:   per,

@@ -132,9 +132,9 @@ func TestSessionBitIdenticalToLibrary(t *testing.T) {
 	if err := e2e.SameAsLibrary(res, libraryRun(t, cfg, lines)); err != nil {
 		t.Fatal(err)
 	}
-	// A scalar session counts pair patterns and keeps no memo.
-	if res.Memo != (server.MemoStats{}) {
-		t.Fatalf("scalar session reports memo stats %+v, want zero", res.Memo)
+	// A fresh session's memo counters are the library simulator's.
+	if st := libraryRun(t, cfg, lines).MemoStats(); res.Memo.Hits != st.Hits || res.Memo.Misses != st.Misses {
+		t.Fatalf("session memo stats %+v, library %+v", res.Memo, st)
 	}
 	if err := sess.Close(ctx); err != nil {
 		t.Fatal(err)
@@ -373,6 +373,60 @@ func TestPoolRecycling(t *testing.T) {
 	}
 	if !bitsEq(ra.Total.TotalJ, rb.Total.TotalJ) || !bitsEq(ra.MaxTempK, rb.MaxTempK) {
 		t.Fatal("recycled simulator is not bit-identical to a fresh one")
+	}
+}
+
+// addressWords is sequential traffic with a jump every 64 words: the
+// narrow, repeated transitions the memo counts.
+func addressWords(n int) []uint32 {
+	words := make([]uint32, n)
+	for i := range words {
+		words[i] = 0x4000_0000 + uint32(i)*4 + uint32(i/64)*0x1_0000
+	}
+	return words
+}
+
+// TestPoolRecyclingReportsSessionMemo opens, closes and reopens a pooled
+// session on the same traffic: the recycled simulator's memo is warm and
+// its counters cumulative, yet each Result reports only its own
+// session's probes.
+func TestPoolRecyclingReportsSessionMemo(t *testing.T) {
+	_, c := newTestService(t, server.Config{})
+	ctx := context.Background()
+	cfg := client.SessionConfig{Node: "45nm", IntervalCycles: 512}
+	var first server.MemoStats
+	for round := 0; round < 2; round++ {
+		sess, err := c.CreateSession(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sess.Info.Recycled != (round == 1) {
+			t.Fatalf("round %d: recycled = %v", round, sess.Info.Recycled)
+		}
+		if _, err := sess.Step(ctx, addressWords(3000)); err != nil {
+			t.Fatal(err)
+		}
+		res, err := sess.Result(ctx, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		m := res.Memo
+		if round == 0 {
+			if m.Hits == 0 || m.Misses == 0 {
+				t.Fatalf("fresh session memo stats %+v, want hits and misses", m)
+			}
+			first = m
+			continue
+		}
+		if m.Hits+m.Misses != first.Hits+first.Misses || m.Misses > first.Misses {
+			t.Fatalf("recycled session memo stats %+v, first session %+v: want the same probes, no more misses", m, first)
+		}
+		if want := float64(m.Hits) / float64(m.Hits+m.Misses); m.HitRate != want {
+			t.Fatalf("recycled session hit rate %g, want %g", m.HitRate, want)
+		}
 	}
 }
 

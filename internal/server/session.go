@@ -96,6 +96,10 @@ type session struct {
 	closed bool
 	// lastMemo is the memo snapshot at the last harvest (guarded by sem).
 	lastMemo energy.MemoStats
+	// openMemo is the memo snapshot at OPEN: a pooled simulator's
+	// counters run on across sessions, and Result reports only this
+	// session's share.
+	openMemo energy.MemoStats
 	// encBuf is the reused ?stream=samples NDJSON line buffer (guarded
 	// by sem): one buffer per session instead of an allocation per
 	// streamed sample.
@@ -235,6 +239,14 @@ func (s *session) memoStats() energy.MemoStats {
 		return s.msim.MemoStats()
 	}
 	return s.sim.MemoStats()
+}
+
+// resultMemo returns the memo counters since the session opened.
+func (s *session) resultMemo() MemoStats {
+	st := s.memoStats()
+	st.Hits -= s.openMemo.Hits
+	st.Misses -= s.openMemo.Misses
+	return MemoStats{Hits: st.Hits, Misses: st.Misses, HitRate: st.HitRate()}
 }
 
 // cycleCount converts the live word/idle counters into lockstep cycles:

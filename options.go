@@ -81,11 +81,10 @@ func WithInterval(cycles uint64) Option {
 	}
 }
 
-// WithMemoSize sizes the multi-bus (K > 1) transition-key memo to
-// 2^log2 entries; a negative log2 disables it (every word is counted as
-// a single bus counts it). The size changes speed only, never a result.
-// A single bus counts pair patterns and has no memo, so there the size
-// is only validated.
+// WithMemoSize sizes the transition-key memo (one per bus, or one
+// shared by a multi-bus simulator's buses) to 2^log2 entries; a negative
+// log2 disables it (every transition is counted as it arrives). The size
+// changes speed only, never a result.
 func WithMemoSize(log2 int) Option {
 	return func(cfg *BusConfig) error {
 		cfg.MemoSizeLog2 = log2
