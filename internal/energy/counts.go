@@ -93,9 +93,12 @@ func transpose64(a *[64]uint64) {
 }
 
 // foldDirect is the most pending transitions a read counts one by one
-// instead of transposing the block: two 64x64 transposes and a
-// W(W−1)/2-pair pass cost about as much as that many wide transitions'
-// pair updates on a 32-wire bus.
+// through addCount instead of transposing the block. A bus with few wide
+// rows leaves a part-filled block at every interval flush, where two
+// 64x64 transposes and the W(W−1)/2-pair pass cost more than those
+// transitions' own pair updates. Those grow with s², so a full block is
+// cheaper transposed; 16 was the fastest cutoff of a sweep over 0, 8,
+// 16, 32 and 64 on soc_lockstep (EXPERIMENTS.md, "One stepping loop").
 const foldDirect = 16
 
 // fold moves the pending block into T and P and empties it. The block's

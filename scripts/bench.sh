@@ -2,7 +2,9 @@
 # Hot-path benchmark runner: runs the perf-critical benches with -benchmem
 # at GOMAXPROCS 1, 2 and 4 and records the parsed results (tagged with the
 # GOMAXPROCS they ran under) in BENCH_hotpath.json at the repo root.
-# Usage: scripts/bench.sh [extra go-test args, e.g. -benchtime 2s]
+# Repeated runs of a benchmark (-count N) fold to the one with the least
+# ns/op, as scripts/benchgate folds them when it judges a run.
+# Usage: scripts/bench.sh [extra go-test args, e.g. -count 3]
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -36,12 +38,15 @@ for G in 1 2 4; do
             extras = sprintf("%s\"%s\": %s", extras, u, $i)
             }
         }
-        printf "    {\"name\": \"%s\", \"gomaxprocs\": %s, \"iterations\": %s, \"ns_per_op\": %s", name, g, iters, ns
-        if (bpo != "") printf ", \"bytes_per_op\": %s", bpo
-        if (apo != "") printf ", \"allocs_per_op\": %s", apo
-        if (extras != "") printf ", %s", extras
-        printf "},\n"
-    }' g="$G" "$RAW" >> "$ENTRIES"
+        e = sprintf("    {\"name\": \"%s\", \"gomaxprocs\": %s, \"iterations\": %s, \"ns_per_op\": %s", name, g, iters, ns)
+        if (bpo != "") e = e sprintf(", \"bytes_per_op\": %s", bpo)
+        if (apo != "") e = e sprintf(", \"allocs_per_op\": %s", apo)
+        if (extras != "") e = e sprintf(", %s", extras)
+        if (!(name in best)) { order[++n] = name }
+        else if (ns + 0 >= best[name] + 0) { next }
+        best[name] = ns; entry[name] = e
+    }
+    END { for (k = 1; k <= n; k++) printf "%s},\n", entry[order[k]] }' g="$G" "$RAW" >> "$ENTRIES"
 
     if [ -z "$CPU" ]; then
         CPU=$(awk '/^cpu:/ { s = substr($0, 6); gsub(/^[ \t]+|[ \t]+$/, "", s); print s; exit }' "$RAW")

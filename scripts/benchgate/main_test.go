@@ -60,11 +60,13 @@ func TestMultiGateJudgesMeasurement(t *testing.T) {
 		args        []string
 		want        int
 	}{
-		{"healthy", line("1.41") + line("1.36"), nil, 0},
-		// A K = 16 kernel that lost its edge over the scalar one fails,
-		// though the committed record says 2.3x.
-		{"regressed", line("0.92") + line("0.88"), nil, 1},
-		{"best of counts", line("0.9") + line("1.15"), nil, 0},
+		{"healthy", line("1.02") + line("0.97") + line("1.05"), nil, 0},
+		// A K = 16 kernel that fell behind the scalar one fails, though
+		// the committed record says 2.3x.
+		{"regressed", line("0.82") + line("0.85") + line("0.79"), nil, 1},
+		// One run inflated by a stalled scalar chunk does not pass it.
+		{"median not best", line("0.82") + line("6.29") + line("0.8"), nil, 1},
+		{"median of even count", line("0.85") + line("0.99") + line("0.97") + line("0.7"), nil, 0},
 		{"raised floor", line("1.41"), []string{"-multi-min", "2"}, 1},
 		{"no measurement", "BenchmarkMultiStep/K16-2 100000 117.8 ns/op 7.364 ns_word_bus\n", nil, 2},
 	} {
