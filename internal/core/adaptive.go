@@ -183,34 +183,34 @@ func (a *adaptiveState) reset() {
 
 // Adaptive reports whether the simulator runs the adaptive encoding
 // controller.
-func (s *Simulator) Adaptive() bool { return s.ad != nil }
+func (k *kernel) Adaptive() bool { return k.ad != nil }
 
-// ActiveEncoder returns the scheme name currently driving the bus (the
+// ActiveEncoder returns the scheme name currently driving bus 0 (the
 // static encoder's name for non-adaptive simulators).
-func (s *Simulator) ActiveEncoder() string {
-	if s.ad != nil {
-		return s.ad.names[s.ad.mode]
+func (k *kernel) ActiveEncoder() string {
+	if k.ad != nil {
+		return k.ad.names[k.ad.mode]
 	}
-	return s.enc.Name()
+	return k.encs[0].Name()
 }
 
 // SwitchEvents returns the encoder switches recorded so far, in cycle
 // order. Nil for non-adaptive simulators or before the first switch.
-func (s *Simulator) SwitchEvents() []SwitchEvent {
-	if s.ad == nil {
+func (k *kernel) SwitchEvents() []SwitchEvent {
+	if k.ad == nil {
 		return nil
 	}
-	return s.ad.events
+	return k.ad.events
 }
 
 // EncoderOccupancy returns the cycles attributed to each encoder (whole
 // flushed intervals only), base first. Nil for non-adaptive simulators.
-func (s *Simulator) EncoderOccupancy() []EncoderCycles {
-	if s.ad == nil {
+func (k *kernel) EncoderOccupancy() []EncoderCycles {
+	if k.ad == nil {
 		return nil
 	}
 	return []EncoderCycles{
-		{Encoder: s.ad.names[modeBase], Cycles: s.ad.occupancy[modeBase]},
-		{Encoder: s.ad.names[modeCool], Cycles: s.ad.occupancy[modeCool]},
+		{Encoder: k.ad.names[modeBase], Cycles: k.ad.occupancy[modeBase]},
+		{Encoder: k.ad.names[modeCool], Cycles: k.ad.occupancy[modeCool]},
 	}
 }

@@ -13,12 +13,13 @@ import (
 
 // Checkpoint format (NBCP). A snapshot is a self-describing binary blob,
 // deterministic down to the byte for a given simulator state. One codec
-// handles six layouts, named by the version word:
+// handles six layouts, named by the version word; the kernel's writer
+// picks one from its shape alone, so a Simulator and a one-bus MultiSim
+// write the same bytes:
 //
-//	v4  static-encoder Simulator, and a K == 1 MultiSim (its blobs are
-//	    interchangeable with Simulator.Snapshot/Restore)
-//	v6  MultiSim with K > 1 buses
-//	v5  Simulator running the adaptive controller
+//	v4  one bus, static encoder
+//	v6  K > 1 buses
+//	v5  one bus running the adaptive controller
 //	v1  v4 without the window counts (read only)
 //	v2  v6 without the window counts (read only)
 //	v3  v5 without the window counts (read only)
@@ -45,7 +46,7 @@ import (
 //	  v2, v6     v1's fields, buses u32, bus-coupling-disabled bool,
 //	             bus gap pitches f64
 //	counters     cycles u64, cycles into the open interval u64
-//	scalar body  bus block | thermal | samples
+//	one-bus body bus block | thermal | samples
 //	v2, v6 body  thermal (K*W temperatures, bus-major) |
 //	             per bus: bus block | samples
 //	bus block    cumulative total, W per-line totals, accumulator window
@@ -69,7 +70,7 @@ import (
 // In v4, v5 and v6 the float window is the carry, zero unless the blob's
 // history passes through a v1, v2 or v3 restore in the same interval.
 //
-// The K > 1 transition-key memo is never serialized: a restored simulator
+// The transition-key memo is never serialized: a restored simulator
 // re-warms it (the "dropped and rewarmed" policy). Snapshot first drains
 // the memo's pending counts into the windows. Every window is integers,
 // so neither the drain nor the cold memo's different eviction schedule
@@ -108,191 +109,153 @@ const (
 // to sanity-bound decoded counts before allocating.
 const sampleMinBytes = 8 + 6*8 + 8 + 4
 
+// layout returns the version Snapshot writes: v6 for K > 1 buses, else
+// v5 under the adaptive controller and v4 for a static encoder.
+func (k *kernel) layout() uint16 {
+	switch {
+	case k.buses > 1:
+		return checkpointVersionMulti
+	case k.ad != nil:
+		return checkpointVersionAdaptive
+	}
+	return checkpointVersion
+}
+
 // Snapshot serializes the simulator's full in-flight state into a
-// versioned, checksummed, deterministic binary checkpoint. Snapshotting a
-// poisoned simulator fails (its state is not trustworthy); everything else
-// — including a partially filled sampling interval — round-trips exactly:
-// a simulator restored from the snapshot emits bit-identical samples,
-// totals and temperatures from that point on.
-func (s *Simulator) Snapshot() ([]byte, error) {
-	if s.err != nil {
-		return nil, fmt.Errorf("snapshot: %w", s.err)
+// versioned, checksummed, deterministic binary checkpoint (NBCP v4, v5 or
+// v6; a Simulator and a one-bus MultiSim write the same bytes).
+// Snapshotting a poisoned simulator fails (its state is not
+// trustworthy); everything else — including a partially filled sampling
+// interval — round-trips exactly: a simulator restored from the snapshot
+// emits bit-identical samples, totals and temperatures from that point
+// on.
+func (k *kernel) Snapshot() ([]byte, error) {
+	if k.err != nil {
+		return nil, fmt.Errorf("snapshot: %w", k.err)
 	}
-	version := uint16(checkpointVersion)
-	if s.ad != nil {
-		version = checkpointVersionAdaptive
+	w := newCkptWriter(k.layout(), k.fingerprint())
+	w.u64(k.cycles)
+	w.u64(k.cycleInInterval)
+	// The K > 1 layout leads with the whole grid; the one-bus layouts
+	// put the bus's wires between its bus block and its samples.
+	temps := k.net.Temps(nil)
+	if k.buses > 1 {
+		w.thermal(k.net.Ambient(), temps)
 	}
-	w := newCkptWriter(version, s.fingerprint())
-	w.u64(s.cycles)
-	w.u64(s.cycleInInterval)
-	win := s.acc.State()
-	w.busEnergy(s.totalEnergy, s.lineTotals, win)
-	w.counts(win.Toggles, win.Pairs)
-	if s.ad != nil {
-		w.controller(s.ad)
-	} else {
-		w.encState(s.enc)
+	for b := 0; b < k.buses; b++ {
+		win := k.acc.BusState(b)
+		w.busEnergy(k.totalEnergy[b], k.lineTotals[b*k.width:(b+1)*k.width], win)
+		w.counts(win.Toggles, win.Pairs)
+		if k.ad != nil {
+			w.controller(k.ad)
+		} else {
+			w.encState(k.encs[b])
+		}
+		if k.buses == 1 {
+			w.thermal(k.net.Ambient(), temps)
+		}
+		w.samples(k.samples[b], k.ad)
 	}
-	w.thermal(s.net.Ambient(), s.net.Temps(nil))
-	w.samples(s.samples, s.ad)
 	return w.seal(), nil
 }
 
 // Restore overwrites the simulator's state from a Snapshot blob. The
 // target must have been built with an equivalent configuration: same node,
 // encoder (or adaptive controller tuning), width, length, interval,
-// coupling depth and repeater setting — anything else, including a v1 or
-// v4 blob into an adaptive target or a v3 or v5 blob into a static one, is
-// rejected with ErrCheckpointMismatch. Structural damage (truncation, bit rot,
-// wrong magic or version, impossible field values) is rejected with
-// ErrCheckpointCorrupt. Both rejections leave the simulator untouched.
+// coupling depth, repeater setting and, at K > 1, bus count and bus
+// coupling. A one-bus target reads v4 and v1 (static) or v5 and v3
+// (adaptive); a v4 or v1 blob into an adaptive target, or a v5 or v3
+// blob into a static one, is ErrCheckpointMismatch. A K > 1 target reads
+// v6 and v2, and the K > 1 and one-bus layouts are ErrCheckpointCorrupt
+// on each other's targets. Structural damage (truncation, bit rot, wrong
+// magic or version, impossible field values) is rejected with
+// ErrCheckpointCorrupt. Every rejection leaves the simulator untouched.
 //
 // Restore clears any sticky error, so it also resurrects a poisoned
-// simulator back to its last known-good checkpoint. The OnSample callback
+// simulator back to its last known-good checkpoint. The sample callback
 // is unchanged.
-func (s *Simulator) Restore(data []byte) error {
+func (k *kernel) Restore(data []byte) error {
 	r, v, err := openCheckpoint(data)
 	if err != nil {
 		return err
 	}
+	multi := v == checkpointVersionMulti || v == checkpointVersionV2
 	adaptive := v == checkpointVersionAdaptive || v == checkpointVersionV3
 	switch {
-	case v != checkpointVersion && v != checkpointVersionV1 && !adaptive:
-		return fmt.Errorf("%w: unsupported version %d (want %d, %d, %d or %d)", ErrCheckpointCorrupt, v,
-			checkpointVersion, checkpointVersionAdaptive, checkpointVersionV1, checkpointVersionV3)
-	case !adaptive && s.ad != nil:
-		return fmt.Errorf("%w: v%d (static-encoder) checkpoint, but the target runs the adaptive controller", ErrCheckpointMismatch, v)
-	case adaptive && s.ad == nil:
+	case v < checkpointVersionV1 || v > checkpointVersionMulti || multi != (k.buses > 1):
+		return fmt.Errorf("%w: unsupported version %d for a %d-bus target", ErrCheckpointCorrupt, v, k.buses)
+	case adaptive && k.ad == nil:
 		return fmt.Errorf("%w: v%d (adaptive) checkpoint, but the target has a static encoder", ErrCheckpointMismatch, v)
+	case !adaptive && k.ad != nil:
+		return fmt.Errorf("%w: v%d (static-encoder) checkpoint, but the target runs the adaptive controller", ErrCheckpointMismatch, v)
 	}
-	if err := r.fingerprint(s.fingerprint()); err != nil {
+	if err := r.fingerprint(k.fingerprint()); err != nil {
 		return err
 	}
 
-	width := s.enc.Width()
 	cycles, cycleInInterval := r.u64(), r.u64()
-	total, lineTotals, win := r.busEnergy(width)
-	if v == checkpointVersion || v == checkpointVersionAdaptive {
-		win.Toggles, win.Pairs = r.counts(width, win.Cycles)
+	var ambient float64
+	var temps []float64
+	if multi {
+		ambient, temps = r.thermal(k.buses * k.width)
 	}
+	totalEnergy := make([]energy.LineEnergy, k.buses)
+	lineTotals := make([]energy.LineEnergy, 0, k.buses*k.width)
+	wins := make([]energy.AccumulatorState, k.buses)
+	ests := make([]encoding.State, k.buses)
 	var ctl adaptiveState
-	var ests [2]encoding.State // static: the encoder's; adaptive: base and cool
-	if s.ad != nil {
-		ctl, ests = r.controller(s.ad)
-	} else {
-		ests[0] = r.encState()
+	var ctlEsts [2]encoding.State // the controller's base and cool encoders
+	samples := make([][]Sample, k.buses)
+	for b := 0; b < k.buses && r.err == nil; b++ {
+		var lines []energy.LineEnergy
+		totalEnergy[b], lines, wins[b] = r.busEnergy(k.width)
+		if v >= checkpointVersion {
+			wins[b].Toggles, wins[b].Pairs = r.counts(k.width, wins[b].Cycles)
+		}
+		lineTotals = append(lineTotals, lines...)
+		if k.ad != nil {
+			ctl, ctlEsts = r.controller(k.ad)
+		} else {
+			ests[b] = r.encState()
+		}
+		if !multi {
+			ambient, temps = r.thermal(k.width)
+		}
+		samples[b] = r.samples(k.ad)
 	}
-	ambient, temps := r.thermal(width)
-	samples := r.samples(s.ad)
 	if err := r.close(); err != nil {
 		return err
 	}
 
 	// Everything validated; apply. The slices were sized from the target
 	// and the ambient checked, so these setters cannot fail on the blob.
-	if err := errors.Join(s.acc.SetState(win), s.net.SetAmbient(ambient), s.net.SetTemps(temps)); err != nil {
+	// Pending counts of the current run are dropped first so they cannot
+	// leak into the restored windows.
+	k.acc.ResetAll()
+	err = errors.Join(k.net.SetAmbient(ambient), k.net.SetTemps(temps))
+	for b := range wins {
+		err = errors.Join(err, k.acc.SetBusState(b, wins[b]))
+	}
+	if err != nil {
 		return err
 	}
-	if a := s.ad; a != nil {
+	if a := k.ad; a != nil {
 		*a = ctl
 		for i, enc := range a.encs {
-			setEncoderState(enc, ests[i])
+			setEncoderState(enc, ctlEsts[i])
 		}
-		s.enc = a.encs[a.mode]
+		k.encs[0] = a.active()
 	} else {
-		setEncoderState(s.enc, ests[0])
-	}
-	s.cycles = cycles
-	s.cycleInInterval = cycleInInterval
-	s.totalEnergy = total
-	copy(s.lineTotals, lineTotals)
-	s.samples = samples
-	s.err = nil
-	return nil
-}
-
-// Snapshot serializes the multi-bus simulator (see Simulator.Snapshot for
-// the contract; K == 1 produces a v4 blob).
-func (m *MultiSim) Snapshot() ([]byte, error) {
-	if m.single != nil {
-		return m.single.Snapshot()
-	}
-	if m.err != nil {
-		return nil, fmt.Errorf("snapshot: %w", m.err)
-	}
-	w := newCkptWriter(checkpointVersionMulti, m.fingerprint())
-	w.u64(m.cycles)
-	w.u64(m.cycleInInterval)
-	w.thermal(m.grid.Ambient(), m.grid.Temps(nil))
-	for k := 0; k < m.buses; k++ {
-		win := m.acc.BusState(k)
-		w.busEnergy(m.totalEnergy[k], m.lineTotals[k*m.width:(k+1)*m.width], win)
-		w.counts(win.Toggles, win.Pairs)
-		w.encState(m.encs[k])
-		w.samples(m.samples[k], nil)
-	}
-	return w.seal(), nil
-}
-
-// Restore overwrites the multi-bus simulator's state from a Snapshot blob
-// (see Simulator.Restore for the validation contract). K == 1 delegates
-// to Simulator.Restore; K > 1 accepts only v6 and v2 and reports any
-// other version as ErrCheckpointCorrupt.
-func (m *MultiSim) Restore(data []byte) error {
-	if m.single != nil {
-		return m.single.Restore(data)
-	}
-	r, v, err := openCheckpoint(data)
-	if err != nil {
-		return err
-	}
-	if v != checkpointVersionMulti && v != checkpointVersionV2 {
-		return fmt.Errorf("%w: unsupported version %d (want %d or %d for a multi-bus target)", ErrCheckpointCorrupt, v,
-			checkpointVersionMulti, checkpointVersionV2)
-	}
-	if err := r.fingerprint(m.fingerprint()); err != nil {
-		return err
-	}
-
-	cycles, cycleInInterval := r.u64(), r.u64()
-	ambient, temps := r.thermal(m.buses * m.width)
-	totalEnergy := make([]energy.LineEnergy, m.buses)
-	lineTotals := make([]energy.LineEnergy, 0, m.buses*m.width)
-	wins := make([]energy.AccumulatorState, m.buses)
-	ests := make([]encoding.State, m.buses)
-	samples := make([][]Sample, m.buses)
-	for k := 0; k < m.buses && r.err == nil; k++ {
-		var lines []energy.LineEnergy
-		totalEnergy[k], lines, wins[k] = r.busEnergy(m.width)
-		if v == checkpointVersionMulti {
-			wins[k].Toggles, wins[k].Pairs = r.counts(m.width, wins[k].Cycles)
+		for b, enc := range k.encs {
+			setEncoderState(enc, ests[b])
 		}
-		lineTotals = append(lineTotals, lines...)
-		ests[k] = r.encState()
-		samples[k] = r.samples(nil)
 	}
-	if err := r.close(); err != nil {
-		return err
-	}
-
-	// Everything validated; apply (the setters cannot fail on the blob,
-	// as in Simulator.Restore). Drop pending counts from the current run
-	// first so they cannot leak into the restored windows.
-	m.acc.ResetAll()
-	err = errors.Join(m.grid.SetAmbient(ambient), m.grid.SetTemps(temps))
-	for k := range wins {
-		err = errors.Join(err, m.acc.SetBusState(k, wins[k]))
-		setEncoderState(m.encs[k], ests[k])
-	}
-	if err != nil {
-		return err
-	}
-	m.cycles = cycles
-	m.cycleInInterval = cycleInInterval
-	copy(m.totalEnergy, totalEnergy)
-	copy(m.lineTotals, lineTotals)
-	m.samples = samples
-	m.err = nil
+	k.cycles = cycles
+	k.cycleInInterval = cycleInInterval
+	copy(k.totalEnergy, totalEnergy)
+	copy(k.lineTotals, lineTotals)
+	k.samples = samples
+	k.err = nil
 	return nil
 }
 
@@ -305,11 +268,11 @@ type fpField struct {
 	val  any
 }
 
-// fingerprint lists the simulator's identity in v4 (v1) or v5 (v3)
-// layout order.
-func (s *Simulator) fingerprint() []fpField {
-	fp := []fpField{{"node", s.cfg.Node.Name}}
-	if a := s.ad; a != nil {
+// fingerprint lists the simulator's identity in its layout's order: v4
+// (v1), v5 (v3) or v6 (v2).
+func (k *kernel) fingerprint() []fpField {
+	fp := []fpField{{"node", k.cfg.Node.Name}}
+	if a := k.ad; a != nil {
 		// The control law is pinned bit-exact: a restore into a
 		// differently tuned controller would diverge at the next decision,
 		// so it is a mismatch, not a resume.
@@ -320,20 +283,16 @@ func (s *Simulator) fingerprint() []fpField {
 			fpField{"guard_k", a.cfg.GuardK},
 			fpField{"hysteresis_k", a.cfg.HysteresisK})
 	} else {
-		fp = append(fp, fpField{"encoding", s.enc.Name()})
+		fp = append(fp, fpField{"encoding", k.encs[0].Name()})
 	}
-	return append(fp, busFingerprint(s.enc.Width(), s.interval, s.length, s.cfg)...)
-}
-
-// fingerprint lists the multi-bus simulator's identity in v6 (v2) layout
-// order.
-func (m *MultiSim) fingerprint() []fpField {
-	fp := append([]fpField{{"node", m.cfg.Node.Name}, {"encoding", m.encs[0].Name()}},
-		busFingerprint(m.width, m.interval, m.length, m.cfg.Config)...)
-	return append(fp,
-		fpField{"buses", uint32(m.buses)},
-		fpField{"bus_coupling_disabled", m.cfg.DisableBusCoupling},
-		fpField{"bus_gap_pitches", m.cfg.BusGapPitches})
+	fp = append(fp, busFingerprint(k.width, k.interval, k.length, k.cfg.Config)...)
+	if k.buses > 1 {
+		fp = append(fp,
+			fpField{"buses", uint32(k.buses)},
+			fpField{"bus_coupling_disabled", k.cfg.DisableBusCoupling},
+			fpField{"bus_gap_pitches", k.cfg.BusGapPitches})
+	}
+	return fp
 }
 
 // busFingerprint is the per-bus shape every layout carries. Every "keep

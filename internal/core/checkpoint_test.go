@@ -314,13 +314,7 @@ func TestPoisonedFlushDropsPendingCounts(t *testing.T) {
 		}
 		faultinject.Reset()
 		for k := 0; k < buses; k++ {
-			var st energy.AccumulatorState
-			if m.single != nil {
-				st = m.single.acc.State()
-			} else {
-				st = m.acc.BusState(k)
-			}
-			for i, n := range st.Toggles {
+			for i, n := range m.acc.BusState(k).Toggles {
 				if n != 0 {
 					t.Fatalf("K %d bus %d: poisoned flush left %d transitions of wire %d in the window", buses, k, n, i)
 				}
@@ -683,9 +677,9 @@ func TestRestoreRejectsImpossibleThermalState(t *testing.T) {
 		var ambient float64
 		switch tgt := pc.target(t).(type) {
 		case *Simulator:
-			ambient = tgt.net.Ambient()
+			ambient = tgt.Network().Ambient()
 		case *MultiSim:
-			ambient = tgt.grid.Ambient()
+			ambient = tgt.Grid().Ambient()
 		}
 		amb := ambientOffset(t, blob, ambient)
 		for _, tc := range []struct {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"nanobus/internal/encoding"
@@ -276,7 +277,7 @@ func TestMultiSimValidation(t *testing.T) {
 	if _, err := m.StepBatch(context.Background(), make([]uint32, 7)); err == nil {
 		t.Fatal("non-multiple batch accepted")
 	}
-	if m.Buses() != 3 || m.Width() != 32 || m.Grid() == nil || m.Single() != nil {
+	if m.Buses() != 3 || m.Width() != 32 || m.Grid() == nil || m.Grid().Buses() != 3 {
 		t.Fatalf("accessors: buses=%d width=%d", m.Buses(), m.Width())
 	}
 }
@@ -493,21 +494,20 @@ func TestMultiSimResetReplay(t *testing.T) {
 	}
 }
 
-// TestMultiSimK1Delegation covers the K == 1 delegation of the
-// accessors Reset, Err, IntervalCycles, LineEnergies, MemoStats and
-// SetOnBusSample: every call must land on the inner scalar simulator,
-// and a replay after Reset is bit-identical (the scalar accumulator has
-// no drain-order sensitivity).
+// TestMultiSimK1Delegation covers the K == 1 accessors Reset, Err,
+// IntervalCycles, LineEnergies, MemoStats and SetOnBusSample against an
+// independently built Simulator on the same stream: every reading must
+// match it, samples must be tagged bus 0, and a replay after Reset is
+// bit-identical.
 func TestMultiSimK1Delegation(t *testing.T) {
-	msim, err := NewMulti(MultiConfig{
-		Config: Config{Node: itrs.N130, CouplingDepth: -1, IntervalCycles: 500},
-		Buses:  1,
-	})
+	cfg := Config{Node: itrs.N130, CouplingDepth: -1, IntervalCycles: 500}
+	msim, err := NewMulti(MultiConfig{Config: cfg, Buses: 1})
 	if err != nil {
 		t.Fatalf("NewMulti: %v", err)
 	}
-	if msim.Single() == nil {
-		t.Fatal("K=1 has no inner simulator")
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
 	}
 	if msim.IntervalCycles() != 500 {
 		t.Fatalf("IntervalCycles = %d", msim.IntervalCycles())
@@ -520,6 +520,14 @@ func TestMultiSimK1Delegation(t *testing.T) {
 		words[i] = uint32(i * 4)
 	}
 	ctx := context.Background()
+	if _, err := sim.StepBatch(ctx, words); err != nil {
+		t.Fatalf("scalar StepBatch: %v", err)
+	}
+	if err := sim.Finish(); err != nil {
+		t.Fatalf("scalar Finish: %v", err)
+	}
+	want := make([]energy.LineEnergy, sim.Width())
+	sim.LineEnergies(want)
 	run := func() (energy.LineEnergy, []energy.LineEnergy) {
 		if _, err := msim.StepBatch(ctx, words); err != nil {
 			t.Fatalf("StepBatch: %v", err)
@@ -536,11 +544,19 @@ func TestMultiSimK1Delegation(t *testing.T) {
 	if msim.Err() != nil {
 		t.Fatalf("Err: %v", msim.Err())
 	}
-	if msim.MemoStats() != msim.Single().MemoStats() {
-		t.Fatal("MemoStats does not delegate")
+	if msim.MemoStats() != sim.MemoStats() {
+		t.Fatalf("MemoStats %+v, scalar %+v", msim.MemoStats(), sim.MemoStats())
 	}
-	if len(buses) == 0 {
-		t.Fatal("K=1 streaming callback never fired")
+	if !sameEnergy(tot1, sim.TotalEnergy()) {
+		t.Fatalf("total %+v, scalar %+v", tot1, sim.TotalEnergy())
+	}
+	for j := range want {
+		if !sameEnergy(lines1[j], want[j]) {
+			t.Fatalf("line %d: %+v, scalar %+v", j, lines1[j], want[j])
+		}
+	}
+	if len(buses) != len(sim.Samples()) {
+		t.Fatalf("K=1 streaming callback fired %d times for %d samples", len(buses), len(sim.Samples()))
 	}
 	for _, b := range buses {
 		if b != 0 {
@@ -558,14 +574,27 @@ func TestMultiSimK1Delegation(t *testing.T) {
 	if len(buses) != callbacks {
 		t.Fatal("cleared callback still fires")
 	}
-	if math.Float64bits(tot1.Self) != math.Float64bits(tot2.Self) ||
-		math.Float64bits(tot1.CoupAdj) != math.Float64bits(tot2.CoupAdj) ||
-		math.Float64bits(tot1.CoupNonAdj) != math.Float64bits(tot2.CoupNonAdj) {
+	if !sameEnergy(tot1, tot2) {
 		t.Fatalf("K=1 replay after Reset not bit-identical: %+v vs %+v", tot1, tot2)
 	}
 	for j := range lines1 {
-		if math.Float64bits(lines1[j].Self) != math.Float64bits(lines2[j].Self) {
+		if !sameEnergy(lines1[j], lines2[j]) {
 			t.Fatalf("K=1 line %d replay differs", j)
+		}
+	}
+}
+
+// TestNewMultiRejectsOnSample: a MultiSim calls OnBusSample only, so a
+// Config.OnSample would never fire; NewMulti must refuse it (at every K)
+// and name the field to use instead.
+func TestNewMultiRejectsOnSample(t *testing.T) {
+	for _, buses := range []int{1, 4} {
+		_, err := NewMulti(MultiConfig{
+			Config: Config{Node: itrs.N130, IntervalCycles: 100, OnSample: func(Sample) {}},
+			Buses:  buses,
+		})
+		if err == nil || !strings.Contains(err.Error(), "OnBusSample") {
+			t.Fatalf("K %d: NewMulti with Config.OnSample = %v, want an error naming OnBusSample", buses, err)
 		}
 	}
 }

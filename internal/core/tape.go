@@ -120,7 +120,7 @@ func (s *Simulator) PlayTape(ctx context.Context, t *Tape) error {
 		if words == 0 && idle == 0 {
 			return nil
 		}
-		s.stepWords(t.words[w : w+words])
+		s.stepRows(t.words[w : w+words])
 		s.acc.IdleN(idle)
 		w += words
 		if err := s.endSegment(ctx, uint64(words)+idle); err != nil {

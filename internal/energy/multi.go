@@ -71,8 +71,8 @@ func (a *MultiAccumulator) Width() int { return a.model.n }
 
 // StepBus transmits words on bus k, one per cycle. It does not advance
 // the shared clock: callers step every bus the same number of words per
-// round and account the cycles once via AddCycles (the core multi-bus
-// stepper does exactly that per chunk).
+// round and account the cycles once via AddCycles (the core kernel does
+// that once per stepped segment of rows).
 func (a *MultiAccumulator) StepBus(k int, words []uint64) {
 	a.bus[k].stepWords(words)
 }

@@ -33,7 +33,7 @@ func ValidateEnvelope(data []byte) error {
 
 // --- Envelope codec ---------------------------------------------------------
 
-// The server checkpoint envelope wraps a core.Simulator checkpoint blob
+// The server checkpoint envelope wraps a core.MultiSim checkpoint blob
 // with everything the service layer needs to resurrect the session in a
 // fresh process: the write-ahead sequence number, the words/idle
 // counters, and the normalized CreateSessionRequest JSON. Layout (all
@@ -55,7 +55,7 @@ type envelope struct {
 	Words uint64
 	Idle  uint64
 	Cfg   []byte // normalized CreateSessionRequest JSON
-	Core  []byte // core.Simulator checkpoint blob
+	Core  []byte // core.MultiSim checkpoint blob
 }
 
 func (e *envelope) encode() []byte {
@@ -143,7 +143,7 @@ func (s *Server) checkpointLocked(ctx context.Context, sess *session) (Checkpoin
 		return CheckpointInfo{}, nil, herr(http.StatusConflict, CodeSeqConflict,
 			"a sequenced batch failed mid-apply; restore from a checkpoint first")
 	}
-	blob, err := sess.snapshot()
+	blob, err := sess.sim.Snapshot()
 	if err != nil {
 		return CheckpointInfo{}, nil, asHTTPErr(err)
 	}
@@ -162,7 +162,7 @@ func (s *Server) checkpointLocked(ctx context.Context, sess *session) (Checkpoin
 		}
 		stored = true
 	}
-	sess.ckptCycles = sess.simCycles()
+	sess.ckptCycles = sess.sim.Cycles()
 	s.checkpointsTotal.Add(1)
 	sum := sha256.Sum256(data)
 	return CheckpointInfo{
@@ -183,10 +183,10 @@ func (s *Server) maybeAutoCheckpoint(ctx context.Context, sess *session) {
 	if s.cfg.Store == nil || s.cfg.AutoCheckpointCycles == 0 || sess.dirtySeq {
 		return
 	}
-	if sess.simErr() != nil {
+	if sess.sim.Err() != nil {
 		return
 	}
-	if sess.simCycles()-sess.ckptCycles < s.cfg.AutoCheckpointCycles {
+	if sess.sim.Cycles()-sess.ckptCycles < s.cfg.AutoCheckpointCycles {
 		return
 	}
 	if _, _, he := s.checkpointLocked(ctx, sess); he != nil {
@@ -221,7 +221,7 @@ func (s *Server) restoreLocked(sess *session, env *envelope) (RestoreResponse, *
 		return RestoreResponse{}, herr(http.StatusConflict, CodeCheckpointMismatch,
 			"checkpoint configuration does not match the session")
 	}
-	if err := sess.restoreBlob(env.Core); err != nil {
+	if err := sess.sim.Restore(env.Core); err != nil {
 		return RestoreResponse{}, asHTTPErr(err)
 	}
 	s.applyEnvelopeState(sess, env)
@@ -229,7 +229,7 @@ func (s *Server) restoreLocked(sess *session, env *envelope) (RestoreResponse, *
 	return RestoreResponse{
 		ID:         sess.id,
 		Seq:        env.Seq,
-		Cycles:     sess.simCycles(),
+		Cycles:     sess.sim.Cycles(),
 		Words:      env.Words,
 		IdleCycles: env.Idle,
 	}, nil
@@ -259,19 +259,15 @@ func (s *Server) resurrectFrom(id string, env *envelope) (RestoreResponse, *http
 	if he != nil {
 		return RestoreResponse{}, he
 	}
-	if err := sess.restoreBlob(env.Core); err != nil {
+	if err := sess.sim.Restore(env.Core); err != nil {
 		// A failed Restore leaves the simulator untouched; recycle it.
-		if sess.sim != nil {
-			s.pool.put(sess.key, sess.sim)
-		}
+		s.pool.put(sess)
 		return RestoreResponse{}, asHTTPErr(err)
 	}
 	// All session state is set before registration makes it reachable.
 	s.applyEnvelopeState(sess, env)
 	if !s.registerSession(sess, id) {
-		if sess.sim != nil {
-			s.pool.put(sess.key, sess.sim)
-		}
+		s.pool.put(sess)
 		return RestoreResponse{}, herr(http.StatusConflict, CodeSessionBusy,
 			"session reappeared during restore; retry")
 	}
@@ -281,7 +277,7 @@ func (s *Server) resurrectFrom(id string, env *envelope) (RestoreResponse, *http
 	return RestoreResponse{
 		ID:          id,
 		Seq:         env.Seq,
-		Cycles:      sess.simCycles(),
+		Cycles:      sess.sim.Cycles(),
 		Words:       env.Words,
 		IdleCycles:  env.Idle,
 		Resurrected: true,
@@ -298,7 +294,7 @@ func (s *Server) applyEnvelopeState(sess *session, env *envelope) {
 	sess.dirtySeq = false
 	// A retried duplicate of the checkpointed batch gets an idempotent
 	// ack with the restored cumulative counters.
-	sess.lastSum = StepSummary{Cycles: env.Words/uint64(sess.buses) + env.Idle}
-	sess.ckptCycles = sess.simCycles()
-	sess.lastMemo = sess.memoStats()
+	sess.lastSum = StepSummary{Cycles: env.Words/uint64(sess.sim.Buses()) + env.Idle}
+	sess.ckptCycles = sess.sim.Cycles()
+	sess.lastMemo = sess.sim.MemoStats()
 }

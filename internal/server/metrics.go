@@ -54,6 +54,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("nanobusd_sessions_created_total", "Sessions ever created.", s.createdTotal.Load())
 	counter("nanobusd_sessions_recycled_total", "Sessions served by a pooled simulator.", s.recycledTotal.Load())
 	counter("nanobusd_sessions_closed_total", "Sessions closed by DELETE.", s.closedTotal.Load())
+	gauge("nanobusd_pool_idle_simulators", "Simulators shelved in the session pool for reuse.", s.pool.idle())
 
 	words := s.wordsTotal.Load()
 	counter("nanobusd_words_total", "Trace words simulated.", words)

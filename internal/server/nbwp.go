@@ -385,9 +385,9 @@ func (nc *nbwpConn) handleStep(h nbwp.Header, payload []byte) bool {
 		case n > nc.s.cfg.MaxBatchWords:
 			return nc.reply(h, http.StatusRequestEntityTooLarge, CodeBatchTooLarge,
 				fmt.Sprintf("batch of %d words exceeds the %d-word limit", n, nc.s.cfg.MaxBatchWords))
-		case n%sess.buses != 0:
+		case n%sess.sim.Buses() != 0:
 			return nc.reply(h, http.StatusBadRequest, CodeBadRequest,
-				fmt.Sprintf("batch of %d words is not a multiple of the session's %d buses", n, sess.buses))
+				fmt.Sprintf("batch of %d words is not a multiple of the session's %d buses", n, sess.sim.Buses()))
 		}
 		req.feed = func(ctx context.Context, sum *StepSummary) error {
 			// Chaos harnesses arm this to fail an ingest batch mid-stream —
@@ -441,8 +441,8 @@ func (nc *nbwpConn) handleStep(h nbwp.Header, payload []byte) bool {
 // append the encoder tail; each flags its layout. After a failed write
 // the rest of the batch's samples are dropped.
 func (nc *nbwpConn) sampleWriter(slot uint8, sess *session) func(bus int, cs core.Sample) {
-	multi := sess.buses > 1
-	adaptive := sess.sim != nil && sess.sim.Adaptive()
+	multi := sess.sim.Buses() > 1
+	adaptive := sess.sim.Adaptive()
 	writeOK := true
 	return func(bus int, cs core.Sample) {
 		if !writeOK {

@@ -175,14 +175,14 @@ func (s *Server) stepSession(ctx context.Context, sess *session, req stepReq) (S
 			sess.dirtySeq = true
 		}
 		emit := req.emit
-		sess.setOnSample(func(bus int, cs core.Sample) {
+		sess.sim.SetOnBusSample(func(bus int, cs core.Sample) {
 			sum.Samples++
 			s.samplesTotal.Add(1)
 			if emit != nil {
 				emit(bus, cs)
 			}
 		})
-		defer sess.setOnSample(nil)
+		defer sess.sim.SetOnBusSample(nil)
 		err := req.feed(ctx, &sum)
 		sum.Cycles = sess.cycleCount()
 		if err != nil {

@@ -57,16 +57,16 @@ func TestAppendStreamSampleParity(t *testing.T) {
 func perfSession(t testing.TB, maxBatch int) (*Server, *session) {
 	t.Helper()
 	s := New(Config{MaxBatchWords: maxBatch})
-	sim, err := core.New(core.Config{
+	sim, err := core.NewMulti(core.MultiConfig{Config: core.Config{
 		Node:           itrs.N130,
 		CouplingDepth:  -1,
 		IntervalCycles: core.DefaultIntervalCycles,
 		DropSamples:    true,
-	})
+	}, Buses: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, &session{sim: sim, buses: 1, sem: make(chan struct{}, 1)}
+	return s, &session{sim: sim, sem: make(chan struct{}, 1)}
 }
 
 // binaryBody serialises an address-like word stream to the wire format.

@@ -1,10 +1,10 @@
 // Package server is nanobusd: a long-running HTTP service exposing the
 // unified energy/thermal bus model as streaming sessions. A session wraps
-// one core.Simulator; trace words arrive as NDJSON or binary batches on
+// one core.MultiSim (one bus or K); trace words arrive as NDJSON or binary batches on
 // POST /v1/sessions/{id}/step and per-interval samples flow back either
 // incrementally (?stream=samples) or on GET /v1/sessions/{id}/result.
 // Sessions are partitioned across shards for lock locality and recycled
-// through a keyed pool via Simulator.Reset(), so a hot service pays the
+// through a keyed pool via MultiSim.Reset(), so a hot service pays the
 // capacitance extraction and thermal eigendecomposition once per distinct
 // configuration, not once per session.
 //
@@ -94,7 +94,7 @@ type SessionInfo struct {
 	CouplingDepth  int     `json:"coupling_depth"`
 	Shard          int     `json:"shard"`
 	// Recycled reports whether the session reuses a pooled simulator
-	// (bit-identical to a fresh one; see Simulator.Reset).
+	// (bit-identical to a fresh one; see MultiSim.Reset).
 	Recycled bool `json:"recycled"`
 	// Words and IdleCycles are live cumulative counters.
 	Words      uint64 `json:"words"`

@@ -302,7 +302,7 @@ func (s *Server) find(id string) (*session, bool) {
 // harvestMemo folds the session's memo counters since the last harvest
 // into the server totals; the caller must hold the session.
 func (s *Server) harvestMemo(sess *session) {
-	st := sess.memoStats()
+	st := sess.sim.MemoStats()
 	s.memoHits.Add(st.Hits - sess.lastMemo.Hits)
 	s.memoMisses.Add(st.Misses - sess.lastMemo.Misses)
 	sess.lastMemo = st
@@ -455,15 +455,20 @@ func (s *Server) buildSession(req CreateSessionRequest) (*session, *httpErr) {
 	if err != nil {
 		return nil, herr(http.StatusInternalServerError, CodeInternal, err.Error())
 	}
-	cfg := core.Config{
-		Node:           node,
-		Length:         length,
-		Encoder:        enc,
-		CouplingDepth:  depth,
-		IntervalCycles: interval,
-		TrackWireTemps: req.TrackWireTemps,
-		MemoSizeLog2:   req.MemoSizeLog2,
-		DropSamples:    req.DropSamples,
+	cfg := core.MultiConfig{
+		Config: core.Config{
+			Node:           node,
+			Length:         length,
+			Encoder:        enc,
+			CouplingDepth:  depth,
+			IntervalCycles: interval,
+			TrackWireTemps: req.TrackWireTemps,
+			MemoSizeLog2:   req.MemoSizeLog2,
+			DropSamples:    req.DropSamples,
+		},
+		Buses:              buses,
+		BusGapPitches:      req.BusGapPitches,
+		DisableBusCoupling: req.DisableBusCoupling,
 	}
 	info := SessionInfo{
 		Node:           node.Name,
@@ -471,6 +476,7 @@ func (s *Server) buildSession(req CreateSessionRequest) (*session, *httpErr) {
 		LengthM:        length,
 		IntervalCycles: interval,
 		CouplingDepth:  depth,
+		Buses:          norm.Buses,
 	}
 	if req.Adaptive != nil {
 		cfg.Adaptive = &core.AdaptiveConfig{
@@ -482,61 +488,12 @@ func (s *Server) buildSession(req CreateSessionRequest) (*session, *httpErr) {
 		}
 		info.Encoding = "adaptive"
 		info.Adaptive = norm.Adaptive
-		// Adaptive sessions skip the pool (the key carries no controller
-		// tuning) and always build fresh.
-		sim, err := core.New(cfg)
-		if err != nil {
-			return nil, herr(http.StatusBadRequest, CodeBadRequest, err.Error())
-		}
-		info.Width = sim.Width()
-		return &session{
-			sim:      sim,
-			buses:    1,
-			sem:      make(chan struct{}, 1),
-			lastMemo: sim.MemoStats(),
-			openMemo: sim.MemoStats(),
-			reqJSON:  reqJSON,
-			info:     info,
-		}, nil
 	}
-	if buses > 1 {
-		// Multi-bus sessions skip the pool: the eigendecomposition and
-		// memo cost scale with K, so cross-session reuse matters less and
-		// keying the pool on bus geometry would fragment it.
-		msim, err := core.NewMulti(core.MultiConfig{
-			Config:             cfg,
-			Buses:              buses,
-			BusGapPitches:      req.BusGapPitches,
-			DisableBusCoupling: req.DisableBusCoupling,
-		})
-		if err != nil {
-			return nil, herr(http.StatusBadRequest, CodeBadRequest, err.Error())
-		}
-		info.Width = msim.Width()
-		info.Buses = buses
-		return &session{
-			msim:     msim,
-			buses:    buses,
-			sem:      make(chan struct{}, 1),
-			lastMemo: msim.MemoStats(),
-			openMemo: msim.MemoStats(),
-			reqJSON:  reqJSON,
-			info:     info,
-		}, nil
-	}
-	key := poolKey{
-		node:     node.Name,
-		encoding: encName,
-		lengthM:  length,
-		interval: interval,
-		depth:    depth,
-		memoLog2: req.MemoSizeLog2,
-		track:    req.TrackWireTemps,
-		drop:     req.DropSamples,
-	}
-	sim, recycled := s.pool.get(key)
+	// The normalized request is the pool key: it carries every field
+	// of cfg, so a pooled simulator is interchangeable after Reset.
+	sim, recycled := s.pool.get(string(reqJSON))
 	if !recycled {
-		sim, err = core.New(cfg)
+		sim, err = core.NewMulti(cfg)
 		if err != nil {
 			return nil, herr(http.StatusBadRequest, CodeBadRequest, err.Error())
 		}
@@ -546,9 +503,7 @@ func (s *Server) buildSession(req CreateSessionRequest) (*session, *httpErr) {
 	info.Width = sim.Width()
 	info.Recycled = recycled
 	return &session{
-		key:      key,
 		sim:      sim,
-		buses:    1,
 		sem:      make(chan struct{}, 1),
 		lastMemo: sim.MemoStats(),
 		openMemo: sim.MemoStats(),
@@ -675,11 +630,13 @@ func (s *Server) consumeBody(ctx context.Context, r *http.Request, sess *session
 }
 
 func (s *Server) stepWords(ctx context.Context, sess *session, words []uint32, sum *StepSummary) error {
-	if sess.buses > 1 && len(words)%sess.buses != 0 {
+	buses := sess.sim.Buses()
+	if len(words)%buses != 0 {
 		return herr(http.StatusBadRequest, CodeBadRequest,
-			fmt.Sprintf("batch of %d words is not a multiple of the session's %d buses", len(words), sess.buses))
+			fmt.Sprintf("batch of %d words is not a multiple of the session's %d buses", len(words), buses))
 	}
-	n, err := sess.stepBatch(ctx, words)
+	rows, err := sess.sim.StepBatch(ctx, words)
+	n := uint64(rows) * uint64(buses)
 	sum.Words += n
 	sess.words.Add(n)
 	s.wordsTotal.Add(n)
@@ -687,7 +644,7 @@ func (s *Server) stepWords(ctx context.Context, sess *session, words []uint32, s
 }
 
 func (s *Server) stepIdle(ctx context.Context, sess *session, idle uint64, sum *StepSummary) error {
-	n, err := sess.stepIdleBatch(ctx, idle)
+	n, err := sess.sim.StepIdleBatch(ctx, idle)
 	sum.Idle += n
 	sess.idle.Add(n)
 	s.idleTotal.Add(n)
@@ -701,7 +658,8 @@ func (s *Server) consumeBinary(ctx context.Context, body io.Reader, sess *sessio
 	// chunked read can split one; the tail bytes carry over to the front
 	// of the next chunk, so clients need no row-level framing. buildSession
 	// guarantees one row fits the chunk buffer (buses <= MaxBatchWords).
-	rowBytes := 4 * sess.buses
+	buses := sess.sim.Buses()
+	rowBytes := 4 * buses
 	carry := 0
 	for {
 		n, err := io.ReadFull(body, f.buf[carry:])
@@ -716,7 +674,7 @@ func (s *Server) consumeBinary(ctx context.Context, body io.Reader, sess *sessio
 			if eof && n%rowBytes != 0 {
 				return herr(http.StatusBadRequest, CodeBadRequest,
 					fmt.Sprintf("binary body ends mid-row (%d trailing words; a %d-bus batch interleaves in multiples of %d)",
-						(n%rowBytes)/4, sess.buses, sess.buses))
+						(n%rowBytes)/4, buses, buses))
 			}
 			use := n - n%rowBytes
 			if use > 0 {
@@ -805,73 +763,22 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request, sess *sess
 // is what keeps figures bit-identical across transports. The caller must
 // hold the session.
 func (s *Server) resultLocked(sess *session, finish bool) (Result, *httpErr) {
+	sim := sess.sim
 	if finish {
-		if err := sess.finish(); err != nil {
+		if err := sim.Finish(); err != nil {
 			return Result{}, asHTTPErr(err)
 		}
-	} else if err := sess.simErr(); err != nil {
+	} else if err := sim.Err(); err != nil {
 		return Result{}, asHTTPErr(err)
 	}
-	if sess.msim != nil {
-		return s.multiResultLocked(sess), nil
-	}
 
-	sim := sess.sim
-	tot := sim.TotalEnergy()
-	maxT, maxW := sim.Network().MaxTemp()
-	coreSamples := sim.Samples()
-	samples := make([]Sample, len(coreSamples))
-	for i, cs := range coreSamples {
-		samples[i] = fromCoreSample(cs)
-	}
-	res := Result{
-		ID:     sess.id,
-		Cycles: sim.Cycles(),
-		Width:  sim.Width(),
-		Total: EnergySplit{
-			TotalJ:      tot.Total(),
-			SelfJ:       tot.Self,
-			CoupAdjJ:    tot.CoupAdj,
-			CoupNonAdjJ: tot.CoupNonAdj,
-		},
-		AvgTempK: sim.Network().AvgTemp(),
-		MaxTempK: maxT,
-		MaxWire:  maxW,
-		TempsK:   sim.Temps(),
-		Samples:  samples,
-		Memo:     sess.resultMemo(),
-	}
-	if sim.Adaptive() {
-		spec := sess.info.Adaptive
-		switches := sim.SwitchEvents()
-		if switches == nil {
-			switches = []core.SwitchEvent{}
-		}
-		res.Adaptive = &AdaptiveResult{
-			Base:      spec.Base,
-			Cool:      spec.Cool,
-			CeilingK:  spec.CeilingK,
-			Active:    sim.ActiveEncoder(),
-			Switches:  switches,
-			Occupancy: sim.EncoderOccupancy(),
-		}
-	}
-	return res, nil
-}
-
-// multiResultLocked assembles a multi-bus Result: one BusResult per bus
-// (each the same shape a scalar session reports) under grid-wide
-// aggregates. The caller must hold the session and have finished (or
-// error-checked) the simulator.
-func (s *Server) multiResultLocked(sess *session) Result {
-	m := sess.msim
-	grid := m.Grid()
+	grid := sim.Grid()
+	per := make([]BusResult, sim.Buses())
 	var total EnergySplit
-	per := make([]BusResult, m.Buses())
 	for k := range per {
-		tot := m.TotalEnergy(k)
+		tot := sim.TotalEnergy(k)
 		maxT, maxW := grid.BusMaxTemp(k)
-		coreSamples := m.Samples(k)
+		coreSamples := sim.Samples(k)
 		samples := make([]Sample, len(coreSamples))
 		for i, cs := range coreSamples {
 			samples[i] = fromCoreBusSample(k, cs)
@@ -895,6 +802,36 @@ func (s *Server) multiResultLocked(sess *session) Result {
 		total.CoupAdjJ += tot.CoupAdj
 		total.CoupNonAdjJ += tot.CoupNonAdj
 	}
+	res := Result{
+		ID:     sess.id,
+		Cycles: sim.Cycles(),
+		Width:  sim.Width(),
+		Memo:   sess.resultMemo(),
+	}
+	if len(per) == 1 {
+		// One bus: its figures are the top level (the one-bus wire shape).
+		b := per[0]
+		res.Total, res.AvgTempK, res.MaxTempK, res.MaxWire = b.Total, b.AvgTempK, b.MaxTempK, b.MaxWire
+		res.TempsK, res.Samples = b.TempsK, b.Samples
+		if sim.Adaptive() {
+			spec := sess.info.Adaptive
+			switches := sim.SwitchEvents()
+			if switches == nil {
+				switches = []core.SwitchEvent{}
+			}
+			res.Adaptive = &AdaptiveResult{
+				Base:      spec.Base,
+				Cool:      spec.Cool,
+				CeilingK:  spec.CeilingK,
+				Active:    sim.ActiveEncoder(),
+				Switches:  switches,
+				Occupancy: sim.EncoderOccupancy(),
+			}
+		}
+		return res, nil
+	}
+	// K buses: grid-wide aggregates over one BusResult per bus (each the
+	// shape a one-bus session reports).
 	temps := grid.Temps(nil)
 	avg := 0.0
 	for _, t := range temps {
@@ -902,21 +839,10 @@ func (s *Server) multiResultLocked(sess *session) Result {
 	}
 	avg /= float64(len(temps))
 	maxT, maxBus, maxW := grid.MaxTemp()
-	return Result{
-		ID:       sess.id,
-		Cycles:   m.Cycles(),
-		Width:    m.Width(),
-		Total:    total,
-		AvgTempK: avg,
-		MaxTempK: maxT,
-		MaxWire:  maxW,
-		TempsK:   temps,
-		Samples:  []Sample{},
-		Memo:     sess.resultMemo(),
-		Buses:    m.Buses(),
-		MaxBus:   maxBus,
-		PerBus:   per,
-	}
+	res.Total, res.AvgTempK, res.MaxTempK, res.MaxWire = total, avg, maxT, maxW
+	res.TempsK, res.Samples = temps, []Sample{}
+	res.Buses, res.MaxBus, res.PerBus = len(per), maxBus, per
+	return res, nil
 }
 
 // --- DELETE /v1/sessions/{id} -----------------------------------------------
@@ -938,10 +864,7 @@ func (s *Server) deregister(sess *session) CloseResponse {
 	sh.mu.Lock()
 	delete(sh.sessions, sess.id)
 	sh.mu.Unlock()
-	if sess.sim != nil {
-		// Multi-bus simulators are never pooled; scalar ones recycle.
-		s.pool.put(sess.key, sess.sim)
-	}
+	s.pool.put(sess)
 	s.active.Add(-1)
 	s.closedTotal.Add(1)
 	return CloseResponse{ID: sess.id, Cycles: cycles}

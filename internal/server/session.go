@@ -13,63 +13,64 @@ import (
 	"nanobus/internal/energy"
 )
 
-// poolKey identifies a simulator configuration. Two sessions with equal
-// keys are interchangeable after Simulator.Reset(), which is what makes
-// pooling bit-exact: every field that reaches core.Config is part of the
-// key (nodes and encoders are identified by name — both registries return
-// fixed configurations per name).
-type poolKey struct {
-	node     string
-	encoding string
-	lengthM  float64
-	interval uint64
-	depth    int
-	memoLog2 int
-	track    bool
-	drop     bool
-}
-
-// pool recycles idle simulators by configuration. A Get hit skips the
-// capacitance model build and thermal eigendecomposition.
+// pool recycles idle simulators by configuration, keyed by the
+// session's normalized CreateSessionRequest (reqJSON): every field that
+// reaches core.MultiConfig is in it (nodes and encoders by name, both
+// registries return fixed configurations per name; bus count, bus
+// coupling and the adaptive tuning included), so two sessions with equal
+// keys are interchangeable after MultiSim.Reset, which is what makes
+// pooling bit-exact. A Get hit skips the capacitance model build and the
+// thermal eigendecomposition.
 type pool struct {
 	mu     sync.Mutex
-	free   map[poolKey][]*core.Simulator
+	free   map[string][]*core.MultiSim
 	maxPer int
 }
 
 func newPool(maxPer int) *pool {
-	return &pool{free: make(map[poolKey][]*core.Simulator), maxPer: maxPer}
+	return &pool{free: make(map[string][]*core.MultiSim), maxPer: maxPer}
 }
 
 // get pops a recycled simulator for the key, or reports a miss.
-func (p *pool) get(k poolKey) (*core.Simulator, bool) {
+func (p *pool) get(key string) (*core.MultiSim, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	sims := p.free[k]
+	sims := p.free[key]
 	if len(sims) == 0 {
 		return nil, false
 	}
 	sim := sims[len(sims)-1]
-	p.free[k] = sims[:len(sims)-1]
+	p.free[key] = sims[:len(sims)-1]
 	return sim, true
 }
 
-// put resets sim and shelves it for reuse; full shelves and poisoned
-// simulators are dropped. Adaptive simulators are never pooled: the key
-// does not carry the controller tuning, so two adaptive sessions with
-// equal keys would not be interchangeable.
-func (p *pool) put(k poolKey, sim *core.Simulator) {
-	if sim.Err() != nil || sim.Adaptive() {
+// put resets the session's simulator and shelves it for reuse; full
+// shelves and poisoned simulators are dropped.
+func (p *pool) put(sess *session) {
+	sim := sess.sim
+	if sim.Err() != nil {
 		return
 	}
-	sim.SetOnSample(nil)
+	sim.SetOnBusSample(nil)
 	sim.Reset()
+	key := string(sess.reqJSON)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.free[k]) >= p.maxPer {
+	if len(p.free[key]) >= p.maxPer {
 		return
 	}
-	p.free[k] = append(p.free[k], sim)
+	p.free[key] = append(p.free[key], sim)
+}
+
+// idle returns the number of shelved simulators.
+func (p *pool) idle() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, sims := range p.free {
+		n += len(sims)
+	}
+	return n
 }
 
 // session is one client-visible simulation stream. The simulator is
@@ -78,16 +79,10 @@ func (p *pool) put(k poolKey, sim *core.Simulator) {
 // so status and metrics reads never touch the simulator.
 type session struct {
 	id   string
-	key  poolKey
 	info SessionInfo // static fields; live counters come from the atomics
-	// Exactly one of sim and msim is non-nil: sim is a scalar session's
-	// simulator, msim a multi-bus session's (buses > 1). Handlers go
-	// through the dispatch helpers below so the branch lives in one place;
-	// only the pool (scalar-only) and the interleaved step layout look
-	// behind them.
-	sim   *core.Simulator
-	msim  *core.MultiSim
-	buses int // 1 for scalar sessions
+	// sim is the session's simulator: K >= 1 buses, adaptive or static.
+	// Its bus count never changes, so Buses is read without sem.
+	sim   *core.MultiSim
 	sem   chan struct{}
 	words atomic.Uint64
 	idle  atomic.Uint64
@@ -156,94 +151,9 @@ func (s *session) liveInfo() SessionInfo {
 	return info
 }
 
-// --- Simulator dispatch ------------------------------------------------------
-
-// stepBatch feeds one word batch to the session's simulator and returns
-// the number of words consumed. Multi-bus batches are interleaved
-// cycle-major, so K words advance one lockstep cycle.
-func (s *session) stepBatch(ctx context.Context, words []uint32) (uint64, error) {
-	if s.msim != nil {
-		rows, err := s.msim.StepBatch(ctx, words)
-		return uint64(rows) * uint64(s.buses), err
-	}
-	n, err := s.sim.StepBatch(ctx, words)
-	return uint64(n), err
-}
-
-// stepIdleBatch advances n idle cycles (on every bus, for multi).
-func (s *session) stepIdleBatch(ctx context.Context, n uint64) (uint64, error) {
-	if s.msim != nil {
-		return s.msim.StepIdleBatch(ctx, n)
-	}
-	return s.sim.StepIdleBatch(ctx, n)
-}
-
-// setOnSample installs fn as the per-interval sample callback; scalar
-// sessions always report bus 0.
-func (s *session) setOnSample(fn func(bus int, cs core.Sample)) {
-	if s.msim != nil {
-		s.msim.SetOnBusSample(fn)
-		return
-	}
-	if fn == nil {
-		s.sim.SetOnSample(nil)
-		return
-	}
-	s.sim.SetOnSample(func(cs core.Sample) { fn(0, cs) })
-}
-
-// finish closes any partial sampling interval.
-func (s *session) finish() error {
-	if s.msim != nil {
-		return s.msim.Finish()
-	}
-	return s.sim.Finish()
-}
-
-// simErr returns the simulator's sticky error, or nil.
-func (s *session) simErr() error {
-	if s.msim != nil {
-		return s.msim.Err()
-	}
-	return s.sim.Err()
-}
-
-// snapshot serializes the simulator: NBCP v1 for a static scalar (or
-// K = 1) session, v2 for a K > 1 multi-bus one, v3 for an adaptive one.
-func (s *session) snapshot() ([]byte, error) {
-	if s.msim != nil {
-		return s.msim.Snapshot()
-	}
-	return s.sim.Snapshot()
-}
-
-// restoreBlob overwrites the simulator's state from a snapshot blob.
-func (s *session) restoreBlob(data []byte) error {
-	if s.msim != nil {
-		return s.msim.Restore(data)
-	}
-	return s.sim.Restore(data)
-}
-
-// simCycles returns the simulated (lockstep) cycle count.
-func (s *session) simCycles() uint64 {
-	if s.msim != nil {
-		return s.msim.Cycles()
-	}
-	return s.sim.Cycles()
-}
-
-// memoStats returns the transition-memo counters.
-func (s *session) memoStats() energy.MemoStats {
-	if s.msim != nil {
-		return s.msim.MemoStats()
-	}
-	return s.sim.MemoStats()
-}
-
 // resultMemo returns the memo counters since the session opened.
 func (s *session) resultMemo() MemoStats {
-	st := s.memoStats()
+	st := s.sim.MemoStats()
 	st.Hits -= s.openMemo.Hits
 	st.Misses -= s.openMemo.Misses
 	return MemoStats{Hits: st.Hits, Misses: st.Misses, HitRate: st.HitRate()}
@@ -252,7 +162,7 @@ func (s *session) resultMemo() MemoStats {
 // cycleCount converts the live word/idle counters into lockstep cycles:
 // a multi-bus session consumes K words per cycle.
 func (s *session) cycleCount() uint64 {
-	return s.words.Load()/uint64(s.buses) + s.idle.Load()
+	return s.words.Load()/uint64(s.sim.Buses()) + s.idle.Load()
 }
 
 // shard is one lock domain of the session table.
