@@ -66,13 +66,12 @@ type EncoderCycles struct {
 // common physical width so the capacitance and thermal models are built
 // once), the active mode, and the audit trail.
 type adaptiveState struct {
-	cfg        AdaptiveConfig
-	encs       [2]encoding.Encoder // indexed by modeBase/modeCool
-	names      [2]string
-	mode       int
-	justSwitch bool // a switch closed the most recent interval
-	occupancy  [2]uint64
-	events     []SwitchEvent
+	cfg       AdaptiveConfig
+	encs      [2]encoding.Encoder // indexed by modeBase/modeCool
+	names     [2]string
+	mode      int
+	occupancy [2]uint64
+	events    []SwitchEvent
 }
 
 // newAdaptive validates cfg and builds the controller with both encoders
@@ -134,7 +133,6 @@ func (a *adaptiveState) decide(cycle uint64, maxTemp float64) (encoding.Encoder,
 		}
 	}
 	if next == a.mode {
-		a.justSwitch = false
 		return a.encs[a.mode], false
 	}
 	a.handoff(a.encs[a.mode], a.encs[next])
@@ -145,7 +143,6 @@ func (a *adaptiveState) decide(cycle uint64, maxTemp float64) (encoding.Encoder,
 		TempK: maxTemp,
 	})
 	a.mode = next
-	a.justSwitch = true
 	return a.encs[a.mode], true
 }
 
@@ -176,7 +173,6 @@ func (a *adaptiveState) reset() {
 		e.Reset()
 	}
 	a.mode = modeBase
-	a.justSwitch = false
 	a.occupancy = [2]uint64{}
 	a.events = nil
 }

@@ -13,9 +13,9 @@ import (
 
 // Checkpoint format (NBCP). A snapshot is a self-describing binary blob,
 // deterministic down to the byte for a given simulator state. One codec
-// handles six layouts, named by the version word; the kernel's writer
-// picks one from its shape alone, so a Simulator and a one-bus MultiSim
-// write the same bytes:
+// handles six layouts, named by the version word and described by the
+// version table ckptLayouts; the kernel's writer picks one from its shape
+// alone, so a Simulator and a one-bus MultiSim write the same bytes:
 //
 //	v4  one bus, static encoder
 //	v6  K > 1 buses
@@ -56,7 +56,8 @@ import (
 //	             counts i64 (pairs i < j, row-major), then
 //	  v1, v2,    encoder state: prev u64, last u32, first bool (zero for
 //	  v4, v6     stateless schemes)
-//	  v3, v5     controller: mode u16, just-switched bool, base and cool
+//	  v3, v5     controller: mode u16, just-switched bool (the last
+//	             switch event closed the last interval), base and cool
 //	             occupancy u64, base and cool encoder states (the
 //	             inactive one keeps private history, e.g. CoolSpread's
 //	             rotation counter, that the next switch resumes), event
@@ -77,10 +78,15 @@ import (
 // changes a later result: a restored simulator, K = 1 or K > 1, continues
 // bit-identically to the source, and so does the source itself.
 //
-// Restore decodes and validates the whole blob before it touches the
-// target: envelope, version, fingerprint, every count against the
-// remaining payload, a finite positive ambient and finite temperatures.
-// A rejected blob leaves the simulator exactly as it was.
+// One walk (kernel.walk) states the layouts above once: Snapshot runs it
+// writing, Restore runs it reading, and each field's validity rule sits
+// on the field and runs as it is read. Restore decodes and validates the
+// whole blob before it touches the target: envelope, version,
+// fingerprint, every count against the remaining payload, finite
+// energies and temperatures, a positive ambient, window counts some
+// window could hold, a hottest wire and a wire-temp count some bus could
+// report, and a just-switched byte that agrees with the switch log. A
+// rejected blob leaves the simulator exactly as it was.
 
 // ErrCheckpointCorrupt marks a checkpoint Restore rejected before touching
 // any state: short blob, bad magic, unsupported version, checksum
@@ -94,31 +100,70 @@ var ErrCheckpointCorrupt = errors.New("core: corrupt checkpoint")
 // Test with errors.Is.
 var ErrCheckpointMismatch = errors.New("core: checkpoint configuration mismatch")
 
-const (
-	checkpointMagic           = "NBCP"
-	checkpointVersion         = 4 // static-encoder Simulator
-	checkpointVersionMulti    = 6 // MultiSim, K > 1
-	checkpointVersionAdaptive = 5 // adaptive Simulator
-	// The float-window layouts, read only.
-	checkpointVersionV1 = 1 // static-encoder Simulator
-	checkpointVersionV2 = 2 // MultiSim, K > 1
-	checkpointVersionV3 = 3 // adaptive Simulator
-)
+const checkpointMagic = "NBCP"
 
-// sampleMinBytes is the encoded size of a sample with no wire temps, used
-// to sanity-bound decoded counts before allocating.
-const sampleMinBytes = 8 + 6*8 + 8 + 4
+// ckptLayout is the shape of one NBCP layout.
+type ckptLayout struct {
+	multi    bool // K > 1 buses: the grid leads the bus blocks
+	adaptive bool // a controller block replaces the encoder state; samples carry mode tags
+	counts   bool // each float window is followed by its pair-pattern counts
+	written  bool // Snapshot writes it; the others are read only
+}
 
-// layout returns the version Snapshot writes: v6 for K > 1 buses, else
-// v5 under the adaptive controller and v4 for a static encoder.
+// ckptLayouts is the version table, indexed by version: the only place a
+// version number is mapped to a shape.
+var ckptLayouts = [...]ckptLayout{
+	1: {},
+	2: {multi: true},
+	3: {adaptive: true},
+	4: {counts: true, written: true},
+	5: {adaptive: true, counts: true, written: true},
+	6: {multi: true, counts: true, written: true},
+}
+
+// layout returns the version Snapshot writes for the kernel's shape, 0 if
+// no layout holds it.
 func (k *kernel) layout() uint16 {
-	switch {
-	case k.buses > 1:
-		return checkpointVersionMulti
-	case k.ad != nil:
-		return checkpointVersionAdaptive
+	for v, l := range ckptLayouts {
+		if l.written && l.multi == (k.buses > 1) && l.adaptive == (k.ad != nil) {
+			return uint16(v)
+		}
 	}
-	return checkpointVersion
+	return 0
+}
+
+// ckptState is the state a checkpoint carries beyond the fingerprint:
+// Snapshot gathers it from the kernel, the walk writes or reads it, and
+// Restore applies it once the whole blob has been read.
+type ckptState struct {
+	cycles, cycleInInterval uint64
+	ambient                 float64
+	temps                   []float64 // [K*W] bus-major
+	buses                   []ckptBus
+	// The adaptive controller: mode, occupancy, the base and cool
+	// encoder states, and the switch log.
+	mode      int
+	occupancy [2]uint64
+	ctlEsts   [2]encoding.State
+	events    []SwitchEvent
+}
+
+// ckptBus is one bus's cumulative energies, open window, static encoder
+// state and samples.
+type ckptBus struct {
+	total   energy.LineEnergy
+	lines   []energy.LineEnergy
+	win     energy.AccumulatorState
+	est     encoding.State
+	samples []Sample
+}
+
+// justSwitched is the adaptive layouts' just-switched byte: whether the
+// last switch event closed the last interval. It is derived from the
+// switch log, so the byte is written from it and checked against it.
+func (s *ckptState) justSwitched() bool {
+	n := len(s.events)
+	return n > 0 && s.events[n-1].Cycle == s.cycles-s.cycleInInterval
 }
 
 // Snapshot serializes the simulator's full in-flight state into a
@@ -133,30 +178,33 @@ func (k *kernel) Snapshot() ([]byte, error) {
 	if k.err != nil {
 		return nil, fmt.Errorf("snapshot: %w", k.err)
 	}
-	w := newCkptWriter(k.layout(), k.fingerprint())
-	w.u64(k.cycles)
-	w.u64(k.cycleInInterval)
-	// The K > 1 layout leads with the whole grid; the one-bus layouts
-	// put the bus's wires between its bus block and its samples.
-	temps := k.net.Temps(nil)
-	if k.buses > 1 {
-		w.thermal(k.net.Ambient(), temps)
+	s := &ckptState{
+		cycles:          k.cycles,
+		cycleInInterval: k.cycleInInterval,
+		ambient:         k.net.Ambient(),
+		temps:           k.net.Temps(nil),
+		buses:           make([]ckptBus, k.buses),
 	}
-	for b := 0; b < k.buses; b++ {
-		win := k.acc.BusState(b)
-		w.busEnergy(k.totalEnergy[b], k.lineTotals[b*k.width:(b+1)*k.width], win)
-		w.counts(win.Toggles, win.Pairs)
-		if k.ad != nil {
-			w.controller(k.ad)
-		} else {
-			w.encState(k.encs[b])
+	for b := range s.buses {
+		s.buses[b] = ckptBus{
+			total:   k.totalEnergy[b],
+			lines:   k.lineTotals[b*k.width : (b+1)*k.width],
+			win:     k.acc.BusState(b),
+			est:     encoderState(k.encs[b]),
+			samples: k.samples[b],
 		}
-		if k.buses == 1 {
-			w.thermal(k.net.Ambient(), temps)
-		}
-		w.samples(k.samples[b], k.ad)
 	}
-	return w.seal(), nil
+	if a := k.ad; a != nil {
+		s.mode, s.occupancy, s.events = a.mode, a.occupancy, a.events
+		s.ctlEsts = [2]encoding.State{encoderState(a.encs[modeBase]), encoderState(a.encs[modeCool])}
+	}
+	c := &ckptCodec{write: true, buf: []byte(checkpointMagic)}
+	if err := k.walk(c, s); err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
+	}
+	crc := crc32.ChecksumIEEE(c.buf)
+	c.u32(&crc)
+	return c.buf, nil
 }
 
 // Restore overwrites the simulator's state from a Snapshot blob. The
@@ -175,55 +223,12 @@ func (k *kernel) Snapshot() ([]byte, error) {
 // simulator back to its last known-good checkpoint. The sample callback
 // is unchanged.
 func (k *kernel) Restore(data []byte) error {
-	r, v, err := openCheckpoint(data)
+	c, err := openCheckpoint(data)
 	if err != nil {
 		return err
 	}
-	multi := v == checkpointVersionMulti || v == checkpointVersionV2
-	adaptive := v == checkpointVersionAdaptive || v == checkpointVersionV3
-	switch {
-	case v < checkpointVersionV1 || v > checkpointVersionMulti || multi != (k.buses > 1):
-		return fmt.Errorf("%w: unsupported version %d for a %d-bus target", ErrCheckpointCorrupt, v, k.buses)
-	case adaptive && k.ad == nil:
-		return fmt.Errorf("%w: v%d (adaptive) checkpoint, but the target has a static encoder", ErrCheckpointMismatch, v)
-	case !adaptive && k.ad != nil:
-		return fmt.Errorf("%w: v%d (static-encoder) checkpoint, but the target runs the adaptive controller", ErrCheckpointMismatch, v)
-	}
-	if err := r.fingerprint(k.fingerprint()); err != nil {
-		return err
-	}
-
-	cycles, cycleInInterval := r.u64(), r.u64()
-	var ambient float64
-	var temps []float64
-	if multi {
-		ambient, temps = r.thermal(k.buses * k.width)
-	}
-	totalEnergy := make([]energy.LineEnergy, k.buses)
-	lineTotals := make([]energy.LineEnergy, 0, k.buses*k.width)
-	wins := make([]energy.AccumulatorState, k.buses)
-	ests := make([]encoding.State, k.buses)
-	var ctl adaptiveState
-	var ctlEsts [2]encoding.State // the controller's base and cool encoders
-	samples := make([][]Sample, k.buses)
-	for b := 0; b < k.buses && r.err == nil; b++ {
-		var lines []energy.LineEnergy
-		totalEnergy[b], lines, wins[b] = r.busEnergy(k.width)
-		if v >= checkpointVersion {
-			wins[b].Toggles, wins[b].Pairs = r.counts(k.width, wins[b].Cycles)
-		}
-		lineTotals = append(lineTotals, lines...)
-		if k.ad != nil {
-			ctl, ctlEsts = r.controller(k.ad)
-		} else {
-			ests[b] = r.encState()
-		}
-		if !multi {
-			ambient, temps = r.thermal(k.width)
-		}
-		samples[b] = r.samples(k.ad)
-	}
-	if err := r.close(); err != nil {
+	var s ckptState
+	if err := k.walk(c, &s); err != nil {
 		return err
 	}
 
@@ -232,31 +237,209 @@ func (k *kernel) Restore(data []byte) error {
 	// Pending counts of the current run are dropped first so they cannot
 	// leak into the restored windows.
 	k.acc.ResetAll()
-	err = errors.Join(k.net.SetAmbient(ambient), k.net.SetTemps(temps))
-	for b := range wins {
-		err = errors.Join(err, k.acc.SetBusState(b, wins[b]))
+	err = errors.Join(k.net.SetAmbient(s.ambient), k.net.SetTemps(s.temps))
+	for b, bus := range s.buses {
+		err = errors.Join(err, k.acc.SetBusState(b, bus.win))
 	}
 	if err != nil {
 		return err
 	}
-	if a := k.ad; a != nil {
-		*a = ctl
-		for i, enc := range a.encs {
-			setEncoderState(enc, ctlEsts[i])
-		}
-		k.encs[0] = a.active()
-	} else {
-		for b, enc := range k.encs {
-			setEncoderState(enc, ests[b])
+	for b, bus := range s.buses {
+		k.totalEnergy[b] = bus.total
+		copy(k.lineTotals[b*k.width:], bus.lines)
+		k.samples[b] = bus.samples
+		if k.ad == nil {
+			setEncoderState(k.encs[b], bus.est)
 		}
 	}
-	k.cycles = cycles
-	k.cycleInInterval = cycleInInterval
-	copy(k.totalEnergy, totalEnergy)
-	copy(k.lineTotals, lineTotals)
-	k.samples = samples
+	if a := k.ad; a != nil {
+		a.mode, a.occupancy, a.events = s.mode, s.occupancy, s.events
+		for i, enc := range a.encs {
+			setEncoderState(enc, s.ctlEsts[i])
+		}
+		k.encs[0] = a.active()
+	}
+	k.cycles = s.cycles
+	k.cycleInInterval = s.cycleInInterval
 	k.err = nil
 	return nil
+}
+
+// walk codes a checkpoint after its magic, in the layout of its version:
+// writing, it takes the version from the kernel's shape and s from
+// Snapshot; reading, it gates the stored version on that shape, compares
+// the fingerprint and decodes s, validating each field as it is read.
+func (k *kernel) walk(c *ckptCodec, s *ckptState) error {
+	v, flags := k.layout(), uint16(0)
+	c.u16(&v)
+	c.u16(&flags) // reserved
+	if v == 0 || int(v) >= len(ckptLayouts) || ckptLayouts[v].multi != (k.buses > 1) {
+		return fmt.Errorf("%w: unsupported version %d for a %d-bus target", ErrCheckpointCorrupt, v, k.buses)
+	}
+	l := ckptLayouts[v]
+	if l.adaptive != (k.ad != nil) {
+		return fmt.Errorf("%w: v%d checkpoint (adaptive %t) into a target with adaptive %t", ErrCheckpointMismatch, v, l.adaptive, k.ad != nil)
+	}
+	if err := c.fingerprint(k.fingerprint()); err != nil {
+		return err
+	}
+	var names *[2]string // the controller's base and cool schemes
+	if l.adaptive {
+		names = &k.ad.names
+	}
+	c.u64(&s.cycles)
+	c.u64(&s.cycleInInterval)
+	if l.multi {
+		c.thermal(s, k.buses*k.width)
+	}
+	each(c, &s.buses, k.buses, func(bus *ckptBus) {
+		c.line(&bus.total)
+		each(c, &bus.lines, k.width, c.line)
+		c.window(&bus.win, k.width, l.counts)
+		if l.adaptive {
+			c.controller(s, names)
+		} else {
+			c.encState(&bus.est)
+		}
+		if !l.multi {
+			c.thermal(s, k.width)
+		}
+		c.samples(&bus.samples, k.width, names)
+	})
+	return c.close()
+}
+
+// window codes a bus's open accumulator window and, in the counts
+// layouts, its pair-pattern counts. Counts no such window could hold are
+// corrupt: a wire switches at most once a cycle (T_i <= cycles), and a
+// pair's count moves by one only when both wires switch
+// (|P_ij| <= min(T_i, T_j)).
+func (c *ckptCodec) window(w *energy.AccumulatorState, n int, counts bool) {
+	c.u64(&w.Prev)
+	c.bool(&w.First)
+	c.u64(&w.Cycles)
+	c.u64(&w.IdleCycles)
+	c.line(&w.Total)
+	each(c, &w.Lines, n, c.line)
+	if !counts {
+		return
+	}
+	each(c, &w.Toggles, n, func(t *uint64) {
+		c.u64(t)
+		if *t > w.Cycles {
+			c.fail("a wire toggles %d times in a %d-cycle window", *t, w.Cycles)
+		}
+	})
+	if !c.write {
+		w.Pairs = make([]int64, n*(n-1)/2)
+	}
+	p := w.Pairs
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			c.i64(&p[0])
+			mag := uint64(p[0])
+			if p[0] < 0 {
+				mag = -mag
+			}
+			if mag > min(w.Toggles[i], w.Toggles[j]) {
+				c.fail("pair (%d, %d) count %d exceeds its wires' toggles %d and %d", i, j, p[0], w.Toggles[i], w.Toggles[j])
+			}
+			p = p[1:]
+		}
+	}
+}
+
+// controller codes the adaptive layouts' controller block.
+func (c *ckptCodec) controller(s *ckptState, names *[2]string) {
+	c.mode(&s.mode, 2)
+	just := s.justSwitched()
+	c.bool(&just)
+	c.u64(&s.occupancy[modeBase])
+	c.u64(&s.occupancy[modeCool])
+	c.encState(&s.ctlEsts[modeBase])
+	c.encState(&s.ctlEsts[modeCool])
+	list(c, &s.events, 8+2+8, func(ev *SwitchEvent) {
+		c.u64(&ev.Cycle)
+		to := modeOf(names, ev.To)
+		c.mode(&to, 2)
+		set(c, &ev.To, names[to])
+		set(c, &ev.From, names[1-to])
+		c.finite(&ev.TempK)
+	})
+	if just != s.justSwitched() {
+		c.fail("just-switched byte %t disagrees with the switch log", just)
+	}
+}
+
+// modeOf returns the controller mode whose scheme is name.
+func modeOf(names *[2]string, name string) int {
+	if name == names[modeCool] {
+		return modeCool
+	}
+	return modeBase
+}
+
+// thermal codes the ambient and n wire temperatures. A state the thermal
+// network could not hold (ambient not finite and positive, a non-finite
+// temperature) is corrupt.
+func (c *ckptCodec) thermal(s *ckptState, n int) {
+	c.finite(&s.ambient)
+	if s.ambient <= 0 {
+		c.fail("non-positive ambient %g K", s.ambient)
+	}
+	each(c, &s.temps, n, c.finite)
+}
+
+// samples codes a width-wire bus's sample list; with the controller's
+// names (the adaptive layouts) each sample adds its mode and switched
+// tags. A hottest wire off the bus, or wire temps other than none or one
+// per wire, are corrupt.
+func (c *ckptCodec) samples(ss *[]Sample, width int, names *[2]string) {
+	minBytes := 8 + 6*8 + 8 + 4 // a sample without wire temps
+	if names != nil {
+		minBytes += 2
+	}
+	list(c, ss, minBytes, func(sm *Sample) {
+		c.u64(&sm.EndCycle)
+		for _, x := range [...]*float64{&sm.Energy, &sm.Self, &sm.CoupAdj, &sm.CoupNonAdj, &sm.AvgTemp, &sm.MaxTemp} {
+			c.finite(x)
+		}
+		c.int(&sm.MaxWire)
+		if sm.MaxWire < 0 || sm.MaxWire >= width {
+			c.fail("hottest wire %d on a %d-wire bus", sm.MaxWire, width)
+		}
+		list(c, &sm.WireTemps, 8, c.finite)
+		if n := len(sm.WireTemps); n != 0 && n != width {
+			c.fail("%d wire temps in a sample of a %d-wire bus", n, width)
+		}
+		if names != nil {
+			m := modeOf(names, sm.Encoder)
+			c.mode(&m, 1) // the cool-mode bool
+			set(c, &sm.Encoder, names[m])
+			c.bool(&sm.Switched)
+		}
+	})
+}
+
+// encState codes an encoder state.
+func (c *ckptCodec) encState(st *encoding.State) {
+	c.u64(&st.Prev)
+	c.u32(&st.Last)
+	c.bool(&st.First)
+}
+
+// encoderState returns e's state (zero for stateless schemes).
+func encoderState(e encoding.Encoder) encoding.State {
+	if se, ok := e.(encoding.Stateful); ok {
+		return se.State()
+	}
+	return encoding.State{}
+}
+
+func setEncoderState(e encoding.Encoder, st encoding.State) {
+	if se, ok := e.(encoding.Stateful); ok {
+		se.SetState(st)
+	}
 }
 
 // --- Fingerprint ------------------------------------------------------------
@@ -308,67 +491,17 @@ func busFingerprint(width int, interval uint64, length float64, cfg Config) []fp
 	}
 }
 
-// --- Envelope and shared sections ------------------------------------------
-
-// newCkptWriter opens a checkpoint: envelope header, then fingerprint.
-func newCkptWriter(version uint16, fp []fpField) *ckptWriter {
-	w := &ckptWriter{buf: []byte(checkpointMagic)}
-	w.u16(version)
-	w.u16(0) // flags, reserved
-	for _, f := range fp {
-		w.value(f.val)
-	}
-	return w
-}
-
-// seal appends the CRC trailer and returns the finished blob.
-func (w *ckptWriter) seal() []byte {
-	w.u32(crc32.ChecksumIEEE(w.buf))
-	return w.buf
-}
-
-// openCheckpoint checks the envelope (length, magic, CRC) and returns the
-// version and a reader over the body, positioned after the flags word.
-func openCheckpoint(data []byte) (*ckptReader, uint16, error) {
-	const trailerLen = 4
-	if len(data) < len(checkpointMagic)+2+2+trailerLen {
-		return nil, 0, fmt.Errorf("%w: %d bytes is shorter than any checkpoint", ErrCheckpointCorrupt, len(data))
-	}
-	if string(data[:len(checkpointMagic)]) != checkpointMagic {
-		return nil, 0, fmt.Errorf("%w: bad magic %q", ErrCheckpointCorrupt, data[:len(checkpointMagic)])
-	}
-	body, tail := data[:len(data)-trailerLen], data[len(data)-trailerLen:]
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
-		return nil, 0, fmt.Errorf("%w: checksum mismatch (stored %08x, computed %08x)", ErrCheckpointCorrupt, want, got)
-	}
-	r := &ckptReader{buf: body, off: len(checkpointMagic)}
-	v := r.u16()
-	r.u16() // flags, reserved
-	return r, v, nil
-}
-
-// close reports a decode error, or bytes left after the payload, as
-// ErrCheckpointCorrupt.
-func (r *ckptReader) close() error {
-	if r.err != nil {
-		return fmt.Errorf("%w: %w", ErrCheckpointCorrupt, r.err)
-	}
-	if r.off != len(r.buf) {
-		return fmt.Errorf("%w: %d trailing bytes after the payload", ErrCheckpointCorrupt, len(r.buf)-r.off)
-	}
-	return nil
-}
-
-// fingerprint reads the stored fingerprint and compares it with the
-// target's, floats by bit pattern. Truncation is corrupt; the first
-// differing field is a mismatch that names it.
-func (r *ckptReader) fingerprint(want []fpField) error {
+// fingerprint codes want, the target's fingerprint, and compares what was
+// coded with it, floats by bit pattern (writing, the two are the same).
+// Truncation is corrupt; the first differing field is a mismatch that
+// names it.
+func (c *ckptCodec) fingerprint(want []fpField) error {
 	got := make([]any, len(want))
 	for i, f := range want {
-		got[i] = r.value(f.val)
+		got[i] = c.value(f.val)
 	}
-	if r.err != nil {
-		return r.close()
+	if c.err != nil {
+		return c.close()
 	}
 	for i, f := range want {
 		same := got[i] == f.val
@@ -382,340 +515,194 @@ func (r *ckptReader) fingerprint(want []fpField) error {
 	return nil
 }
 
-func (w *ckptWriter) value(v any) {
-	switch v := v.(type) {
+// value codes a field of v's wire type and returns the coded value (v
+// itself when writing).
+func (c *ckptCodec) value(v any) any {
+	switch x := v.(type) {
 	case string:
-		w.str(v)
+		c.str(&x)
+		v = x
 	case bool:
-		w.bool(v)
+		c.bool(&x)
+		v = x
 	case uint32:
-		w.u32(v)
+		c.u32(&x)
+		v = x
 	case uint64:
-		w.u64(v)
+		c.u64(&x)
+		v = x
 	case int64:
-		w.i64(v)
+		c.i64(&x)
+		v = x
 	case float64:
-		w.f64(v)
+		c.f64(&x)
+		v = x
 	}
-}
-
-// value reads a field of like's wire type.
-func (r *ckptReader) value(like any) any {
-	switch like.(type) {
-	case string:
-		return r.str()
-	case bool:
-		return r.bool()
-	case uint32:
-		return r.u32()
-	case uint64:
-		return r.u64()
-	case int64:
-		return r.i64()
-	default:
-		return r.f64()
-	}
-}
-
-func (w *ckptWriter) lines(les []energy.LineEnergy) {
-	for _, le := range les {
-		w.lineEnergy(le)
-	}
-}
-
-func (r *ckptReader) lines(n int) []energy.LineEnergy {
-	les := make([]energy.LineEnergy, n)
-	for i := range les {
-		les[i] = r.lineEnergy()
-	}
-	return les
-}
-
-// busEnergy writes a bus's cumulative totals and its open accumulator
-// window.
-func (w *ckptWriter) busEnergy(total energy.LineEnergy, lines []energy.LineEnergy, win energy.AccumulatorState) {
-	w.lineEnergy(total)
-	w.lines(lines)
-	w.u64(win.Prev)
-	w.bool(win.First)
-	w.u64(win.Cycles)
-	w.u64(win.IdleCycles)
-	w.lineEnergy(win.Total)
-	w.lines(win.Lines)
-}
-
-func (r *ckptReader) busEnergy(width int) (energy.LineEnergy, []energy.LineEnergy, energy.AccumulatorState) {
-	total, lines := r.lineEnergy(), r.lines(width)
-	return total, lines, energy.AccumulatorState{Prev: r.u64(), First: r.bool(), Cycles: r.u64(),
-		IdleCycles: r.u64(), Total: r.lineEnergy(), Lines: r.lines(width)}
-}
-
-// counts writes v4/v5/v6's window counts.
-func (w *ckptWriter) counts(toggles []uint64, pairs []int64) {
-	for _, t := range toggles {
-		w.u64(t)
-	}
-	for _, p := range pairs {
-		w.i64(p)
-	}
-}
-
-// counts reads v4/v5/v6's window counts for a width-n bus whose window holds
-// cycles cycles. Counts no such window could hold are corrupt: a wire
-// switches at most once a cycle (T_i <= cycles), and a pair's count moves
-// by one only when both wires switch (|P_ij| <= min(T_i, T_j)).
-func (r *ckptReader) counts(n int, cycles uint64) ([]uint64, []int64) {
-	toggles := make([]uint64, n)
-	for i := range toggles {
-		toggles[i] = r.u64()
-		if r.err == nil && toggles[i] > cycles {
-			r.err = fmt.Errorf("wire %d toggles %d times in a %d-cycle window", i, toggles[i], cycles)
-		}
-	}
-	pairs := make([]int64, 0, n*(n-1)/2)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			p := r.i64()
-			mag := uint64(p)
-			if p < 0 {
-				mag = -mag
-			}
-			if r.err == nil && mag > min(toggles[i], toggles[j]) {
-				r.err = fmt.Errorf("pair (%d, %d) count %d exceeds its wires' toggles %d and %d", i, j, p, toggles[i], toggles[j])
-			}
-			pairs = append(pairs, p)
-		}
-	}
-	return toggles, pairs
-}
-
-// encState writes e's state (zero for stateless schemes).
-func (w *ckptWriter) encState(e encoding.Encoder) {
-	var st encoding.State
-	if se, ok := e.(encoding.Stateful); ok {
-		st = se.State()
-	}
-	w.u64(st.Prev)
-	w.u32(st.Last)
-	w.bool(st.First)
-}
-
-func (r *ckptReader) encState() encoding.State {
-	return encoding.State{Prev: r.u64(), Last: r.u32(), First: r.bool()}
-}
-
-func setEncoderState(e encoding.Encoder, st encoding.State) {
-	if se, ok := e.(encoding.Stateful); ok {
-		se.SetState(st)
-	}
-}
-
-// controller writes the adaptive layouts' controller block.
-func (w *ckptWriter) controller(a *adaptiveState) {
-	w.u16(uint16(a.mode))
-	w.bool(a.justSwitch)
-	w.u64(a.occupancy[modeBase])
-	w.u64(a.occupancy[modeCool])
-	for _, enc := range a.encs {
-		w.encState(enc)
-	}
-	w.u32(uint32(len(a.events)))
-	for _, ev := range a.events {
-		w.u64(ev.Cycle)
-		if ev.To == a.names[modeCool] {
-			w.u16(modeCool)
-		} else {
-			w.u16(modeBase)
-		}
-		w.f64(ev.TempK)
-	}
-}
-
-// controller decodes the adaptive layouts' controller block into a copy of a, plus the
-// base and cool encoder states.
-func (r *ckptReader) controller(a *adaptiveState) (adaptiveState, [2]encoding.State) {
-	ctl := *a
-	ctl.mode = r.mode()
-	ctl.justSwitch = r.bool()
-	ctl.occupancy = [2]uint64{r.u64(), r.u64()}
-	ests := [2]encoding.State{r.encState(), r.encState()}
-	n := int(r.u32())
-	const eventBytes = 8 + 2 + 8
-	if r.err == nil && n > r.remaining()/eventBytes {
-		r.err = fmt.Errorf("event count %d exceeds the remaining payload", n)
-	}
-	ctl.events = nil
-	if r.err == nil && n > 0 {
-		ctl.events = make([]SwitchEvent, n)
-		for i := range ctl.events {
-			ev := &ctl.events[i]
-			ev.Cycle = r.u64()
-			to := r.mode()
-			ev.To, ev.From = a.names[to], a.names[1-to]
-			ev.TempK = r.temp()
-		}
-	}
-	return ctl, ests
-}
-
-// mode reads a controller mode index (modeBase or modeCool).
-func (r *ckptReader) mode() int {
-	m := int(r.u16())
-	if r.err == nil && m > modeCool {
-		r.err = fmt.Errorf("adaptive mode %d out of range", m)
-	}
-	return min(m, modeCool)
-}
-
-func (w *ckptWriter) thermal(ambient float64, temps []float64) {
-	w.f64(ambient)
-	for _, t := range temps {
-		w.f64(t)
-	}
-}
-
-// thermal reads the ambient and n wire temperatures. A state the thermal
-// network could not hold (ambient not finite and positive, a non-finite
-// temperature) is corrupt.
-func (r *ckptReader) thermal(n int) (float64, []float64) {
-	ambient := r.temp()
-	if r.err == nil && ambient <= 0 {
-		r.err = fmt.Errorf("non-positive ambient %g K", ambient)
-	}
-	temps := make([]float64, n)
-	for i := range temps {
-		temps[i] = r.temp()
-	}
-	return ambient, temps
-}
-
-// temp reads a temperature, which must be finite.
-func (r *ckptReader) temp() float64 {
-	t := r.f64()
-	if r.err == nil && (math.IsNaN(t) || math.IsInf(t, 0)) {
-		r.err = fmt.Errorf("non-finite temperature %g K at offset %d", t, r.off-8)
-	}
-	return t
-}
-
-// samples writes a sample list; a non-nil ad adds the adaptive per-sample mode
-// and switched tags.
-func (w *ckptWriter) samples(ss []Sample, ad *adaptiveState) {
-	w.u32(uint32(len(ss)))
-	for _, sm := range ss {
-		w.u64(sm.EndCycle)
-		for _, x := range [...]float64{sm.Energy, sm.Self, sm.CoupAdj, sm.CoupNonAdj, sm.AvgTemp, sm.MaxTemp} {
-			w.f64(x)
-		}
-		w.i64(int64(sm.MaxWire))
-		w.u32(uint32(len(sm.WireTemps)))
-		for _, t := range sm.WireTemps {
-			w.f64(t)
-		}
-		if ad != nil {
-			w.bool(sm.Encoder == ad.names[modeCool])
-			w.bool(sm.Switched)
-		}
-	}
-}
-
-func (r *ckptReader) samples(ad *adaptiveState) []Sample {
-	n := int(r.u32())
-	minBytes := sampleMinBytes
-	if ad != nil {
-		minBytes += 2
-	}
-	if r.err == nil && n > r.remaining()/minBytes {
-		r.err = fmt.Errorf("sample count %d exceeds the remaining payload", n)
-	}
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	ss := make([]Sample, n)
-	for i := range ss {
-		sm := &ss[i]
-		sm.EndCycle = r.u64()
-		sm.Energy, sm.Self, sm.CoupAdj, sm.CoupNonAdj = r.f64(), r.f64(), r.f64(), r.f64()
-		sm.AvgTemp, sm.MaxTemp = r.temp(), r.temp()
-		sm.MaxWire = int(r.i64())
-		if nwt := int(r.u32()); r.err == nil && nwt > 0 {
-			if nwt > r.remaining()/8 {
-				r.err = fmt.Errorf("wire-temp count %d exceeds the remaining payload", nwt)
-				return nil
-			}
-			sm.WireTemps = make([]float64, nwt)
-			for j := range sm.WireTemps {
-				sm.WireTemps[j] = r.temp()
-			}
-		}
-		if ad != nil {
-			sm.Encoder = ad.names[modeBase]
-			if r.bool() {
-				sm.Encoder = ad.names[modeCool]
-			}
-			sm.Switched = r.bool()
-		}
-	}
-	return ss
+	return v
 }
 
 // --- Binary plumbing --------------------------------------------------------
 
-// ckptWriter appends fixed-width little-endian fields to a growing buffer.
-type ckptWriter struct{ buf []byte }
+// ckptCodec writes or reads fixed-width little-endian fields through
+// pointers, so one walk describes both directions. Writing appends *p to
+// buf and never stores through p; reading stores the next field through
+// p. Errors are sticky: once one is set, reads return zeros and the walk
+// runs to its end, so decode sequences read linearly and check once.
+type ckptCodec struct {
+	write bool
+	buf   []byte
+	off   int // read position
+	err   error
+}
 
-func (w *ckptWriter) u16(v uint16)  { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
-func (w *ckptWriter) u32(v uint32)  { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *ckptWriter) u64(v uint64)  { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *ckptWriter) i64(v int64)   { w.u64(uint64(v)) }
-func (w *ckptWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
-func (w *ckptWriter) bool(v bool) {
-	var b byte
-	if v {
+// openCheckpoint checks the envelope (length, magic, CRC) and returns a
+// reading codec over the body, positioned after the magic.
+func openCheckpoint(data []byte) (*ckptCodec, error) {
+	const trailerLen = 4
+	if len(data) < len(checkpointMagic)+2+2+trailerLen {
+		return nil, fmt.Errorf("%w: %d bytes is shorter than any checkpoint", ErrCheckpointCorrupt, len(data))
+	}
+	if string(data[:len(checkpointMagic)]) != checkpointMagic {
+		return nil, fmt.Errorf("%w: bad magic %q", ErrCheckpointCorrupt, data[:len(checkpointMagic)])
+	}
+	body, tail := data[:len(data)-trailerLen], data[len(data)-trailerLen:]
+	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
+		return nil, fmt.Errorf("%w: checksum mismatch (stored %08x, computed %08x)", ErrCheckpointCorrupt, want, got)
+	}
+	return &ckptCodec{buf: body, off: len(checkpointMagic)}, nil
+}
+
+// close reports a decode error, or bytes left after the payload, as
+// ErrCheckpointCorrupt.
+func (c *ckptCodec) close() error {
+	if c.err != nil {
+		return fmt.Errorf("%w: %w", ErrCheckpointCorrupt, c.err)
+	}
+	if !c.write && c.off != len(c.buf) {
+		return fmt.Errorf("%w: %d trailing bytes after the payload", ErrCheckpointCorrupt, len(c.buf)-c.off)
+	}
+	return nil
+}
+
+// fail records the first decode error: truncation, or a field that breaks
+// its validity rule.
+func (c *ckptCodec) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf(format, args...)
+	}
+}
+
+func (c *ckptCodec) remaining() int { return len(c.buf) - c.off }
+
+// take consumes n bytes; once the codec has failed it returns nil.
+func (c *ckptCodec) take(n int) []byte {
+	if c.remaining() < n {
+		c.fail("truncated at offset %d (want %d more bytes, have %d)", c.off, n, c.remaining())
+	}
+	if c.err != nil {
+		return nil
+	}
+	c.off += n
+	return c.buf[c.off-n : c.off]
+}
+
+// word codes an n-byte little-endian integer: writing, it appends v and
+// returns it; reading, it returns the next n bytes' value.
+func (c *ckptCodec) word(v uint64, n int) uint64 {
+	if c.write {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, v)[:len(c.buf)+n]
+		return v
+	}
+	var b [8]byte
+	copy(b[:], c.take(n))
+	return binary.LittleEndian.Uint64(b[:])
+}
+
+// set stores v through p when reading.
+func set[T any](c *ckptCodec, p *T, v T) {
+	if !c.write {
+		*p = v
+	}
+}
+
+func (c *ckptCodec) u16(p *uint16)  { set(c, p, uint16(c.word(uint64(*p), 2))) }
+func (c *ckptCodec) u32(p *uint32)  { set(c, p, uint32(c.word(uint64(*p), 4))) }
+func (c *ckptCodec) u64(p *uint64)  { set(c, p, c.word(*p, 8)) }
+func (c *ckptCodec) i64(p *int64)   { set(c, p, int64(c.word(uint64(*p), 8))) }
+func (c *ckptCodec) int(p *int)     { set(c, p, int(int64(c.word(uint64(*p), 8)))) }
+func (c *ckptCodec) f64(p *float64) { set(c, p, math.Float64frombits(c.word(math.Float64bits(*p), 8))) }
+
+func (c *ckptCodec) bool(p *bool) {
+	var b uint64
+	if *p {
 		b = 1
 	}
-	w.buf = append(w.buf, b)
-}
-func (w *ckptWriter) str(s string) {
-	w.u16(uint16(len(s)))
-	w.buf = append(w.buf, s...)
-}
-func (w *ckptWriter) lineEnergy(le energy.LineEnergy) {
-	w.f64(le.Self)
-	w.f64(le.CoupAdj)
-	w.f64(le.CoupNonAdj)
+	set(c, p, c.word(b, 1) != 0)
 }
 
-// ckptReader consumes fixed-width little-endian fields with a sticky
-// error, so decode sequences read linearly and check once.
-type ckptReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *ckptReader) remaining() int { return len(r.buf) - r.off }
-
-// take consumes n bytes; once the reader has failed it returns zeros.
-func (r *ckptReader) take(n int) []byte {
-	if r.err == nil && r.remaining() < n {
-		r.err = fmt.Errorf("truncated at offset %d (want %d more bytes, have %d)", r.off, n, r.remaining())
+func (c *ckptCodec) str(p *string) {
+	n := uint16(len(*p))
+	c.u16(&n)
+	if c.write {
+		c.buf = append(c.buf, *p...)
+		return
 	}
-	if r.err != nil {
-		return make([]byte, n)
-	}
-	r.off += n
-	return r.buf[r.off-n : r.off]
+	*p = string(c.take(int(n)))
 }
 
-func (r *ckptReader) u16() uint16  { return binary.LittleEndian.Uint16(r.take(2)) }
-func (r *ckptReader) u32() uint32  { return binary.LittleEndian.Uint32(r.take(4)) }
-func (r *ckptReader) u64() uint64  { return binary.LittleEndian.Uint64(r.take(8)) }
-func (r *ckptReader) i64() int64   { return int64(r.u64()) }
-func (r *ckptReader) f64() float64 { return math.Float64frombits(r.u64()) }
-func (r *ckptReader) bool() bool   { return r.take(1)[0] != 0 }
-func (r *ckptReader) str() string  { return string(r.take(int(r.u16()))) }
+// finite codes an f64 that must be finite.
+func (c *ckptCodec) finite(p *float64) {
+	c.f64(p)
+	if math.IsNaN(*p) || math.IsInf(*p, 0) {
+		c.fail("non-finite value %g", *p)
+	}
+}
 
-func (r *ckptReader) lineEnergy() energy.LineEnergy {
-	return energy.LineEnergy{Self: r.f64(), CoupAdj: r.f64(), CoupNonAdj: r.f64()}
+// line codes a line energy, each component finite.
+func (c *ckptCodec) line(le *energy.LineEnergy) {
+	c.finite(&le.Self)
+	c.finite(&le.CoupAdj)
+	c.finite(&le.CoupNonAdj)
+}
+
+// mode codes a controller mode index (modeBase or modeCool) in size
+// bytes: a u16, or the one-byte cool-mode bool.
+func (c *ckptCodec) mode(m *int, size int) {
+	v := c.word(uint64(*m), size)
+	if v > modeCool {
+		c.fail("adaptive mode %d out of range", v)
+	}
+	set(c, m, int(min(v, modeCool)))
+}
+
+// count codes a u32 element count; reading, a count the remaining payload
+// cannot hold at minBytes an element is corrupt and reads as zero.
+func (c *ckptCodec) count(n *int, minBytes int) {
+	v := uint32(*n)
+	c.u32(&v)
+	if !c.write && int(v) > c.remaining()/minBytes {
+		c.fail("count %d exceeds the remaining payload", v)
+		v = 0
+	}
+	set(c, n, int(v))
+}
+
+// each codes the n elements of *s; reading allocates them (nil for none).
+func each[T any](c *ckptCodec, s *[]T, n int, elem func(*T)) {
+	if !c.write {
+		*s = nil
+		if n > 0 {
+			*s = make([]T, n)
+		}
+	}
+	for i := range *s {
+		elem(&(*s)[i])
+	}
+}
+
+// list codes a counted slice: its count, then each element.
+func list[T any](c *ckptCodec, s *[]T, minBytes int, elem func(*T)) {
+	n := len(*s)
+	c.count(&n, minBytes)
+	each(c, s, n, elem)
 }

@@ -141,8 +141,8 @@ func TestAdaptiveCheckpointVersionGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v3[4] != checkpointVersionAdaptive {
-		t.Fatalf("adaptive snapshot version byte = %d, want %d", v3[4], checkpointVersionAdaptive)
+	if v3[4] != 5 {
+		t.Fatalf("adaptive snapshot version byte = %d, want 5", v3[4])
 	}
 
 	enc, _ := encoding.New("BI")
@@ -154,8 +154,8 @@ func TestAdaptiveCheckpointVersionGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1[4] != checkpointVersion {
-		t.Fatalf("static snapshot version byte = %d, want %d", v1[4], checkpointVersion)
+	if v1[4] != 4 {
+		t.Fatalf("static snapshot version byte = %d, want 4", v1[4])
 	}
 
 	if err := staticSim.Restore(v3); !errors.Is(err, ErrCheckpointMismatch) {

@@ -159,7 +159,7 @@ func TestMultiRestoreRejections(t *testing.T) {
 	// Version gate: a K>1 target reads v6 and v2 only; every scalar
 	// layout is corrupt there, before any fingerprint check.
 	for i, pc := range pinnedCkpts {
-		if pc.version == checkpointVersionMulti || pc.version == checkpointVersionV2 {
+		if ckptLayouts[pc.version].multi {
 			continue
 		}
 		if err := m.Restore(readPinned(t, i)); !errors.Is(err, ErrCheckpointCorrupt) {

@@ -458,35 +458,35 @@ var pinnedCkpts = []struct {
 }{
 	{
 		// Static BI, cut mid-interval, samples with wire temperatures.
-		file: "ckpt_v4.bin", version: checkpointVersion,
+		file: "ckpt_v4.bin", version: 4,
 		target: func(t *testing.T) ckptTarget { return newSim(t, pinnedV1Config()) },
 		run:    runPinnedStatic,
 	},
 	{
 		// K = 4 BI, one sample per bus plus a partly filled window.
-		file: "ckpt_v2.bin", version: checkpointVersionV2, frozen: true, resnap: checkpointVersionMulti,
+		file: "ckpt_v2.bin", version: 2, frozen: true, resnap: 6,
 		target: func(t *testing.T) ckptTarget { return newMultiForCkpt(t, 4) },
 		run:    runPinnedMulti, tail: ckptWords(12, 1700*4),
 	},
 	{
 		// Adaptive, cut mid-interval right after the switch.
-		file: "ckpt_v5.bin", version: checkpointVersionAdaptive,
+		file: "ckpt_v5.bin", version: 5,
 		target: func(t *testing.T) ckptTarget { return newAdaptiveSim(t, 1000, pinnedAdaptive) },
 		run:    runPinnedAdaptive,
 	},
 	{
-		file: "ckpt_v1.bin", version: checkpointVersionV1, frozen: true, resnap: checkpointVersion,
+		file: "ckpt_v1.bin", version: 1, frozen: true, resnap: 4,
 		target: func(t *testing.T) ckptTarget { return newSim(t, pinnedV1Config()) },
 		run:    runPinnedStatic, tail: ckptWords(8, 700),
 	},
 	{
-		file: "ckpt_v3.bin", version: checkpointVersionV3, frozen: true, resnap: checkpointVersionAdaptive,
+		file: "ckpt_v3.bin", version: 3, frozen: true, resnap: 5,
 		target: func(t *testing.T) ckptTarget { return newAdaptiveSim(t, 1000, pinnedAdaptive) },
 		run:    runPinnedAdaptive, tail: hotWords(2500),
 	},
 	{
 		// ckpt_v2.bin's run, in the counts layout.
-		file: "ckpt_v6.bin", version: checkpointVersionMulti,
+		file: "ckpt_v6.bin", version: 6,
 		target: func(t *testing.T) ckptTarget { return newMultiForCkpt(t, 4) },
 		run:    runPinnedMulti,
 	},
@@ -667,33 +667,123 @@ func ambientOffset(t *testing.T, blob []byte, ambient float64) int {
 	return off
 }
 
-// TestRestoreRejectsImpossibleThermalState takes each pinned layout, sets
-// its ambient to -1 or NaN or one wire temperature to NaN, re-seals the
-// CRC and requires ErrCheckpointCorrupt with the target exactly as it
-// was: a re-snapshot byte-identical to the one taken before the call.
+// kernelOf returns the kernel behind a Simulator or MultiSim.
+func kernelOf(tgt ckptTarget) *kernel {
+	if s, ok := tgt.(*Simulator); ok {
+		return &s.kernel
+	}
+	return &tgt.(*MultiSim).kernel
+}
+
+// ckptField is a mutation of one field of a pinned blob: it returns the
+// mutated copy, or nil when the blob's layout has no such field.
+type ckptField func(blob []byte) []byte
+
+// impossibleFields lists, for pinned blob i, mutations that each store a
+// value no simulator could write. The offsets come from the layout:
+// bus 0's cumulative total and window carry follow the counters (and, at
+// K > 1, the grid); the last sample of the last bus ends the payload.
+func impossibleFields(t *testing.T, i int, blob []byte) map[string]ckptField {
+	t.Helper()
+	pc := pinnedCkpts[i]
+	restored := pc.target(t)
+	if err := restored.Restore(blob); err != nil {
+		t.Fatal(err)
+	}
+	k := kernelOf(restored)
+	l := ckptLayouts[blob[4]]
+	fp := &ckptCodec{write: true}
+	if err := fp.fingerprint(k.fingerprint()); err != nil {
+		t.Fatal(err)
+	}
+	w := k.width
+	bus := len(checkpointMagic) + 2 + 2 + len(fp.buf) + 8 + 8
+	if l.multi {
+		bus += 8 + 8*k.buses*w
+	}
+	carry := bus + 24*(1+w) + 8 + 1 + 8 + 8
+	ambient := ambientOffset(t, blob, k.net.Ambient())
+
+	last := k.samples[k.buses-1]
+	if len(last) == 0 {
+		t.Fatalf("%s: the last bus has no sample", pc.file)
+	}
+	wireTemps := len(last[len(last)-1].WireTemps)
+	tags := 0
+	if l.adaptive {
+		tags = 2
+	}
+	wtEnd := len(blob) - 4 - tags // after the last sample's wire temps
+	nwt := wtEnd - 8*wireTemps - 4
+	maxWire := nwt - 8
+	sampleEnergy := maxWire - 6*8
+
+	f64 := func(off int, v float64) ckptField {
+		return func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[off:], math.Float64bits(v))
+			return b
+		}
+	}
+	i64 := func(off int, v int64) ckptField {
+		return func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[off:], uint64(v))
+			return b
+		}
+	}
+	fields := map[string]ckptField{
+		"ambient -1":              f64(ambient, -1),
+		"ambient NaN":             f64(ambient, math.NaN()),
+		"wire temp NaN":           f64(ambient+8, math.NaN()),
+		"cumulative self NaN":     f64(bus, math.NaN()),
+		"cumulative adjacent Inf": f64(bus+8, math.Inf(1)),
+		"line total NaN":          f64(bus+24, math.NaN()),
+		"carry total NaN":         f64(carry, math.NaN()),
+		"carry line NaN":          f64(carry+24, math.NaN()),
+		"sample energy NaN":       f64(sampleEnergy, math.NaN()),
+		"sample self Inf":         f64(sampleEnergy+8, math.Inf(-1)),
+		"hottest wire -1":         i64(maxWire, -1),
+		"hottest wire W":          i64(maxWire, int64(w)),
+		// One wire temp more or fewer than the sample had, with the
+		// payload resized to match: neither 0 nor W.
+		"wire-temp count": func(b []byte) []byte {
+			n := wireTemps - 1
+			tail := append([]byte(nil), b[wtEnd:]...)
+			if wireTemps == 0 {
+				n = 1
+				b = binary.LittleEndian.AppendUint64(b[:wtEnd], math.Float64bits(300))
+			} else {
+				b = b[:wtEnd-8]
+			}
+			binary.LittleEndian.PutUint32(b[nwt:], uint32(n))
+			return append(b, tail...)
+		},
+	}
+	if l.adaptive {
+		counts := 0
+		if l.counts {
+			counts = 8*w + 8*w*(w-1)/2
+		}
+		just := carry + 24*(1+w) + counts + 2
+		fields["just-switched flipped"] = func(b []byte) []byte {
+			b[just] ^= 1
+			return b
+		}
+	}
+	return fields
+}
+
+// TestRestoreRejectsImpossibleThermalState takes each pinned layout,
+// stores in one field a value no simulator writes (a non-positive or NaN
+// ambient, a non-finite temperature or energy, a hottest wire off the
+// bus, a wire-temp count other than 0 or W, a just-switched byte that
+// disagrees with the switch log), re-seals the CRC and requires
+// ErrCheckpointCorrupt with the target exactly as it was: a re-snapshot
+// byte-identical to the one taken before the call.
 func TestRestoreRejectsImpossibleThermalState(t *testing.T) {
 	for i, pc := range pinnedCkpts {
 		blob := readPinned(t, i)
-		var ambient float64
-		switch tgt := pc.target(t).(type) {
-		case *Simulator:
-			ambient = tgt.Network().Ambient()
-		case *MultiSim:
-			ambient = tgt.Grid().Ambient()
-		}
-		amb := ambientOffset(t, blob, ambient)
-		for _, tc := range []struct {
-			name string
-			off  int
-			val  float64
-		}{
-			{"ambient -1", amb, -1},
-			{"ambient NaN", amb, math.NaN()},
-			{"wire temp NaN", amb + 8, math.NaN()},
-		} {
-			bad := append([]byte(nil), blob...)
-			binary.LittleEndian.PutUint64(bad[tc.off:], math.Float64bits(tc.val))
-			bad = resealed(bad)
+		for name, mutate := range impossibleFields(t, i, blob) {
+			bad := resealed(mutate(append([]byte(nil), blob...)))
 
 			tgt := pc.target(t)
 			before, err := tgt.Snapshot()
@@ -701,14 +791,14 @@ func TestRestoreRejectsImpossibleThermalState(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := tgt.Restore(bad); !errors.Is(err, ErrCheckpointCorrupt) {
-				t.Errorf("%s, %s: Restore = %v, want ErrCheckpointCorrupt", pc.file, tc.name, err)
+				t.Errorf("%s, %s: Restore = %v, want ErrCheckpointCorrupt", pc.file, name, err)
 			}
 			after, err := tgt.Snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(after, before) {
-				t.Errorf("%s, %s: the rejected Restore changed the target", pc.file, tc.name)
+				t.Errorf("%s, %s: the rejected Restore changed the target", pc.file, name)
 			}
 		}
 	}

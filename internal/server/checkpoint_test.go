@@ -451,11 +451,12 @@ func TestRestoreRejectsCorruptAndMismatched(t *testing.T) {
 	}
 }
 
-// withCoreAmbient returns a copy of a scalar session's checkpoint
-// envelope whose core NBCP v4 blob stores the given thermal ambient, with
-// both CRCs recomputed. It walks the envelope (checkpoint.go) and the v4
-// layout (internal/core/checkpoint.go) to the field.
-func withCoreAmbient(t *testing.T, env []byte, width int, ambient float64) []byte {
+// withCoreFloat returns a copy of a scalar session's checkpoint envelope
+// whose core NBCP v4 blob stores val in one f64 field, the cumulative
+// self energy ("self") or the thermal ambient ("ambient"), with both CRCs
+// recomputed. It walks the envelope (checkpoint.go) and the v4 layout
+// (internal/core/checkpoint.go) to the field.
+func withCoreFloat(t *testing.T, env []byte, width int, field string, val float64) []byte {
 	t.Helper()
 	out := append([]byte(nil), env...)
 	le := binary.LittleEndian
@@ -465,31 +466,33 @@ func withCoreAmbient(t *testing.T, env []byte, width int, ambient float64) []byt
 	off += 4 + int(le.Uint32(out[off:]))
 	core := out[off+4 : len(out)-4]
 	// Core: header, node and encoding strings, the rest of the
-	// fingerprint, counters, totals and window, window counts, encoder
-	// state.
-	amb := 8
+	// fingerprint, counters, then the cumulative total.
+	at := 8
 	for range 2 {
-		amb += 2 + int(le.Uint16(core[amb:]))
+		at += 2 + int(le.Uint16(core[at:]))
 	}
-	amb += 4 + 8 + 8 + 8 + 1
-	amb += 8 + 8
-	amb += 2*(1+width)*24 + 8 + 1 + 8 + 8
-	amb += width*8 + width*(width-1)/2*8
-	amb += 8 + 4 + 1
-	if got := math.Float64frombits(le.Uint64(core[amb:])); got < 200 || got > 500 {
-		t.Fatalf("core field at offset %d is %g, not an ambient in kelvin", amb, got)
+	at += 4 + 8 + 8 + 8 + 1
+	at += 8 + 8
+	if field == "ambient" {
+		// Totals and window, window counts, encoder state.
+		at += 2*(1+width)*24 + 8 + 1 + 8 + 8
+		at += width*8 + width*(width-1)/2*8
+		at += 8 + 4 + 1
+		if got := math.Float64frombits(le.Uint64(core[at:])); got < 200 || got > 500 {
+			t.Fatalf("core field at offset %d is %g, not an ambient in kelvin", at, got)
+		}
 	}
-	le.PutUint64(core[amb:], math.Float64bits(ambient))
+	le.PutUint64(core[at:], math.Float64bits(val))
 	le.PutUint32(core[len(core)-4:], crc32.ChecksumIEEE(core[:len(core)-4]))
 	le.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(out[:len(out)-4]))
 	return out
 }
 
-// TestRestoreRejectsBadAmbientUntouched sends an inline restore whose
-// core blob has a negative ambient (both CRCs valid). It must be a 422
-// checkpoint_corrupt, and the live session must carry on as if the
-// request never came: its later steps and result match an uninterrupted
-// run bit for bit.
+// TestRestoreRejectsBadAmbientUntouched sends inline restores whose core
+// blob has a negative ambient or a NaN cumulative energy (both CRCs
+// valid). Each must be a 422 checkpoint_corrupt, and the live session
+// must carry on as if the requests never came: its later steps and
+// result match an uninterrupted run bit for bit.
 func TestRestoreRejectsBadAmbientUntouched(t *testing.T) {
 	_, c := newTestService(t, server.Config{})
 	ctx := context.Background()
@@ -514,10 +517,15 @@ func TestRestoreRejectsBadAmbientUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	runSeq(t, sess, 3, 4)
-	_, err = sess.RestoreFrom(ctx, withCoreAmbient(t, env, want.Width, -1))
-	var ae *client.APIError
-	if !errors.As(err, &ae) || ae.StatusCode != http.StatusUnprocessableEntity || ae.Code != server.CodeCheckpointCorrupt {
-		t.Fatalf("restore with ambient -1 = %v, want 422 checkpoint_corrupt", err)
+	for _, bad := range []struct {
+		field string
+		val   float64
+	}{{"ambient", -1}, {"self", math.NaN()}} {
+		_, err = sess.RestoreFrom(ctx, withCoreFloat(t, env, want.Width, bad.field, bad.val))
+		var ae *client.APIError
+		if !errors.As(err, &ae) || ae.StatusCode != http.StatusUnprocessableEntity || ae.Code != server.CodeCheckpointCorrupt {
+			t.Fatalf("restore with %s %g = %v, want 422 checkpoint_corrupt", bad.field, bad.val, err)
+		}
 	}
 	runSeq(t, sess, 5, 6)
 	got, err := sess.Result(ctx, true)

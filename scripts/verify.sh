@@ -56,23 +56,33 @@ go test -count=1 -coverprofile "$tmp/coverage.out" ./...
 go run ./scripts/covergate -profile "$tmp/coverage.out" -min 82.1
 
 echo "==> benchmark gates"
+# Each leg runs its benchmarks in three separate -count 1 passes appended
+# to one file, and benchgate keeps each benchmark's fastest run: the
+# repeats of one benchmark are spread over the leg, so one slow stretch
+# of a shared host cannot spoil all three.
 # Fast kernels: 100 iterations, min of 3 runs to damp scheduler noise.
-go test -run NONE \
-    -bench 'BenchmarkThermalAdvance|BenchmarkBinaryIngest|BenchmarkStreamSampleEncode' \
-    -benchmem -benchtime 100x -count 3 . ./internal/server > "$tmp/bench_fast.txt"
+for pass in 1 2 3; do
+    go test -run NONE \
+        -bench 'BenchmarkThermalAdvance|BenchmarkBinaryIngest|BenchmarkStreamSampleEncode' \
+        -benchmem -benchtime 100x -count 1 . ./internal/server
+done > "$tmp/bench_fast.txt"
 go run ./scripts/benchgate -baseline BENCH_hotpath.json < "$tmp/bench_fast.txt"
 # Memo-warmed kernels need enough iterations to reach their steady-state
 # hit rate (the baseline regime); 100x would gate against a cold cache.
-go test -run NONE \
-    -bench 'BenchmarkTransition|BenchmarkRunPair|BenchmarkStepBatch|BenchmarkMultiStep|BenchmarkCoolingStep|BenchmarkEncoders' \
-    -benchmem -benchtime 100000x -count 3 . > "$tmp/bench_warm.txt"
+for pass in 1 2 3; do
+    go test -run NONE \
+        -bench 'BenchmarkTransition|BenchmarkRunPair|BenchmarkStepBatch|BenchmarkMultiStep|BenchmarkCoolingStep|BenchmarkEncoders' \
+        -benchmem -benchtime 100000x -count 1 .
+done > "$tmp/bench_warm.txt"
 go run ./scripts/benchgate -baseline BENCH_hotpath.json < "$tmp/bench_warm.txt"
 # Whole-sweep benchmarks run ~0.5 s/op, so one iteration is already stable.
 go test -run NONE -bench 'BenchmarkSweepWorkers' -benchmem -benchtime 1x . > "$tmp/bench_sweep.txt"
 go run ./scripts/benchgate -baseline BENCH_hotpath.json < "$tmp/bench_sweep.txt"
 # Trace capture: each run warms its source past the benchmark's warm-up
 # skip outside the timer, then times 10^6 steady-state cycles.
-go test -run NONE -bench 'BenchmarkCapture' -benchmem -benchtime 1000000x -count 3 . > "$tmp/bench_capture.txt"
+for pass in 1 2 3; do
+    go test -run NONE -bench 'BenchmarkCapture' -benchmem -benchtime 1000000x -count 1 .
+done > "$tmp/bench_capture.txt"
 go run ./scripts/benchgate -baseline BENCH_hotpath.json < "$tmp/bench_capture.txt"
 # Per-bus scaling gate: ten fresh paired K16-vs-K1 runs of 10^6 rows
 # (shorter runs read high), whose median must show the batch kernel
