@@ -18,6 +18,7 @@ import (
 	"nanobus/internal/energy"
 	"nanobus/internal/faultinject"
 	"nanobus/internal/itrs"
+	"nanobus/internal/wire"
 )
 
 // ckptWords returns a deterministic pseudo-random word stream.
@@ -692,12 +693,12 @@ func impossibleFields(t *testing.T, i int, blob []byte) map[string]ckptField {
 	}
 	k := kernelOf(restored)
 	l := ckptLayouts[blob[4]]
-	fp := &ckptCodec{write: true}
+	fp := &ckptCodec{wire.Writer(nil)}
 	if err := fp.fingerprint(k.fingerprint()); err != nil {
 		t.Fatal(err)
 	}
 	w := k.width
-	bus := len(checkpointMagic) + 2 + 2 + len(fp.buf) + 8 + 8
+	bus := len(checkpointMagic) + 2 + 2 + len(fp.Written()) + 8 + 8
 	if l.multi {
 		bus += 8 + 8*k.buses*w
 	}

@@ -2,7 +2,6 @@ package nbwp
 
 import (
 	"encoding/binary"
-	"math"
 	"unsafe"
 )
 
@@ -47,9 +46,3 @@ func AppendWords(dst []byte, words []uint32) []byte {
 	}
 	return dst
 }
-
-// floatBits and floatFrom convert float64 figures to and from their wire
-// form (IEEE-754 bit patterns), keeping every streamed value
-// bit-identical across the connection.
-func floatBits(f float64) uint64 { return math.Float64bits(f) }
-func floatFrom(b uint64) float64 { return math.Float64frombits(b) }

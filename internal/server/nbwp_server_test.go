@@ -104,6 +104,15 @@ func (r *rawNBWP) expectError(req nbwp.Header, wantStatus int, wantCode string) 
 	}
 }
 
+// restorePayload is the RESTORE payload naming id, without an envelope.
+func restorePayload(id string) []byte {
+	b, err := nbwp.AppendRestore(nil, nbwp.Restore{ID: id})
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 func (r *rawNBWP) expectAck(req nbwp.Header) []byte {
 	r.t.Helper()
 	h, p := r.recv()
@@ -145,11 +154,11 @@ func TestNBWPProtocolErrors(t *testing.T) {
 			http.StatusBadRequest, server.CodeBadRequest},
 		{"step unbound slot", nbwp.Header{Type: nbwp.TypeStep, Slot: 7}, []byte{1, 0, 0, 0},
 			http.StatusNotFound, server.CodeNotFound},
-		{"restore slot 0", nbwp.Header{Type: nbwp.TypeRestore}, nbwp.AppendRestore(nil, "id", nil),
+		{"restore slot 0", nbwp.Header{Type: nbwp.TypeRestore}, restorePayload("id"),
 			http.StatusBadRequest, server.CodeBadRequest},
 		{"restore bad payload", nbwp.Header{Type: nbwp.TypeRestore, Slot: 1}, []byte{9},
 			http.StatusBadRequest, server.CodeBadRequest},
-		{"restore unbound unnamed", nbwp.Header{Type: nbwp.TypeRestore, Slot: 3}, nbwp.AppendRestore(nil, "", nil),
+		{"restore unbound unnamed", nbwp.Header{Type: nbwp.TypeRestore, Slot: 3}, restorePayload(""),
 			http.StatusNotFound, server.CodeNotFound},
 		{"goodbye unbound slot", nbwp.Header{Type: nbwp.TypeGoodbye, Slot: 5}, nil,
 			http.StatusNotFound, server.CodeNotFound},
@@ -184,7 +193,7 @@ func TestNBWPProtocolErrors(t *testing.T) {
 			http.StatusBadRequest, server.CodeBadRequest},
 		{"checkpoint without store", nbwp.Header{Type: nbwp.TypeCheckpoint, Slot: 1}, nil,
 			http.StatusNotImplemented, server.CodeNoStore},
-		{"restore without store or envelope", nbwp.Header{Type: nbwp.TypeRestore, Slot: 1}, nbwp.AppendRestore(nil, "", nil),
+		{"restore without store or envelope", nbwp.Header{Type: nbwp.TypeRestore, Slot: 1}, restorePayload(""),
 			http.StatusNotImplemented, server.CodeNoStore},
 	}
 	for _, tc := range bound {

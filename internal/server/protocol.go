@@ -155,7 +155,8 @@ type Sample struct {
 	Switched bool `json:"switched,omitempty"`
 }
 
-func fromCoreSample(s core.Sample) Sample {
+// fromCoreSample converts bus's core sample to its wire form.
+func fromCoreSample(bus int, s core.Sample) Sample {
 	return Sample{
 		EndCycle:    s.EndCycle,
 		EnergyJ:     s.Energy,
@@ -166,16 +167,10 @@ func fromCoreSample(s core.Sample) Sample {
 		MaxTempK:    s.MaxTemp,
 		MaxWire:     s.MaxWire,
 		WireTempsK:  s.WireTemps,
+		Bus:         bus,
 		Encoder:     s.Encoder,
 		Switched:    s.Switched,
 	}
-}
-
-// fromCoreBusSample is fromCoreSample with the multi-bus tag applied.
-func fromCoreBusSample(bus int, s core.Sample) Sample {
-	ws := fromCoreSample(s)
-	ws.Bus = bus
-	return ws
 }
 
 // StreamLine is one NDJSON line of a ?stream=samples step response:
