@@ -9,7 +9,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -20,6 +19,7 @@ import (
 	"nanobus/internal/core"
 	"nanobus/internal/encoding"
 	"nanobus/internal/itrs"
+	"nanobus/internal/nbwp"
 	"nanobus/internal/server"
 )
 
@@ -280,13 +280,8 @@ func (s *HTTPSession) StepBinary(ctx context.Context, words []uint32) (StepSumma
 	// The request body is fully sent before do returns, so the buffer can
 	// go back to the pool on exit.
 	defer binBufPool.Put(bp)
-	if cap(*bp) < 4*len(words) {
-		*bp = make([]byte, 4*len(words))
-	}
-	buf := (*bp)[:4*len(words)]
-	for i, w := range words {
-		binary.LittleEndian.PutUint32(buf[4*i:], w)
-	}
+	buf := nbwp.AppendWords((*bp)[:0], words)
+	*bp = buf
 	req, err := s.c.newRequest(ctx, http.MethodPost, s.path("/step"), bytes.NewReader(buf))
 	if err != nil {
 		return StepSummary{}, err

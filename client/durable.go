@@ -3,7 +3,6 @@ package client
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"nanobus/internal/nbwp"
 	"nanobus/internal/server"
 )
 
@@ -218,10 +218,7 @@ func (s *HTTPSession) RestoreFrom(ctx context.Context, envelope []byte) (Restore
 // a replayed batch is acknowledged (Duplicate=true) without re-stepping,
 // and energy is never double-counted.
 func (s *HTTPSession) StepBinarySeq(ctx context.Context, seq uint64, words []uint32) (StepSummary, error) {
-	buf := make([]byte, 4*len(words))
-	for i, w := range words {
-		binary.LittleEndian.PutUint32(buf[4*i:], w)
-	}
+	buf := nbwp.AppendWords(make([]byte, 0, 4*len(words)), words)
 	build := func() (*http.Request, error) {
 		req, err := s.c.newRequest(ctx, http.MethodPost, s.seqPath(seq), bytes.NewReader(buf))
 		if err != nil {

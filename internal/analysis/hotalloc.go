@@ -15,7 +15,7 @@ const hotpathDirective = directivePrefix + hotpathVerb
 // functions annotated //nanolint:hotpath. The annotated functions are the
 // kernels whose zero-alloc steady state is pinned at runtime by
 // testing.AllocsPerRun gates (core.Simulator.StepBatch, the server's
-// decodeWords/appendStreamSample, the transition-memo probe); this pass is
+// appendStreamSample, nbwp.Words, the transition-memo probe); this pass is
 // the compile-time complement, catching an allocation the moment it is
 // written instead of when a benchmark regresses.
 //

@@ -1,11 +1,11 @@
 // guarded.go is allowlisted in unsafeAllowlist, so the unsafe import is
-// accepted — but every unsafe.Slice view must follow the decode.go
+// accepted — but every unsafe.Slice view must follow the words.go
 // pattern: alignment check on the if, loop fallback in the function.
 package unsafeaudit
 
 import "unsafe"
 
-// Guarded is the audited pattern from internal/server/decode.go: check
+// Guarded is the audited pattern from internal/nbwp/words.go: check
 // alignment, take the zero-copy view, otherwise fall back to a copy loop.
 func Guarded(b []byte) []uint32 {
 	n := len(b) / 4

@@ -10,15 +10,12 @@ import (
 // may import unsafe. Each entry exists for one audited purpose; growing
 // this list is a review event, not an edit:
 //
-//   - internal/server/decode.go: the zero-copy little-endian word view on
-//     the binary ingest path (PR 4), guarded by the alignment check with
-//     loop fallback this pass also enforces.
-//   - internal/nbwp/words.go: the same reinterpretation for NBWP STEP
-//     frame payloads (PR 7), same alignment-check-plus-fallback idiom.
+//   - internal/nbwp/words.go: the zero-copy little-endian word view of
+//     NBWP STEP payloads and of the HTTP binary ingest body, guarded by
+//     the alignment check with loop fallback this pass also enforces.
 //   - internal/analysis/testdata/src/unsafeaudit/guarded.go: the golden
 //     fixture exercising the guard detector itself.
 var unsafeAllowlist = []string{
-	"internal/server/decode.go",
 	"internal/nbwp/words.go",
 	"internal/analysis/testdata/src/unsafeaudit/guarded.go",
 }
@@ -106,7 +103,7 @@ func checkUnsafeSliceGuards(pass *Pass, file *ast.File) {
 		case !guarded:
 			pass.Reportf(call.Pos(),
 				"unsafe.Slice view is not guarded by an alignment check "+
-					"(... %% unsafe.Alignof(...) == 0); see internal/server/decode.go for the pattern")
+					"(... %% unsafe.Alignof(...) == 0); see internal/nbwp/words.go for the pattern")
 		case !fallback:
 			pass.Reportf(call.Pos(),
 				"unsafe.Slice view has no loop fallback for the misaligned case in the enclosing function")

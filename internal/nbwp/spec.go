@@ -21,10 +21,12 @@
 //	15      1     header CRC: low byte of CRC-32 (IEEE) over bytes 0-14
 //
 // The payload follows immediately; its layout depends on the type (see
-// the Type constants). Multi-byte payload integers are little-endian,
-// floats are IEEE-754 bit patterns, and structured control payloads
-// (session configs, results) are the same JSON documents as the v1 HTTP
-// surface, so figures observed over NBWP are bit-identical to HTTP.
+// the Type constants). Binary payloads (payload.go) are each one walk
+// on the codec internal/wire shares with the checkpoint formats:
+// integers are little-endian and floats IEEE-754 bit patterns. Structured
+// control payloads (session configs, results) are the same JSON
+// documents as the v1 HTTP surface, so figures observed over NBWP are
+// bit-identical to HTTP.
 //
 // Durability composes with the PR 5 machinery unchanged: a STEP frame
 // carrying FlagSeq is the binary twin of POST .../step?seq=N — applied
@@ -76,20 +78,20 @@ const (
 	// acknowledged type.
 	TypeAck Type = 0x05
 	// TypeSample (server→client) streams one closed sampling interval
-	// for a slot opened with FlagStream. Payload: Sample (binary).
+	// for a slot opened with FlagStream. Payload: Sample (binary) in the
+	// layout the FlagMultiSample and FlagAdaptiveSample bits select.
 	TypeSample Type = 0x06
 	// TypeCheckpoint snapshots the slot's session into the server store
 	// (ack payload: CheckpointInfo JSON), or under FlagDownload returns
 	// the raw envelope inline (ack payload: envelope bytes).
 	TypeCheckpoint Type = 0x07
 	// TypeRestore rewinds or resurrects a session and binds it to the
-	// header slot. Payload: see AppendRestore — a session id (empty to
-	// target the slot's bound session) plus an optional checkpoint
-	// envelope (absent to load from the server store). Ack payload:
-	// RestoreResponse JSON.
+	// header slot. Payload: Restore — a session id (empty to target the
+	// slot's bound session) plus an optional checkpoint envelope (absent
+	// to load from the server store). Ack payload: RestoreResponse JSON.
 	TypeRestore Type = 0x08
 	// TypeError (server→client) answers the oldest unacknowledged frame
-	// in place of an ACK. Payload: see AppendError/ParseError.
+	// in place of an ACK. Payload: WireError.
 	TypeError Type = 0x09
 	// TypeGoodbye closes the header slot's session (ack payload:
 	// CloseResponse JSON), or with slot 0 ends the connection (empty
@@ -125,15 +127,14 @@ const (
 	// envelope instead of CheckpointInfo (the HTTP ?download=1).
 	FlagDownload uint8 = 1 << 5
 	// FlagMultiSample marks a SAMPLE from a multi-bus session: the
-	// payload is a uint32 LE bus index followed by the standard Sample
-	// layout (see AppendBusSample/ParseBusSample). Scalar sessions never
-	// set it, so existing clients keep decoding plain Sample payloads.
+	// payload is an int32 LE bus index followed by the standard Sample
+	// layout (see sampleLayouts). Scalar sessions never set it, so
+	// existing clients keep decoding plain Sample payloads.
 	FlagMultiSample uint8 = 1 << 6
 	// FlagAdaptiveSample marks a SAMPLE from an adaptive session: the
 	// standard Sample layout followed by a switched byte, the active
-	// encoder's name length, and the name bytes (see
-	// AppendAdaptiveSample/ParseAdaptiveSample). Static sessions never
-	// set it.
+	// encoder's name length, and the name bytes (see sampleLayouts).
+	// Static sessions never set it.
 	FlagAdaptiveSample uint8 = 1 << 7
 )
 

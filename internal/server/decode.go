@@ -1,39 +1,6 @@
 package server
 
-import (
-	"encoding/binary"
-	"sync"
-	"unsafe"
-)
-
-// hostLittleEndian reports whether the host's native byte order matches
-// the wire format (little-endian uint32 words), decided once at init.
-var hostLittleEndian = func() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
-
-// decodeWords views or decodes the little-endian uint32 words in src
-// (len(src) must be a multiple of 4). On little-endian hosts with an
-// aligned buffer the returned slice aliases src — a zero-copy
-// reinterpretation; callers must be done with the words before reusing
-// src. Elsewhere it decodes into dst and returns dst[:len(src)/4].
-//
-//nanolint:hotpath zero-copy ingest path; the view must not allocate
-func decodeWords(dst []uint32, src []byte) []uint32 {
-	n := len(src) / 4
-	if n == 0 {
-		return dst[:0]
-	}
-	p := unsafe.SliceData(src)
-	if hostLittleEndian && uintptr(unsafe.Pointer(p))%unsafe.Alignof(uint32(0)) == 0 {
-		return unsafe.Slice((*uint32)(unsafe.Pointer(p)), n)
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = binary.LittleEndian.Uint32(src[4*i:])
-	}
-	return dst[:n]
-}
+import "sync"
 
 // frame is one pooled ingest buffer set: the raw read chunk and the
 // decode fallback, both sized to Config.MaxBatchWords.

@@ -172,12 +172,12 @@ func TestDecodeWords(t *testing.T) {
 		}
 	}
 	dst := make([]uint32, 1027)
-	check("aligned", decodeWords(dst, raw))
+	check("aligned", nbwp.Words(dst, raw))
 	// An offset source defeats the aliasing fast path on every host.
 	shifted := make([]byte, len(raw)+1)
 	copy(shifted[1:], raw)
-	check("unaligned", decodeWords(dst, shifted[1:]))
-	if got := decodeWords(dst, nil); len(got) != 0 {
+	check("unaligned", nbwp.Words(dst, shifted[1:]))
+	if got := nbwp.Words(dst, nil); len(got) != 0 {
 		t.Fatalf("empty source decoded %d words", len(got))
 	}
 }
