@@ -1,81 +1,56 @@
 package isa
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"strings"
+
+	"nanobus/internal/wire"
 )
 
 // progMagic identifies serialized NB32 programs ("NBX1" format): magic,
-// entry point, segment count, then (addr, length, bytes) per segment,
-// all little-endian.
-var progMagic = [4]byte{'N', 'B', 'X', '1'}
+// entry point u32, segment count u32, then per segment its address u32
+// and its bytes behind a u32 length, all little-endian.
+const progMagic = "NBX1"
+
+// walk codes p after the magic, on the codec every binary layout shares.
+func (p *Program) walk(c *wire.Codec) {
+	c.U32(&p.Entry)
+	wire.List(c, &p.Segments, 8, func(seg *Segment) {
+		c.U32(&seg.Addr)
+		c.Bytes(&seg.Data, 4)
+	})
+}
 
 // WriteProgram serializes a program.
 func WriteProgram(w io.Writer, p *Program) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(progMagic[:]); err != nil {
-		return fmt.Errorf("isa: writing magic: %w", err)
+	c := wire.Writer([]byte(progMagic))
+	p.walk(&c)
+	if err := c.Err(); err != nil {
+		return fmt.Errorf("isa: encoding program: %w", err)
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], p.Entry)
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(p.Segments)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("isa: writing header: %w", err)
+	if _, err := w.Write(c.Written()); err != nil {
+		return fmt.Errorf("isa: writing program: %w", err)
 	}
-	for i, seg := range p.Segments {
-		binary.LittleEndian.PutUint32(hdr[0:4], seg.Addr)
-		binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(seg.Data)))
-		if _, err := bw.Write(hdr[:]); err != nil {
-			return fmt.Errorf("isa: writing segment %d header: %w", i, err)
-		}
-		if _, err := bw.Write(seg.Data); err != nil {
-			return fmt.Errorf("isa: writing segment %d: %w", i, err)
-		}
-	}
-	return bw.Flush()
+	return nil
 }
 
 // ReadProgram deserializes a program. Symbols are not stored in the binary
 // format and come back empty.
 func ReadProgram(r io.Reader) (*Program, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("isa: reading magic: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("isa: reading program: %w", err)
 	}
-	if magic != progMagic {
-		return nil, fmt.Errorf("isa: bad program magic %q", magic[:])
+	if !strings.HasPrefix(string(data), progMagic) {
+		return nil, fmt.Errorf("isa: bad program magic %q", data[:min(len(data), len(progMagic))])
 	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("isa: reading header: %w", err)
-	}
-	p := &Program{
-		Entry:   binary.LittleEndian.Uint32(hdr[0:4]),
-		Symbols: map[string]uint32{},
-	}
-	nseg := binary.LittleEndian.Uint32(hdr[4:8])
-	const maxSegments = 1 << 16
-	if nseg > maxSegments {
-		return nil, fmt.Errorf("isa: implausible segment count %d", nseg)
-	}
-	for i := uint32(0); i < nseg; i++ {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return nil, fmt.Errorf("isa: reading segment %d header: %w", i, err)
-		}
-		addr := binary.LittleEndian.Uint32(hdr[0:4])
-		size := binary.LittleEndian.Uint32(hdr[4:8])
-		const maxSegment = 1 << 28
-		if size > maxSegment {
-			return nil, fmt.Errorf("isa: implausible segment size %d", size)
-		}
-		data := make([]byte, size)
-		if _, err := io.ReadFull(br, data); err != nil {
-			return nil, fmt.Errorf("isa: reading segment %d body: %w", i, err)
-		}
-		p.Segments = append(p.Segments, Segment{Addr: addr, Data: data})
+	p := &Program{Symbols: map[string]uint32{}}
+	c := wire.Reader(data[len(progMagic):])
+	p.walk(&c)
+	if err := c.Close(); err != nil {
+		return nil, fmt.Errorf("isa: decoding program: %w", err)
 	}
 	return p, nil
 }

@@ -57,6 +57,9 @@ func TestReadProgramErrors(t *testing.T) {
 	if _, err := ReadProgram(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated program accepted")
 	}
+	if _, err := ReadProgram(bytes.NewReader(append(buf.Bytes(), 0))); err == nil {
+		t.Error("trailing byte accepted")
+	}
 	// Implausible segment count.
 	bad := append([]byte{'N', 'B', 'X', '1'}, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF)
 	if _, err := ReadProgram(bytes.NewReader(bad)); err == nil {
