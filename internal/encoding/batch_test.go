@@ -2,18 +2,25 @@ package encoding
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
 	"nanobus/internal/workload"
 )
 
-// refEncode is the per-word definition of OEBI and CBI, decided with
-// couplingCostRef: OEBI takes the first strictly cheapest of its four
-// modes (none, even, odd, both inverted) and CBI the complement only when
-// it is strictly cheaper.
+// refEncode is the per-word definition of BI, OEBI and CBI. BI sends the
+// complement when more than half of the held word's 32 data wires would
+// toggle; OEBI and CBI decide with couplingCostRef: OEBI takes the first
+// strictly cheapest of its four modes (none, even, odd, both inverted)
+// and CBI the complement only when it is strictly cheaper.
 func refEncode(name string, prev uint64, first bool, w uint32) uint64 {
 	switch name {
+	case "BI":
+		if !first && bits.OnesCount32(uint32(prev)^w) > DataWidth/2 {
+			return uint64(^w) | 1<<DataWidth
+		}
+		return uint64(w)
 	case "OEBI":
 		plain := uint64(w) << 1
 		if first {
@@ -37,7 +44,7 @@ func refEncode(name string, prev uint64, first bool, w uint32) uint64 {
 	}
 }
 
-// TestBatchEncodersMatchPerWord checks OEBI's and CBI's EncodeBatch
+// TestBatchEncodersMatchPerWord checks BI's, OEBI's and CBI's EncodeBatch
 // against per-word Encode, and both against refEncode, on random words
 // and on the IA and DA address streams of every benchmark's captured
 // window. The batch side runs in random splits, so the first word and
@@ -69,7 +76,7 @@ func TestBatchEncodersMatchPerWord(t *testing.T) {
 			}
 		}
 	}
-	for _, name := range []string{"OEBI", "CBI"} {
+	for _, name := range []string{"BI", "OEBI", "CBI"} {
 		for sname, words := range streams {
 			label := fmt.Sprintf("%s on %s", name, sname)
 			perWord, batched := mustNew(t, name), mustNew(t, name)
