@@ -7,8 +7,8 @@ package encoding
 // to 4C (both neighbours toggle against it: four units of Miller-doubled
 // coupling). The class equals |di-dl| + |di-dr| where d ∈ {-1,0,+1} are
 // the normalised transition directions of the wire and its neighbours —
-// exactly the per-pair (vi-vj)^2 cost of couplingCost collapsed to units
-// of C.
+// exactly the per-pair (vi-vj)^2 cost the OEBI and CBI mode decisions
+// minimise, collapsed to units of C.
 //
 // The classifier powers trace analyses (how toggle-heavy is a workload's
 // address stream?) and explains encoder behaviour: CBI exists to convert

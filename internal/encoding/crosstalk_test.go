@@ -39,8 +39,8 @@ func TestCrosstalkClassEdgeWire(t *testing.T) {
 
 func TestCrosstalkClassMatchesCouplingCost(t *testing.T) {
 	// Every adjacent pair enters the class sum twice, once from each of
-	// its wires, as |di-dj|, while couplingCost charges it once as
-	// (di-dj)^2. The two agree (class sum == 2*couplingCost) exactly when
+	// its wires, as |di-dj|, while the coupling cost charges it once as
+	// (di-dj)^2. The two agree (class sum == 2*couplingCostRef) exactly when
 	// no pair switches in opposite directions, because |d| == d^2 for
 	// |d| <= 1. Rising-only transitions guarantee that, so random
 	// rising-only words pin the relation.
@@ -52,9 +52,9 @@ func TestCrosstalkClassMatchesCouplingCost(t *testing.T) {
 		for i := 0; i < 16; i++ {
 			classSum += CrosstalkClass(prev, cur, i, 16)
 		}
-		cost := couplingCost(prev, cur, pairMask(16))
+		cost := couplingCostRef(prev, cur, 16)
 		if classSum != 2*cost {
-			t.Fatalf("trial %d: class sum %d != 2*couplingCost %d (rising-only)", trial, classSum, cost)
+			t.Fatalf("trial %d: class sum %d != 2*couplingCostRef %d (rising-only)", trial, classSum, cost)
 		}
 	}
 }

@@ -42,27 +42,6 @@ type Decoder interface {
 // DataWidth is the address width of the paper's buses.
 const DataWidth = 32
 
-// couplingCost is the energy-proportional coupling metric used by the
-// OEBI/CBI mode decisions: for each adjacent wire pair the squared
-// difference of normalised transition directions (vi - vj)^2, which is 4
-// for a toggle (Miller case), 1 for a switch against a quiet line, and 0
-// otherwise — proportional to the pair's coupling energy.
-//
-// It scores all pairs at once on bit masks (DESIGN.md §10): a pair costs
-// 1 when exactly one of its wires toggles, 4 when the two switch in
-// opposite directions. Bit i of pairs is set when pair i (wires i and
-// i+1) lies inside the bus; the OEBI and CBI widths are constants, so
-// their masks are too.
-//
-//nanolint:hotpath called up to four times per encoded OEBI/CBI word; pure arithmetic
-func couplingCost(prev, cur, pairs uint64) int {
-	rise, fall := ^prev&cur, prev&^cur
-	tog := rise | fall
-	single := (tog ^ tog>>1) & pairs
-	opposed := (rise&(fall>>1) | fall&(rise>>1)) & pairs
-	return bits.OnesCount64(single) + 4*bits.OnesCount64(opposed)
-}
-
 // dir returns the normalised transition direction of bit i: +1 rising,
 // -1 falling, 0 quiet.
 func dir(prev, cur uint64, i int) int {
@@ -125,21 +104,11 @@ func (*BI) Name() string { return "BI" }
 // Width implements Encoder.
 func (*BI) Width() int { return DataWidth + 1 }
 
-// Encode implements Encoder.
+// Encode implements Encoder: EncodeBatch of one word.
 func (b *BI) Encode(data uint32) uint64 {
-	if b.first {
-		b.first = false
-		b.prev = uint64(data)
-		return b.prev
-	}
-	prevData := uint32(b.prev)
-	h := bits.OnesCount32(prevData ^ data)
-	if h > DataWidth/2 {
-		b.prev = uint64(^data) | 1<<DataWidth
-	} else {
-		b.prev = uint64(data)
-	}
-	return b.prev
+	var out [1]uint64
+	b.EncodeBatch(out[:], []uint32{data})
+	return out[0]
 }
 
 // Reset implements Encoder.
@@ -193,8 +162,12 @@ const (
 	oebiEven = uint64(oebiEvenMask)<<1 | 1<<(DataWidth+1)
 	oebiOdd  = uint64(oebiOddMask)<<1 | 1
 	oebiBoth = oebiEven | oebiOdd
-	// oebiPairs masks the pairs of the 34-wire OEBI bus.
-	oebiPairs = 1<<(DataWidth+1) - 1
+	// oebiPairs masks the oebiPairCount pairs of the 34-wire OEBI bus:
+	// bit i is the pair of wires i and i+1.
+	oebiPairCount = DataWidth + 1
+	oebiPairs     = 1<<oebiPairCount - 1
+	// oddWires masks the odd wire positions.
+	oddWires = 0xAAAAAAAAAAAAAAAA
 )
 
 // Encode implements Encoder: EncodeBatch of one word.
