@@ -64,12 +64,22 @@ func (c *Codec) Fail(format string, args ...any) {
 // remaining returns the bytes a reader has left.
 func (c *Codec) remaining() int { return len(c.buf) - c.off }
 
+// truncated is the error of a read past the end of the payload. It is
+// formatted only when printed, so take sets it without a call and stays
+// small enough to inline into Uint.
+type truncated struct{ off, want int }
+
+func (e truncated) Error() string {
+	return fmt.Sprintf("truncated at offset %d (want %d more bytes)", e.off, e.want)
+}
+
 // take consumes n bytes; once the codec has failed it returns nil.
 func (c *Codec) take(n int) []byte {
-	if n < 0 || c.remaining() < n {
-		c.Fail("truncated at offset %d (want %d more bytes, have %d)", c.off, n, c.remaining())
-	}
 	if c.err != nil {
+		return nil
+	}
+	if uint(n) > uint(len(c.buf)-c.off) {
+		c.err = truncated{c.off, n}
 		return nil
 	}
 	c.off += n
@@ -88,6 +98,15 @@ func (c *Codec) Uint(v uint64, n int) uint64 {
 	return binary.LittleEndian.Uint64(b[:])
 }
 
+// get8 reads an 8-byte little-endian integer without Uint's copy; once
+// the codec has failed it reads 0.
+func (c *Codec) get8() uint64 {
+	if b := c.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
 // Set stores v through p when reading.
 func Set[T any](c *Codec, p *T, v T) {
 	if !c.write {
@@ -95,11 +114,27 @@ func Set[T any](c *Codec, p *T, v T) {
 	}
 }
 
-func (c *Codec) U16(p *uint16)  { Set(c, p, uint16(c.Uint(uint64(*p), 2))) }
-func (c *Codec) U32(p *uint32)  { Set(c, p, uint32(c.Uint(uint64(*p), 4))) }
-func (c *Codec) U64(p *uint64)  { Set(c, p, c.Uint(*p, 8)) }
-func (c *Codec) I64(p *int64)   { Set(c, p, int64(c.Uint(uint64(*p), 8))) }
-func (c *Codec) F64(p *float64) { Set(c, p, math.Float64frombits(c.Uint(math.Float64bits(*p), 8))) }
+func (c *Codec) U16(p *uint16) { Set(c, p, uint16(c.Uint(uint64(*p), 2))) }
+func (c *Codec) U32(p *uint32) { Set(c, p, uint32(c.Uint(uint64(*p), 4))) }
+func (c *Codec) I64(p *int64)  { Set(c, p, int64(c.Uint(uint64(*p), 8))) }
+
+// U64 and F64, the fields of every STEP ack and SAMPLE, read through
+// get8 rather than Uint; U64 inlines whole into a walk.
+func (c *Codec) U64(p *uint64) {
+	if c.write {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, *p)
+	} else {
+		*p = c.get8()
+	}
+}
+
+func (c *Codec) F64(p *float64) {
+	if c.write {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, math.Float64bits(*p))
+	} else {
+		*p = math.Float64frombits(c.get8())
+	}
+}
 
 // Int codes an int as an n-byte two's-complement integer; writing a
 // value n bytes cannot hold is an error.
