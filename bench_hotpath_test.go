@@ -367,6 +367,51 @@ func BenchmarkCapture(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeBatch times the batch encode path that Fig. 3 replays
+// and daemon sessions take: EncodeBatch over the captured IA and DA
+// address streams of swim, in chunks of the stream's length, one word
+// per op. The encoder keeps its held word across chunks.
+func BenchmarkEncodeBatch(b *testing.B) {
+	_, swim := workload.PaperPair()
+	src, err := swim.NewWarmSource(swim.WarmupCycles)
+	if err != nil {
+		b.Fatal(err)
+	}
+	streams := map[string][]uint32{}
+	for i := 0; i < 1<<16; i++ {
+		c, ok := src.Next()
+		if !ok {
+			b.Fatalf("trace ended after %d cycles", i)
+		}
+		if c.IValid {
+			streams["ia"] = append(streams["ia"], c.IAddr)
+		}
+		if c.DValid {
+			streams["da"] = append(streams["da"], c.DAddr)
+		}
+	}
+	for _, scheme := range []string{"BI", "OEBI", "CBI"} {
+		for _, bus := range []string{"ia", "da"} {
+			words := streams[bus]
+			b.Run(scheme+"/"+bus, func(b *testing.B) {
+				enc, err := encoding.New(scheme)
+				if err != nil {
+					b.Fatal(err)
+				}
+				be := enc.(encoding.BatchEncoder)
+				dst := make([]uint64, len(words))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for done := 0; done < b.N; {
+					n := min(len(words), b.N-done)
+					be.EncodeBatch(dst[:n], words[:n])
+					done += n
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkSweepWorkers measures Fig. 3 sweep scaling across pool sizes
 // (fixed workload: 2 benchmarks x 1 node x 4 schemes x 2 buses = 16 jobs).
 // "cold" builds every simulator and captures every trace window per call

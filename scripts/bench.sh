@@ -9,7 +9,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 OUT=BENCH_hotpath.json
-PATTERN='BenchmarkTransition|BenchmarkThermalAdvance|BenchmarkRunPair|BenchmarkStepBatch|BenchmarkMultiStep|BenchmarkSweepWorkers|BenchmarkBinaryIngest|BenchmarkStreamSampleEncode|BenchmarkCoolingStep|BenchmarkEncoders|BenchmarkCapture'
+PATTERN='BenchmarkTransition|BenchmarkThermalAdvance|BenchmarkRunPair|BenchmarkStepBatch|BenchmarkMultiStep|BenchmarkSweepWorkers|BenchmarkBinaryIngest|BenchmarkStreamSampleEncode|BenchmarkCoolingStep|BenchmarkEncoders|BenchmarkEncodeBatch|BenchmarkPayloadCodec|BenchmarkCapture'
 RAW=$(mktemp)
 ENTRIES=$(mktemp)
 trap 'rm -f "$RAW" "$ENTRIES"' EXIT
@@ -18,7 +18,7 @@ trap 'rm -f "$RAW" "$ENTRIES"' EXIT
 CPU=""
 for G in 1 2 4; do
     GOMAXPROCS=$G go test -run NONE -bench "$PATTERN" -benchmem "$@" \
-        . ./internal/server | tee "$RAW"
+        . ./internal/server ./internal/nbwp | tee "$RAW"
 
     # Parse `go test -bench` lines into JSON entries:
     #   BenchmarkX/sub-N   iters   T ns/op [extra metrics...]  B B/op  A allocs/op

@@ -6,9 +6,11 @@
 # than 2x slower than BENCH_hotpath.json), the nanobusd end-to-end smoke,
 # the adaptive cooling-code gate, and the kill -9 durability chaos gate.
 # It also checks the arm64 build of the energy kernel for fused
-# multiply-adds (scripts/fma_guard.sh), that internal/ode stays a
-# test-only package (scripts/ode_guard.sh), and that the perfbench module
-# still builds and passes its self-test against this checkout.
+# multiply-adds (scripts/fma_guard.sh), that the energy kernel's hold
+# test sits inside one 32-byte window (scripts/layout_guard.sh), that
+# internal/ode stays a test-only package (scripts/ode_guard.sh), and that
+# the perfbench module still builds and passes its self-test against
+# this checkout.
 #
 # CI-safe by construction: no interactive input, no TTY assumptions, and
 # every stage's exit status stops the run. Benchmark output goes through
@@ -41,6 +43,10 @@ echo "==> fma guard"
 # The scalar energy kernel's count-to-energy sum must not be fused into
 # multiply-adds on arm64 (see the script).
 sh scripts/fma_guard.sh
+echo "==> layout guard"
+# The energy kernel's hold-test loop must sit inside one 32-byte window
+# of its function, or soc_lockstep loses 10-15% (see the script).
+sh scripts/layout_guard.sh
 echo "==> nanolint (ratcheted)"
 # The baseline records tolerated debt per file+rule; -ratchet fails the
 # run if the repo has MORE findings than recorded (a regression) or FEWER
@@ -63,15 +69,15 @@ echo "==> benchmark gates"
 # Fast kernels: 100 iterations, min of 3 runs to damp scheduler noise.
 for pass in 1 2 3; do
     go test -run NONE \
-        -bench 'BenchmarkThermalAdvance|BenchmarkBinaryIngest|BenchmarkStreamSampleEncode' \
-        -benchmem -benchtime 100x -count 1 . ./internal/server
+        -bench 'BenchmarkThermalAdvance|BenchmarkBinaryIngest|BenchmarkStreamSampleEncode|BenchmarkPayloadCodec' \
+        -benchmem -benchtime 100x -count 1 . ./internal/server ./internal/nbwp
 done > "$tmp/bench_fast.txt"
 go run ./scripts/benchgate -baseline BENCH_hotpath.json < "$tmp/bench_fast.txt"
 # Memo-warmed kernels need enough iterations to reach their steady-state
 # hit rate (the baseline regime); 100x would gate against a cold cache.
 for pass in 1 2 3; do
     go test -run NONE \
-        -bench 'BenchmarkTransition|BenchmarkRunPair|BenchmarkStepBatch|BenchmarkMultiStep|BenchmarkCoolingStep|BenchmarkEncoders' \
+        -bench 'BenchmarkTransition|BenchmarkRunPair|BenchmarkStepBatch|BenchmarkMultiStep|BenchmarkCoolingStep|BenchmarkEncoders|BenchmarkEncodeBatch' \
         -benchmem -benchtime 100000x -count 1 .
 done > "$tmp/bench_warm.txt"
 go run ./scripts/benchgate -baseline BENCH_hotpath.json < "$tmp/bench_warm.txt"
