@@ -414,10 +414,8 @@ func BenchmarkEncodeBatch(b *testing.B) {
 
 // BenchmarkSweepWorkers measures Fig. 3 sweep scaling across pool sizes
 // (fixed workload: 2 benchmarks x 1 node x 4 schemes x 2 buses = 16 jobs).
-// "cold" builds every simulator and captures every trace window per call
-// (the one-shot CLI cost); "warm" shares a SweepCache across calls (the
-// steady state of a long-lived analysis process), replaying compiled
-// tapes through pooled simulators.
+// Every call builds its simulators and captures its trace windows afresh
+// (the one-shot CLI cost).
 func BenchmarkSweepWorkers(b *testing.B) {
 	opts := expt.Fig3Options{
 		Cycles:     200_000,
@@ -429,21 +427,6 @@ func BenchmarkSweepWorkers(b *testing.B) {
 		b.Run(name+"/cold", func(b *testing.B) {
 			o := opts
 			o.Workers = workers
-			for i := 0; i < b.N; i++ {
-				if _, err := expt.Fig3(o); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(name+"/warm", func(b *testing.B) {
-			o := opts
-			o.Workers = workers
-			o.Cache = expt.NewSweepCache()
-			if _, err := expt.Fig3(o); err != nil { // fill the cache
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := expt.Fig3(o); err != nil {
 					b.Fatal(err)

@@ -187,6 +187,40 @@ func TestCompileTapeErrors(t *testing.T) {
 	}
 }
 
+// TestPlayTapeAllocs is the alloc regression gate for sweep replay: a
+// Fig. 3 job resets its simulator and replays one compiled tape per
+// benchmark, so Reset, PlayTape and Finish together must not allocate
+// for any of the paper's schemes.
+func TestPlayTapeAllocs(t *testing.T) {
+	tape, err := CompileTape(trace.NewSynth(trace.DefaultSynthConfig(42)), "da", 50_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, scheme := range encoding.PaperSchemes() {
+		enc, err := encoding.New(scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := New(Config{Node: itrs.N130, Encoder: enc, CouplingDepth: -1, DropSamples: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			sim.Reset()
+			if err := sim.PlayTape(ctx, tape); err != nil {
+				t.Fatal(err)
+			}
+			if err := sim.Finish(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Reset+PlayTape+Finish allocate %v/op, want 0", scheme, allocs)
+		}
+	}
+}
+
 // TestStepBatchAllocs is the alloc regression gate for the core batch
 // pipeline: once the memo is warm, StepBatch and StepIdleBatch must not
 // allocate — including the interval flushes and thermal advances inside.

@@ -52,10 +52,6 @@ type Fig3Options struct {
 	Buses []string
 	// Workers bounds the sweep-pool concurrency; zero means GOMAXPROCS.
 	Workers int
-	// Cache retains simulators and compiled trace tapes across calls;
-	// nil means a private per-call cache. Results are bit-identical
-	// either way (Reset reuse and tape replay are exact).
-	Cache *SweepCache
 }
 
 // Fig3 runs the study and returns per-benchmark cells followed by
@@ -66,13 +62,12 @@ type Fig3Options struct {
 // The sweep runs in two phases. First each benchmark's window is captured
 // once and compiled into run-length tapes (in parallel, one reusable
 // capture buffer per worker). Then one job per (node, scheme, bus)
-// configuration takes a simulator from the cache and replays every
-// benchmark's tape through it on the batch pipeline — the capacitance
-// extraction and thermal factorisation are paid once per
-// configuration (once per cache lifetime with a shared Cache), and the
-// replay itself allocates nothing. Cells are folded in the fixed
-// benchmark-major order, so results are bit-identical across worker
-// counts and cache reuse.
+// configuration builds one simulator and replays every benchmark's tape
+// through it on the batch pipeline, resetting between benchmarks — the
+// capacitance extraction and thermal factorisation are paid once per
+// configuration, and the replay itself allocates nothing. Cells are
+// folded in the fixed benchmark-major order, so results are
+// bit-identical across worker counts.
 func Fig3(opts Fig3Options) ([]Fig3Cell, error) {
 	cycles := opts.Cycles
 	if cycles == 0 {
@@ -93,10 +88,6 @@ func Fig3(opts Fig3Options) ([]Fig3Cell, error) {
 	buses := opts.Buses
 	if buses == nil {
 		buses = []string{"DA", "IA"}
-	}
-	cache := opts.Cache
-	if cache == nil {
-		cache = NewSweepCache()
 	}
 
 	benches := make([]workload.Benchmark, len(benchNames))
@@ -123,43 +114,49 @@ func Fig3(opts Fig3Options) ([]Fig3Cell, error) {
 	}
 
 	// Phase 1: capture and compile every benchmark's tapes. The capture
-	// window (12 bytes/cycle) lives only inside this phase, one buffer
-	// per worker, drawn from (and returned to) the cache's window pool so
-	// repeated sweeps reuse the slabs instead of reallocating per call.
+	// window (12 bytes/cycle) lives only inside this phase, one reusable
+	// buffer per worker.
 	type tapes struct{ ia, da *core.Tape }
 	benchTapes := make([]tapes, len(benches))
 	windows := make([][]trace.Cycle, parallel.Workers(opts.Workers))
-	phaseErr := parallel.ForEachWorker(opts.Workers, len(benches), func(worker, bi int) error {
-		if windows[worker] == nil {
-			windows[worker] = cache.window()
+	err := parallel.ForEachWorker(opts.Workers, len(benches), func(worker, bi int) error {
+		window, err := captureWindowInto(benches[bi], cycles, windows[worker])
+		windows[worker] = window
+		tp := &benchTapes[bi]
+		if err == nil {
+			tp.ia, err = core.CompileTape(trace.NewSliceSource(window), "ia", cycles)
 		}
-		ia, da, buf, err := cache.tapePair(benches[bi], cycles, windows[worker])
-		windows[worker] = buf
+		if err == nil {
+			tp.da, err = core.CompileTape(trace.NewSliceSource(window), "da", cycles)
+		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", benches[bi].Name, err)
 		}
-		benchTapes[bi] = tapes{ia, da}
 		return nil
 	})
-	for _, w := range windows {
-		cache.putWindow(w)
-	}
-	if phaseErr != nil {
-		return nil, fmt.Errorf("expt: fig3 capture: %w", phaseErr)
+	if err != nil {
+		return nil, fmt.Errorf("expt: fig3 capture: %w", err)
 	}
 
 	// Phase 2: config-major replay. Each job writes its benchmark row of
 	// the flat result slab; disjoint regions, no synchronisation.
 	flat := make([]Fig3Cell, len(jobs)*len(benches))
 	ctx := context.Background()
-	err := parallel.ForEach(opts.Workers, len(jobs), func(ji int) error {
+	err = parallel.ForEach(opts.Workers, len(jobs), func(ji int) error {
 		jb := jobs[ji]
-		k := simKey{node: jb.node.Name, scheme: jb.scheme, depth: -1, drop: true}
-		sim, err := cache.sim(k)
+		enc, err := encoding.New(jb.scheme)
 		if err != nil {
 			return err
 		}
-		defer cache.release(k, sim)
+		sim, err := core.New(core.Config{
+			Node:          jb.node,
+			Encoder:       enc,
+			CouplingDepth: -1,
+			DropSamples:   true,
+		})
+		if err != nil {
+			return err
+		}
 		for bi := range benches {
 			sim.Reset()
 			tp := benchTapes[bi].da
@@ -229,15 +226,10 @@ func Fig3(opts Fig3Options) ([]Fig3Cell, error) {
 	return cells, nil
 }
 
-// captureWindow replays a benchmark past its warm-up and records a fixed
-// cycle window so every configuration sees identical traffic.
-func captureWindow(b workload.Benchmark, cycles uint64) ([]trace.Cycle, error) {
-	return captureWindowInto(b, cycles, nil)
-}
-
-// captureWindowInto is captureWindow reusing buf's capacity; sweep
-// workers pass their per-worker buffer so repeated captures allocate the
-// window once per worker, not once per benchmark.
+// captureWindowInto replays a benchmark past its warm-up and records a
+// fixed cycle window, so every configuration sees identical traffic. It
+// reuses buf's capacity: a sweep worker passes its own buffer, so
+// capturing many benchmarks allocates the window once per worker.
 func captureWindowInto(b workload.Benchmark, cycles uint64, buf []trace.Cycle) ([]trace.Cycle, error) {
 	src, err := b.NewWarmSource(b.WarmupCycles)
 	if err != nil {

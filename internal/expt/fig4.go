@@ -56,9 +56,6 @@ type Fig4Options struct {
 	// Workers bounds the per-benchmark sweep concurrency; zero means
 	// GOMAXPROCS.
 	Workers int
-	// Cache retains simulators across calls (keyed by node and interval);
-	// nil builds fresh ones. Reuse is bit-identical (Simulator.Reset).
-	Cache *SweepCache
 }
 
 // Fig4 reproduces the paper's transient energy/temperature plots: for each
@@ -96,25 +93,13 @@ func Fig4(opts Fig4Options) ([]Fig4Series, error) {
 			}
 			src = ta
 		}
-		var ia, da *core.Simulator
-		if opts.Cache != nil {
-			k := simKey{node: node.Name, interval: opts.IntervalCycles, depth: -1}
-			if ia, err = opts.Cache.sim(k); err != nil {
-				return [2]Fig4Series{}, err
-			}
-			defer opts.Cache.release(k, ia)
-			if da, err = opts.Cache.sim(k); err != nil {
-				return [2]Fig4Series{}, err
-			}
-			defer opts.Cache.release(k, da)
-		} else if ia, da, err = newPair(node, opts.IntervalCycles); err != nil {
+		ia, da, err := newPair(node, opts.IntervalCycles)
+		if err != nil {
 			return [2]Fig4Series{}, err
 		}
 		if _, err := core.RunPair(src, ia, da, cycles); err != nil {
 			return [2]Fig4Series{}, err
 		}
-		// Safe to release after summarise: Reset drops the simulator's
-		// reference to the returned sample slice instead of reusing it.
 		return [2]Fig4Series{
 			summarise(name, "DA", node.Name, da.Samples()),
 			summarise(name, "IA", node.Name, ia.Samples()),
