@@ -3,14 +3,13 @@
 //
 //	go run ./cmd/nanolint ./...
 //	go run ./cmd/nanolint -rules magicconst,floateq ./internal/thermal
-//	go run ./cmd/nanolint -baseline .nanolint-baseline.json -ratchet -sarif out.sarif ./...
+//	go run ./cmd/nanolint -sarif out.sarif ./...
 //
 // Patterns follow the go tool: "dir/..." walks recursively (skipping
 // testdata), a plain pattern names one package directory. Packages are
 // analyzed in parallel with deterministic output order. Findings print as
-// "file:line:col: [rule] message"; the process exits 1 if any fresh
-// unsuppressed finding remains (or, under -ratchet, if the baseline has
-// gone slack), 2 on usage or load errors.
+// "file:line:col: [rule] message"; the process exits 1 if any
+// unsuppressed finding remains, 2 on usage or load errors.
 //
 // Nine rules ship: magicconst, droppederr, floateq, libpanic (AST/call-graph
 // hygiene) and hotalloc, maporder, wallclock, unsafeaudit, ctxpoll
@@ -24,16 +23,9 @@
 // at the end of the offending line or on its own line directly above it.
 // The reason is mandatory; directives without one are themselves findings,
 // as are directives that no longer suppress anything (unused-suppression).
+// The directive is the only way to accept a finding.
 //
-// CI integration:
-//
-//	-sarif FILE       write a SARIF 2.1.0 log for code-scanning upload
-//	-baseline FILE    tolerate findings recorded in the baseline (absent
-//	                  file = empty baseline)
-//	-write-baseline   regenerate the baseline from this run and exit 0
-//	-ratchet          additionally fail when the baseline allows more than
-//	                  the run found, forcing the recorded debt to shrink
-//	                  with every fix (the ratchet never loosens)
+// For CI, -sarif FILE writes a SARIF 2.1.0 log for code-scanning upload.
 package main
 
 import (
@@ -57,9 +49,6 @@ func run(args []string) int {
 	showSuppressed := fs.Bool("show-suppressed", false, "also print suppressed findings with their justification")
 	list := fs.Bool("list", false, "list the available rules and exit")
 	sarifPath := fs.String("sarif", "", "write a SARIF 2.1.0 log to this file")
-	baselinePath := fs.String("baseline", "", "tolerate findings recorded in this baseline file")
-	writeBaseline := fs.Bool("write-baseline", false, "regenerate the -baseline file from this run and exit")
-	ratchet := fs.Bool("ratchet", false, "fail when the baseline allows more findings than the run produced")
 	workers := fs.Int("workers", 0, "package-analysis parallelism (0 = GOMAXPROCS)")
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: nanolint [flags] [packages]\n")
@@ -73,10 +62,6 @@ func run(args []string) int {
 			fmt.Fprintf(os.Stdout, "%-12s %s\n", az.Name, az.Doc)
 		}
 		return 0
-	}
-	if (*writeBaseline || *ratchet) && *baselinePath == "" {
-		fmt.Fprintln(os.Stderr, "nanolint: -write-baseline and -ratchet require -baseline FILE")
-		return 2
 	}
 
 	azs := analysis.All()
@@ -146,33 +131,7 @@ func run(args []string) int {
 		}
 	}
 
-	if *writeBaseline {
-		b := analysis.NewBaseline(findings, root)
-		if err := b.Save(*baselinePath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		fmt.Fprintf(os.Stdout, "nanolint: wrote baseline %s (%d tolerated finding(s))\n",
-			*baselinePath, len(analysis.Unsuppressed(findings)))
-		return 0
-	}
-
-	fresh := findings
-	var slack []string
-	if *baselinePath != "" {
-		b, err := analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		fresh = b.Apply(findings, root)
-		if *ratchet {
-			slack = b.Slack(findings, root)
-		}
-	} else {
-		fresh = analysis.Unsuppressed(findings)
-	}
-
+	fresh := analysis.Unsuppressed(findings)
 	if *showSuppressed {
 		for _, f := range findings {
 			if f.Suppressed {
@@ -183,10 +142,7 @@ func run(args []string) int {
 	for _, f := range fresh {
 		fmt.Fprintln(os.Stdout, finding(root, f))
 	}
-	for _, s := range slack {
-		fmt.Fprintf(os.Stdout, "nanolint: ratchet slack: %s (tighten with -write-baseline)\n", s)
-	}
-	if len(fresh) > 0 || len(slack) > 0 {
+	if len(fresh) > 0 {
 		fmt.Fprintf(os.Stdout, "nanolint: %d finding(s) in %d package(s)\n", len(fresh), len(pkgs))
 		return 1
 	}

@@ -24,8 +24,6 @@ func TestRunExitCodes(t *testing.T) {
 		{"list rules", []string{"-list"}, 0},
 		{"unknown rule", []string{"-rules", "nosuchrule", "internal/units"}, 2},
 		{"bad flag", []string{"-definitely-not-a-flag"}, 2},
-		{"ratchet without baseline", []string{"-ratchet", "internal/units"}, 2},
-		{"write-baseline without baseline", []string{"-write-baseline", "internal/units"}, 2},
 		{"no go files", []string{"internal/analysis/testdata"}, 2},
 	}
 	for _, tc := range cases {
@@ -64,37 +62,5 @@ func TestSarifOutput(t *testing.T) {
 	}
 	if len(doc.Runs) != 1 || len(doc.Runs[0].Results) == 0 {
 		t.Errorf("SARIF has no results for a fixture with findings")
-	}
-}
-
-// TestBaselineRatchetFlow walks the adoption workflow end to end:
-// -write-baseline records the debt and exits 0; a -baseline run tolerates
-// exactly that debt; -ratchet passes at the recorded counts and fails —
-// the ratchet never loosens — once the baseline allows more than the run
-// finds.
-func TestBaselineRatchetFlow(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "base.json")
-	fixture := "internal/analysis/testdata/src/droppederr"
-
-	if got := run([]string{"-baseline", base, "-write-baseline", fixture}); got != 0 {
-		t.Fatalf("write-baseline = %d, want 0", got)
-	}
-	if _, err := os.Stat(base); err != nil {
-		t.Fatalf("baseline not written: %v", err)
-	}
-	if got := run([]string{"-baseline", base, fixture}); got != 0 {
-		t.Errorf("run with matching baseline = %d, want 0 (debt tolerated)", got)
-	}
-	if got := run([]string{"-baseline", base, "-ratchet", fixture}); got != 0 {
-		t.Errorf("ratchet at exact counts = %d, want 0", got)
-	}
-	// A clean package against the debt-carrying baseline: every entry is
-	// slack, so the ratchet fails until the baseline is tightened.
-	if got := run([]string{"-baseline", base, "-ratchet", "internal/units"}); got != 1 {
-		t.Errorf("ratchet with slack = %d, want 1", got)
-	}
-	// Without -ratchet the same slack passes (plain tolerance mode).
-	if got := run([]string{"-baseline", base, "internal/units"}); got != 0 {
-		t.Errorf("tolerance run on clean package = %d, want 0", got)
 	}
 }

@@ -32,9 +32,8 @@
 //     (or forward) a context, per the PR 3 cancellation contract.
 //
 // Reachability-based passes share one cached per-package call graph
-// (Package.CallGraph). See cmd/nanolint for the command-line driver,
-// WriteSARIF for code-scanning output, and Baseline for ratcheted
-// adoption.
+// (Package.CallGraph). See cmd/nanolint for the command-line driver and
+// WriteSARIF for code-scanning output.
 package analysis
 
 import (

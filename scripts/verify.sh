@@ -1,7 +1,7 @@
 #!/bin/sh
 # Full local/CI gate: build, vet, nanolint, race-enabled tests (which
-# include the AllocsPerRun zero-alloc gates in core, energy, server and
-# expt), the ratcheted coverage minimum, a benchmark smoke gated against
+# include the AllocsPerRun zero-alloc gates in core, cpu, energy, nbwp
+# and server), the ratcheted coverage minimum, a benchmark smoke gated against
 # the recorded baseline (benchgate fails the run when any kernel is more
 # than 2x slower than BENCH_hotpath.json), the nanobusd end-to-end smoke,
 # the adaptive cooling-code gate, and the kill -9 durability chaos gate.
@@ -47,13 +47,12 @@ echo "==> layout guard"
 # The energy kernel's hold-test loop must sit inside one 32-byte window
 # of its function, or soc_lockstep loses 10-15% (see the script).
 sh scripts/layout_guard.sh
-echo "==> nanolint (ratcheted)"
-# The baseline records tolerated debt per file+rule; -ratchet fails the
-# run if the repo has MORE findings than recorded (a regression) or FEWER
-# (the baseline went slack — tighten it with -write-baseline so fixed
-# debt cannot silently come back). The SARIF log is CI's code-scanning
-# upload; locally it lands in the temp dir and is discarded.
-go run ./cmd/nanolint -baseline .nanolint-baseline.json -ratchet -sarif "$tmp/nanolint.sarif" ./...
+echo "==> nanolint"
+# Any unsuppressed finding fails the run: a finding is accepted only by a
+# //nanolint:ignore <rule> <reason> directive in the source. The SARIF
+# log is CI's code-scanning upload; locally it lands in the temp dir and
+# is discarded.
+go run ./cmd/nanolint -sarif "$tmp/nanolint.sarif" ./...
 echo "==> race tests"
 go test -race ./...
 
