@@ -325,7 +325,7 @@ func TestFrameCodecAllocs(t *testing.T) {
 
 	// Each SAMPLE row: encode into a reused buffer, parse into a reused
 	// Sample (its temps and encoder name kept from the last parse).
-	for flags := range sampleLayouts {
+	for _, flags := range sampleLayoutFlags {
 		s := Sample{Bus: 5, EndCycle: 1 << 20, EnergyJ: 1e-9, MaxTempK: 330, MaxWire: 7,
 			WireTempsK: pinnedTemps(32), Encoder: "CoolSpread", Switched: true}
 		buf, err := AppendSample(nil, flags, &s)
@@ -402,17 +402,21 @@ func TestEncodeRejectsOversizedStrings(t *testing.T) {
 	}
 }
 
+// sampleLayoutFlags are the three flag values that select a SAMPLE
+// layout.
+var sampleLayoutFlags = []uint8{0, FlagMultiSample, FlagAdaptiveSample}
+
 // TestSampleLayoutFlags checks each SAMPLE row against its flags: a
 // payload decodes only in the layout it was written in, and the
 // {bus, adaptive} flags have no layout.
 func TestSampleLayoutFlags(t *testing.T) {
 	s := Sample{Bus: 2, EndCycle: 9, MaxWire: 1, WireTempsK: pinnedTemps(3), Encoder: "BI", Switched: true}
-	for flags := range sampleLayouts {
+	for _, flags := range sampleLayoutFlags {
 		raw, err := AppendSample(nil, flags, &s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for other := range sampleLayouts {
+		for _, other := range sampleLayoutFlags {
 			var got Sample
 			err := ParseSample(raw, other, &got)
 			if (err == nil) != (other == flags) {

@@ -104,28 +104,17 @@ type Sample struct {
 	Switched bool
 }
 
-// sampleLayout is the shape of one SAMPLE layout.
-type sampleLayout struct {
-	bus      bool // an i32 bus index leads the sample
-	adaptive bool // a switched byte and the u8-prefixed encoder name end it
-}
-
-// sampleFlags are the frame flags that select a SAMPLE layout.
+// sampleFlags are the frame flags that select a SAMPLE layout: each bit
+// adds its fields, and the two together have no layout.
 const sampleFlags = FlagMultiSample | FlagAdaptiveSample
 
-// sampleLayouts is the SAMPLE layout table, keyed by the frame's
-// sampleFlags bits. A key without a row is ErrBadPayload.
-var sampleLayouts = map[uint8]sampleLayout{
-	0:                  {},
-	FlagMultiSample:    {bus: true},
-	FlagAdaptiveSample: {adaptive: true},
-}
-
-// walk codes s in layout l: [bus i32], end cycle u64, the six figures
-// f64, max wire i32, wire-temp count u32 and temps f64, [switched bool,
-// encoder name u8-prefixed]. Reading reuses s.WireTempsK's storage.
-func (s *Sample) walk(c *wire.Codec, l sampleLayout) {
-	if l.bus {
+// walk codes s in the layout flags select: [bus i32 under
+// FlagMultiSample], end cycle u64, the six figures f64, max wire i32,
+// wire-temp count u32 and temps f64, [switched bool and encoder name
+// u8-prefixed under FlagAdaptiveSample]. Reading reuses s.WireTempsK's
+// storage.
+func (s *Sample) walk(c *wire.Codec, flags uint8) {
+	if flags&FlagMultiSample != 0 {
 		c.Int(&s.Bus, 4)
 	}
 	c.U64(&s.EndCycle)
@@ -147,7 +136,7 @@ func (s *Sample) walk(c *wire.Codec, l sampleLayout) {
 	for i := range s.WireTempsK {
 		c.F64(&s.WireTempsK[i])
 	}
-	if l.adaptive {
+	if flags&FlagAdaptiveSample != 0 {
 		c.Bool(&s.Switched)
 		c.Str(&s.Encoder, 1)
 	}
@@ -158,12 +147,11 @@ func (s *Sample) walk(c *wire.Codec, l sampleLayout) {
 //
 //nanolint:hotpath one encode per streamed sample; appends into the caller's reused buffer
 func AppendSample(dst []byte, flags uint8, s *Sample) ([]byte, error) {
-	l, ok := sampleLayouts[flags&sampleFlags]
-	if !ok {
+	if flags&sampleFlags == sampleFlags {
 		return dst, fmt.Errorf("%w: no sample layout for flags %#x", ErrBadPayload, flags)
 	}
 	c := wire.Writer(dst)
-	s.walk(&c, l)
+	s.walk(&c, flags)
 	return c.Written(), payloadErr("sample", c.Err())
 }
 
@@ -173,12 +161,11 @@ func AppendSample(dst []byte, flags uint8, s *Sample) ([]byte, error) {
 //
 //nanolint:hotpath one decode per streamed sample; reuses the caller's Sample
 func ParseSample(p []byte, flags uint8, s *Sample) error {
-	l, ok := sampleLayouts[flags&sampleFlags]
-	if !ok {
+	if flags&sampleFlags == sampleFlags {
 		return fmt.Errorf("%w: no sample layout for flags %#x", ErrBadPayload, flags)
 	}
 	c := wire.Reader(p)
-	s.walk(&c, l)
+	s.walk(&c, flags)
 	return payloadErr("sample", c.Close())
 }
 

@@ -128,12 +128,12 @@ const (
 	FlagDownload uint8 = 1 << 5
 	// FlagMultiSample marks a SAMPLE from a multi-bus session: the
 	// payload is an int32 LE bus index followed by the standard Sample
-	// layout (see sampleLayouts). Scalar sessions never set it, so
+	// layout (see Sample.walk). Scalar sessions never set it, so
 	// existing clients keep decoding plain Sample payloads.
 	FlagMultiSample uint8 = 1 << 6
 	// FlagAdaptiveSample marks a SAMPLE from an adaptive session: the
 	// standard Sample layout followed by a switched byte, the active
-	// encoder's name length, and the name bytes (see sampleLayouts).
+	// encoder's name length, and the name bytes (see Sample.walk).
 	// Static sessions never set it.
 	FlagAdaptiveSample uint8 = 1 << 7
 )
