@@ -1,10 +1,11 @@
 // Package e2e is the shared harness of the end-to-end gate scripts
 // (scripts/nanobusd_smoke, chaos, cluster_chaos and adaptive_gate). It
-// owns the three things every gate needs and none may redefine: how an
-// exec'd nanobusd is launched and drained, how the in-process library
-// reference run is made, and what "bit-identical" means when a service
-// result is compared against that reference or against another service
-// result. Each script keeps only its scenario.
+// owns what the gates share and none may redefine: how an exec'd
+// nanobusd is launched and drained, how a session with live samples is
+// run over NBWP, how the in-process library reference run is made, and
+// what "bit-identical" means when a service result is compared against
+// that reference or against another service result. Each script keeps
+// only its scenario.
 package e2e
 
 import (

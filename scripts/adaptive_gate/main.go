@@ -170,7 +170,9 @@ func transportLeg(ctx context.Context, bin string) error {
 	if err != nil {
 		return fmt.Errorf("http adaptive re-run: %w", err)
 	}
-	nbwpRes, streamed, err := runNBWP(ctx, d.NBWPAddr, cfg, trace)
+	nbwpRes, streamed, err := e2e.StreamNBWP(ctx, d.NBWPAddr, cfg, func(sess client.Session) (*client.Result, error) {
+		return runSession(ctx, sess, trace)
+	})
 	if err != nil {
 		return fmt.Errorf("nbwp adaptive run: %w", err)
 	}
@@ -236,28 +238,6 @@ func runHTTP(ctx context.Context, hc *client.Client, cfg client.SessionConfig, t
 		return nil, err
 	}
 	return runSession(ctx, sess, trace)
-}
-
-// runNBWP runs the trace over NBWP and also returns the SAMPLE frames
-// streamed live while it ran.
-func runNBWP(ctx context.Context, addr string, cfg client.SessionConfig, trace []uint32) (*client.Result, []client.Sample, error) {
-	nc, err := client.DialNBWP(ctx, addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer func() {
-		_ = nc.Close() //nanolint:ignore droppederr best-effort close; the run already reported its outcome
-	}()
-	var streamed []client.Sample
-	sess, err := nc.Open(ctx, cfg, func(s client.Sample) { streamed = append(streamed, s) })
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := runSession(ctx, sess, trace)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, streamed, nc.Goodbye(ctx)
 }
 
 func peakMaxTempK(samples []client.Sample) float64 {

@@ -115,34 +115,17 @@ func driveSession(ctx context.Context, baseURL string, ref *nanobus.Bus) error {
 }
 
 // driveSessionNBWP runs the same schedule over the binary protocol. The
-// session is opened with the concrete NBWP constructor — live sample
-// streaming is a transport-specific extra outside the Session interface —
-// but the schedule itself runs through the same runSchedule path as HTTP,
-// and the streamed SAMPLE frames must carry the same IEEE-754 bit
-// patterns as the result document.
+// session streams its samples live — a transport-specific extra outside
+// the Session interface — but the schedule itself runs through the same
+// runSchedule path as HTTP, and the streamed SAMPLE frames must carry the
+// same IEEE-754 bit patterns as the result document.
 func driveSessionNBWP(ctx context.Context, addr string, ref *nanobus.Bus) error {
-	nc, err := client.DialNBWP(ctx, addr)
-	if err != nil {
-		return fmt.Errorf("dial nbwp: %w", err)
-	}
-	defer func() {
-		//nanolint:ignore droppederr best-effort close; the run already reported its outcome
-		_ = nc.Close()
-	}()
-	var streamed []client.Sample
-	sess, err := nc.Open(ctx, cfg, func(s client.Sample) { streamed = append(streamed, s) })
-	if err != nil {
-		return fmt.Errorf("nbwp open: %w", err)
-	}
-	res, err := runSchedule(ctx, sess, ref)
+	res, streamed, err := e2e.StreamNBWP(ctx, addr, cfg, func(sess client.Session) (*client.Result, error) {
+		return runSchedule(ctx, sess, ref)
+	})
 	if err != nil {
 		return fmt.Errorf("nbwp: %w", err)
 	}
-	if err := nc.Goodbye(ctx); err != nil {
-		return fmt.Errorf("nbwp goodbye: %w", err)
-	}
-	// The sample callback fires before the triggering step is acked, so
-	// everything streamed is visible here.
 	if err := e2e.SameStream(res, streamed); err != nil {
 		return fmt.Errorf("nbwp: %w", err)
 	}
