@@ -116,7 +116,7 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			pkg := loadFixture(t, name)
-			findings, err := Run([]*Package{pkg}, All())
+			findings, err := RunParallel([]*Package{pkg}, All(), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +133,7 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 // unused-suppression.
 func TestSuppressionDirectives(t *testing.T) {
 	pkg := loadFixture(t, "suppress")
-	findings, err := Run([]*Package{pkg}, All())
+	findings, err := RunParallel([]*Package{pkg}, All(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestRepoClean(t *testing.T) {
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	findings, err := Run(pkgs, All())
+	findings, err := RunParallel(pkgs, All(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,9 +63,9 @@ func TestExpandPatterns(t *testing.T) {
 		t.Fatalf("ExpandPatterns: %v", err)
 	}
 	want := map[string]bool{
-		l.ModuleDir(): true, // root package
-		filepath.Join(l.ModuleDir(), "internal", "energy"): true,
-		filepath.Join(l.ModuleDir(), "cmd", "nanobus"):     true,
+		l.moduleDir: true, // root package
+		filepath.Join(l.moduleDir, "internal", "energy"): true,
+		filepath.Join(l.moduleDir, "cmd", "nanobus"):     true,
 	}
 	got := map[string]bool{}
 	for _, d := range dirs {
@@ -106,7 +106,7 @@ func TestLoadDirNoGoFiles(t *testing.T) {
 	if ngf.ImportPath != "nanobus/internal/analysis/testdata" {
 		t.Errorf("ImportPath = %q", ngf.ImportPath)
 	}
-	if ngf.Dir != filepath.Join(l.ModuleDir(), "internal", "analysis", "testdata") {
+	if ngf.Dir != filepath.Join(l.moduleDir, "internal", "analysis", "testdata") {
 		t.Errorf("Dir = %q", ngf.Dir)
 	}
 	if !strings.Contains(err.Error(), "non-test .go file") {
@@ -116,20 +116,20 @@ func TestLoadDirNoGoFiles(t *testing.T) {
 
 func TestLoaderHonorsBuildConstraints(t *testing.T) {
 	l := testLoader(t)
-	// faultinject ships two mutually-exclusive build-tag variants; loading
+	// The fixture ships two mutually exclusive build-tag variants; loading
 	// both at once would report phantom redeclarations. Only the default
-	// (armed) variant may be included.
-	pkg, err := l.LoadDir("internal/faultinject")
+	// variant may be included.
+	pkg, err := l.LoadDir("internal/analysis/testdata/src/buildtag")
 	if err != nil {
-		t.Fatalf("LoadDir(internal/faultinject): %v", err)
+		t.Fatalf("LoadDir(buildtag fixture): %v", err)
 	}
 	for _, f := range pkg.Files {
 		name := filepath.Base(pkg.Fset.Position(f.Pos()).Filename)
-		if name == "faultinject_off.go" {
-			t.Fatalf("loader included the nanobus_nofault variant %s", name)
+		if name == "off.go" {
+			t.Fatalf("loader included the tag-gated variant %s", name)
 		}
 	}
 	if pkg.Types.Scope().Lookup("Hit") == nil {
-		t.Fatal("armed variant missing: no Hit in package scope")
+		t.Fatal("default variant missing: no Hit in package scope")
 	}
 }

@@ -14,7 +14,7 @@ import (
 // and both pseudo-rules (nanolint, unused-suppression) in one run.
 func TestWriteSARIFStructure(t *testing.T) {
 	pkg := loadFixture(t, "suppress")
-	findings, err := Run([]*Package{pkg}, All())
+	findings, err := RunParallel([]*Package{pkg}, All(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,13 +50,14 @@ func TestRingOrderIndependence(t *testing.T) {
 // TestRingBalance bounds the ownership skew: with 64 vnodes per member a
 // 3-node ring should give every node a non-trivial share.
 func TestRingBalance(t *testing.T) {
-	r := NewRing([]string{"n1", "n2", "n3"})
+	members := []string{"n1", "n2", "n3"}
+	r := NewRing(members)
 	counts := map[string]int{}
 	const n = 4096
 	for i := 0; i < n; i++ {
 		counts[r.Owner(fmt.Sprintf("%016x", uint64(i)*0x9e3779b97f4a7c15))]++
 	}
-	for _, name := range r.Nodes() {
+	for _, name := range members {
 		share := float64(counts[name]) / n
 		if share < 0.15 || share > 0.55 {
 			t.Errorf("node %s owns %.1f%% of ids (counts: %v)", name, 100*share, counts)

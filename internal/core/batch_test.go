@@ -125,8 +125,8 @@ func TestPlayTapeMatchesRunSingle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tape.Cycles() != cycles {
-			t.Fatalf("tape has %d cycles, want %d", tape.Cycles(), cycles)
+		if tape.cycles != cycles {
+			t.Fatalf("tape has %d cycles, want %d", tape.cycles, cycles)
 		}
 		if err := got.PlayTape(context.Background(), tape); err != nil {
 			t.Fatal(err)

@@ -6,14 +6,20 @@ import (
 	"testing/quick"
 )
 
+// perimeter returns the total boundary length of c.
+func perimeter(c Conductor) float64 {
+	p := 0.0
+	for _, s := range c.Boundary {
+		p += s.Length()
+	}
+	return p
+}
+
 func TestPointOps(t *testing.T) {
 	p := Point{3, 4}
 	q := Point{0, 0}
 	if d := p.Dist(q); d != 5 {
 		t.Errorf("Dist = %g, want 5", d)
-	}
-	if r := p.Sub(q); r != p {
-		t.Errorf("Sub = %+v", r)
 	}
 }
 
@@ -87,7 +93,7 @@ func TestRectConductor(t *testing.T) {
 	if len(c.Boundary) != 4 {
 		t.Fatalf("%d segments", len(c.Boundary))
 	}
-	if p := c.Perimeter(); math.Abs(p-14) > 1e-12 {
+	if p := perimeter(c); math.Abs(p-14) > 1e-12 {
 		t.Errorf("perimeter = %g, want 14", p)
 	}
 	// Closed boundary.
@@ -111,8 +117,8 @@ func TestPolygonConductor(t *testing.T) {
 		t.Errorf("%d segments", len(tri.Boundary))
 	}
 	want := 2 + math.Sqrt2
-	if math.Abs(tri.Perimeter()-want) > 1e-12 {
-		t.Errorf("perimeter = %g, want %g", tri.Perimeter(), want)
+	if math.Abs(perimeter(tri)-want) > 1e-12 {
+		t.Errorf("perimeter = %g, want %g", perimeter(tri), want)
 	}
 }
 
@@ -122,8 +128,8 @@ func TestCircleConductor(t *testing.T) {
 		t.Fatalf("%d segments", len(c.Boundary))
 	}
 	// Perimeter approaches 2*pi*r.
-	if math.Abs(c.Perimeter()-2*math.Pi*2) > 0.01 {
-		t.Errorf("perimeter = %g, want ~%g", c.Perimeter(), 2*math.Pi*2)
+	if math.Abs(perimeter(c)-2*math.Pi*2) > 0.01 {
+		t.Errorf("perimeter = %g, want ~%g", perimeter(c), 2*math.Pi*2)
 	}
 	// Minimum vertex count enforced.
 	if got := len(CircleConductor("c", 0, 0, 1, 3).Boundary); got != 8 {

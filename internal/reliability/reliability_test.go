@@ -38,12 +38,12 @@ func TestTwentyKelvinRule(t *testing.T) {
 	// With Ea = 0.9 eV around 320 K, +20 K should cost roughly a factor
 	// of ~7-9 in lifetime — the quantitative bite behind the paper's
 	// warning about a 20 K bus temperature rise.
-	af, err := AccelerationFactor(Params{}, units.AmbientK+20, units.AmbientK)
+	m, err := RelativeMTTF(Params{}, units.AmbientK+20, 1, units.AmbientK, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if af < 5 || af > 12 {
-		t.Errorf("acceleration for +20K = %.2f, want ~5-12", af)
+	if af := 1 / m; af < 5 || af > 12 {
+		t.Errorf("acceleration for +20K = %.2f, want ~5-12", 1/m)
 	}
 }
 

@@ -34,10 +34,13 @@ func TestEmptyStream(t *testing.T) {
 	}
 }
 
-func TestSummarizeAndOfSlice(t *testing.T) {
-	sum := OfSlice([]float64{1, 2, 3})
-	if sum.N != 3 || math.Abs(sum.Mean-2) > 1e-12 {
-		t.Errorf("OfSlice = %+v", sum)
+func TestSummarize(t *testing.T) {
+	var three Stream
+	for _, x := range []float64{1, 2, 3} {
+		three.Add(x)
+	}
+	if sum := Summarize(&three); sum.N != 3 || math.Abs(sum.Mean-2) > 1e-12 {
+		t.Errorf("Summarize = %+v", sum)
 	}
 	var s Stream
 	s.Add(10)
