@@ -115,12 +115,6 @@ func ByName(names []string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// Run runs the analyzers over the packages with default parallelism
-// (GOMAXPROCS); see RunParallel.
-func Run(pkgs []*Package, azs []*Analyzer) ([]Finding, error) {
-	return RunParallel(pkgs, azs, 0)
-}
-
 // RunParallel runs the analyzers over the packages on up to
 // parallel.Workers(workers) goroutines — one package per job, since the
 // type-checker's per-package Info maps are not shared — applies

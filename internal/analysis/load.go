@@ -87,12 +87,6 @@ func NewLoader(moduleDir string) (*Loader, error) {
 	}, nil
 }
 
-// ModuleDir returns the loader's module root directory.
-func (l *Loader) ModuleDir() string { return l.moduleDir }
-
-// ModulePath returns the module path declared in go.mod.
-func (l *Loader) ModulePath() string { return l.modulePath }
-
 // FindModuleRoot walks up from dir to the nearest directory containing a
 // go.mod file.
 func FindModuleRoot(dir string) (string, error) {
@@ -245,10 +239,9 @@ func (e *NoGoFilesError) Unwrap() error { return ErrNoGoFiles }
 
 // goFilesIn lists the non-test Go files of dir that are included under
 // the default build configuration, sorted. Files excluded by a
-// //go:build constraint (e.g. the nanobus_nofault no-op variant of
-// faultinject) must be skipped exactly as `go build ./...` skips them:
-// type-checking both variants of a gated package at once would report
-// phantom redeclaration errors.
+// //go:build constraint must be skipped exactly as `go build ./...` skips
+// them: type-checking both variants of a gated package at once would
+// report phantom redeclaration errors.
 func goFilesIn(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -282,7 +275,7 @@ var releaseTagRE = regexp.MustCompile(`^go1\.[0-9]+$`)
 
 // defaultTag evaluates one build tag under the default configuration:
 // the host GOOS/GOARCH, the gc compiler, the unix meta-tag, and release
-// tags. Custom tags (nanobus_nofault, race, integration, ...) are unset.
+// tags. Custom tags (race, integration, ...) are unset.
 func defaultTag(tag string) bool {
 	switch tag {
 	case runtime.GOOS, runtime.GOARCH, "gc":

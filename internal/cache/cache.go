@@ -107,14 +107,8 @@ func New(cfg Config, next *Cache) (*Cache, error) {
 	}, nil
 }
 
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Stats returns a copy of the access statistics.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the statistics (e.g. after warm-up).
-func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // setIndex and tagOf split an address into its set index and tag.
 func (c *Cache) setIndex(addr uint32) uint32 { return (addr >> c.setShift) & c.setMask }

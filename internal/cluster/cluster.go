@@ -106,9 +106,6 @@ func mix64(z uint64) uint64 {
 	return z
 }
 
-// Nodes returns the member names on the ring, sorted.
-func (r *Ring) Nodes() []string { return r.nodes }
-
 // Owner returns the member that owns id, or "" on an empty ring.
 func (r *Ring) Owner(id string) string {
 	if len(r.points) == 0 {

@@ -74,9 +74,6 @@ func CompileTape(src trace.Source, kind string, maxCycles uint64) (*Tape, error)
 	return t, nil
 }
 
-// Cycles returns the tape's length in bus cycles.
-func (t *Tape) Cycles() uint64 { return t.cycles }
-
 // Words returns how many cycles drive a word (the rest are idle).
 func (t *Tape) Words() uint64 { return uint64(len(t.words)) }
 

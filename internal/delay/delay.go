@@ -53,16 +53,6 @@ func DelayAt(node itrs.Node, length, tempK float64) (hot, ref float64, err error
 	return segs * segDelay, ref, nil
 }
 
-// DegradationPct returns the percentage delay growth at tempK relative to
-// the reference temperature.
-func DegradationPct(node itrs.Node, length, tempK float64) (float64, error) {
-	hot, ref, err := DelayAt(node, length, tempK)
-	if err != nil {
-		return 0, err
-	}
-	return 100 * (hot - ref) / ref, nil
-}
-
 // InductancePerMeter estimates the loop inductance (H/m) of a global wire
 // over its return plane with the standard microstrip form
 // L = (mu0/2pi) * ln(8h/w + w/(4h)), where h is the dielectric height and

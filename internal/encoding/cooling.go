@@ -188,9 +188,6 @@ func (*CoolCapDecoder) Decode(phys uint64) uint32 {
 // Reset implements Decoder.
 func (*CoolCapDecoder) Reset() {}
 
-// CoolingSchemes lists the cooling-code family.
-func CoolingSchemes() []string { return []string{"CoolSpread", "CoolCap"} }
-
 // --- Padded ------------------------------------------------------------------
 
 // Padded widens an encoder to a fixed physical width without driving the

@@ -1,5 +1,3 @@
-//go:build !nanobus_nofault
-
 // Package faultinject provides named failpoints for chaos and robustness
 // testing. Production code calls Hit (or Truncate) at interesting sites —
 // interval flushes, ingest decodes, checkpoint-store writes — and the
@@ -21,8 +19,7 @@
 //
 // When nothing is armed the entire machinery reduces to one atomic load
 // per Hit, and the hot sites only run at interval/request granularity, so
-// the production cost is negligible. Building with -tags nanobus_nofault
-// compiles the package down to constant no-ops (faultinject_off.go).
+// the production cost is negligible.
 package faultinject
 
 import (

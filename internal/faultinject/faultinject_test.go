@@ -1,5 +1,3 @@
-//go:build !nanobus_nofault
-
 package faultinject
 
 import (

@@ -15,9 +15,6 @@ type Point struct {
 	X, Y float64
 }
 
-// Sub returns p - q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
 
@@ -56,15 +53,6 @@ func (s Segment) Split(n int) []Segment {
 type Conductor struct {
 	Name     string
 	Boundary []Segment
-}
-
-// Perimeter returns the total boundary length.
-func (c Conductor) Perimeter() float64 {
-	p := 0.0
-	for _, s := range c.Boundary {
-		p += s.Length()
-	}
-	return p
 }
 
 // RectConductor builds a rectangular conductor with lower-left corner at

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"nanobus/internal/units"
 )
@@ -266,13 +265,4 @@ func geomInterp(a, b, f float64) float64 {
 		return a + (b-a)*f
 	}
 	return a * math.Pow(b/a, f)
-}
-
-// SortedByFeature returns the nodes sorted by descending feature size
-// (oldest technology first); useful for stable table output.
-func SortedByFeature(nodes []Node) []Node {
-	out := make([]Node, len(nodes))
-	copy(out, nodes)
-	sort.Slice(out, func(i, j int) bool { return out[i].FeatureNm > out[j].FeatureNm })
-	return out
 }

@@ -156,10 +156,3 @@ func TestLayerStack(t *testing.T) {
 		}
 	}
 }
-
-func TestSortedByFeature(t *testing.T) {
-	sorted := SortedByFeature([]Node{N45, N130, N90})
-	if sorted[0].Name != "130nm" || sorted[2].Name != "45nm" {
-		t.Errorf("sort order: %s %s %s", sorted[0].Name, sorted[1].Name, sorted[2].Name)
-	}
-}

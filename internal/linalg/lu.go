@@ -12,9 +12,8 @@ var ErrSingular = errors.New("linalg: matrix is singular")
 
 // LU holds an LU factorization with partial pivoting: P*A = L*U.
 type LU struct {
-	lu   *Matrix
-	piv  []int
-	sign int
+	lu  *Matrix
+	piv []int
 }
 
 // FactorLU computes the LU factorization of a square matrix with partial
@@ -29,7 +28,6 @@ func FactorLU(a *Matrix) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Find pivot row.
 		p := k
@@ -49,7 +47,6 @@ func FactorLU(a *Matrix) (*LU, error) {
 				rowP[j], rowK[j] = rowK[j], rowP[j]
 			}
 			piv[p], piv[k] = piv[k], piv[p]
-			sign = -sign
 		}
 		pivot := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -64,7 +61,7 @@ func FactorLU(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	return &LU{lu: lu, piv: piv}, nil
 }
 
 // Solve solves A x = b for one right-hand side.
@@ -103,38 +100,6 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// SolveMatrix solves A X = B column by column.
-func (f *LU) SolveMatrix(b *Matrix) (*Matrix, error) {
-	n := f.lu.Rows()
-	if b.Rows() != n {
-		return nil, fmt.Errorf("linalg: LU solve rhs has %d rows, want %d", b.Rows(), n)
-	}
-	out := newMatrix(n, b.Cols())
-	col := make([]float64, n)
-	for j := 0; j < b.Cols(); j++ {
-		for i := 0; i < n; i++ {
-			col[i] = b.At(i, j)
-		}
-		x, err := f.Solve(col)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			out.Set(i, j, x[i])
-		}
-	}
-	return out, nil
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.lu.Rows(); i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
 // SolveLU is a convenience wrapper: factor A and solve A x = b.
 func SolveLU(a *Matrix, b []float64) ([]float64, error) {
 	f, err := FactorLU(a)
@@ -142,17 +107,4 @@ func SolveLU(a *Matrix, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return f.Solve(b)
-}
-
-// Invert returns A^-1 via LU factorization.
-func Invert(a *Matrix) (*Matrix, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	id, err := Identity(a.Rows())
-	if err != nil {
-		return nil, err
-	}
-	return f.SolveMatrix(id)
 }

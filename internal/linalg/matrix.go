@@ -69,18 +69,6 @@ func NewMatrixFromRows(rows [][]float64) (*Matrix, error) {
 	return m, nil
 }
 
-// Identity returns the n x n identity matrix.
-func Identity(n int) (*Matrix, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("linalg: invalid identity dimension %d", n)
-	}
-	m := newMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m, nil
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -117,28 +105,6 @@ func (m *Matrix) Transpose() *Matrix {
 	return t
 }
 
-// MulVec computes y = M x. x must have length Cols.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	if len(x) != m.cols {
-		return nil, fmt.Errorf("linalg: MulVec dimension mismatch: %d vs %d", len(x), m.cols)
-	}
-	return m.mulVec(x), nil
-}
-
-// mulVec is the no-check kernel behind MulVec.
-func (m *Matrix) mulVec(x []float64) []float64 {
-	y := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-	return y
-}
-
 // MulVecInto computes y = M x without allocating. x must have length Cols
 // and y length Rows; y must not alias x. The dot product runs over four
 // independent accumulators: a single running sum serializes on the FP-add
@@ -168,28 +134,6 @@ func (m *Matrix) MulVecInto(x, y []float64) error {
 		y[i] = (s0 + s1) + (s2 + s3)
 	}
 	return nil
-}
-
-// Mul computes the matrix product M*B.
-func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
-	if m.cols != b.rows {
-		return nil, fmt.Errorf("linalg: Mul dimension mismatch: %dx%d * %dx%d", m.rows, m.cols, b.rows, b.cols)
-	}
-	out := newMatrix(m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		arow := m.Row(i)
-		orow := out.Row(i)
-		for k, aik := range arow {
-			if aik == 0 { //nanolint:ignore floateq sparsity skip: zero entries contribute nothing to the product
-				continue
-			}
-			brow := b.Row(k)
-			for j, bkj := range brow {
-				orow[j] += aik * bkj
-			}
-		}
-	}
-	return out, nil
 }
 
 // MulInto computes out = M*B without allocating. out must be Rows x
@@ -248,17 +192,6 @@ func (m *Matrix) IsSymmetric(tol float64) bool {
 		}
 	}
 	return true
-}
-
-// MaxAbs returns the largest absolute element.
-func (m *Matrix) MaxAbs() float64 {
-	maxAbs := 0.0
-	for _, v := range m.data {
-		if a := math.Abs(v); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	return maxAbs
 }
 
 // String renders the matrix for debugging.

@@ -2,33 +2,15 @@ package linalg
 
 import "fmt"
 
-// SolveTridiagonal solves a tridiagonal system using the Thomas algorithm.
-// sub is the subdiagonal (length n, sub[0] unused), diag the main diagonal
-// (length n), sup the superdiagonal (length n, sup[n-1] unused) and rhs the
-// right-hand side. The inputs are not modified. The Thomas algorithm is
-// stable for the diagonally dominant systems produced by the thermal
-// network's steady state.
-func SolveTridiagonal(sub, diag, sup, rhs []float64) ([]float64, error) {
-	n := len(diag)
-	if len(sub) != n || len(sup) != n || len(rhs) != n {
-		return nil, fmt.Errorf("linalg: tridiagonal length mismatch: sub=%d diag=%d sup=%d rhs=%d",
-			len(sub), len(diag), len(sup), len(rhs))
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("linalg: empty tridiagonal system")
-	}
-	x := make([]float64, n)
-	if err := SolveTridiagonalInto(sub, diag, sup, rhs, make([]float64, n), make([]float64, n), x); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// SolveTridiagonalInto is the allocation-free kernel behind
-// SolveTridiagonal: cp and dp are caller-provided scratch vectors and x
-// receives the solution, all of length n. Hot paths (the thermal
+// SolveTridiagonalInto solves a tridiagonal system using the Thomas
+// algorithm, without allocating. sub is the subdiagonal (sub[0] unused),
+// diag the main diagonal, sup the superdiagonal (sup[n-1] unused) and rhs
+// the right-hand side; cp and dp are caller-provided scratch vectors and
+// x receives the solution, all of length n. Hot paths (the thermal
 // propagator's per-interval steady-state solve) keep these buffers across
 // calls. The inputs sub/diag/sup/rhs are not modified; x may alias rhs.
+// The Thomas algorithm is stable for the diagonally dominant systems
+// produced by the thermal network's steady state.
 func SolveTridiagonalInto(sub, diag, sup, rhs, cp, dp, x []float64) error {
 	n := len(diag)
 	if len(sub) != n || len(sup) != n || len(rhs) != n || len(cp) != n || len(dp) != n || len(x) != n {

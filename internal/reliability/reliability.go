@@ -72,16 +72,6 @@ func RelativeMTTF(p Params, tempK, jA float64, refTempK, refJA float64) (float64
 	return jTerm * tTerm, nil
 }
 
-// AccelerationFactor returns how much faster a wire ages at tempK than at
-// refTempK with the same current density: MTTF(ref)/MTTF(T).
-func AccelerationFactor(p Params, tempK, refTempK float64) (float64, error) {
-	m, err := RelativeMTTF(p, tempK, 1, refTempK, 1)
-	if err != nil {
-		return 0, err
-	}
-	return 1 / m, nil
-}
-
 // WireAssessment is one wire's EM summary.
 type WireAssessment struct {
 	// Wire is the index within the bus.

@@ -87,12 +87,3 @@ func Summarize(s *Stream) Summary {
 		Min: s.Min(), Max: s.Max(), CoefficientVar: s.CoeffVar(),
 	}
 }
-
-// OfSlice summarises a slice in one call.
-func OfSlice(xs []float64) Summary {
-	var s Stream
-	for _, x := range xs {
-		s.Add(x)
-	}
-	return Summarize(&s)
-}

@@ -3,8 +3,6 @@
 // meters, seconds, volts, joules, watts, kelvin, farads, ohms.
 package units
 
-import "fmt"
-
 // Physical constants.
 const (
 	// Eps0 is the permittivity of free space in F/m.
@@ -27,8 +25,8 @@ const (
 	// AmbientK is the paper's ambient (substrate) temperature: 45 C.
 	AmbientK = 318.15
 
-	// ZeroCelsiusK is 0 C expressed in kelvin, the offset used by the
-	// Celsius conversions and by AmbientK (= 45 C) above.
+	// ZeroCelsiusK is 0 C expressed in kelvin, the offset behind
+	// AmbientK (= 45 C) above.
 	ZeroCelsiusK = 273.15
 
 	// CrepPerCint is the paper's rounded repeater-capacitance ratio: after
@@ -59,42 +57,3 @@ const (
 	Pico  = 1e-12
 	Femto = 1e-15
 )
-
-// CelsiusToKelvin converts a Celsius temperature to kelvin.
-func CelsiusToKelvin(c float64) float64 { return c + ZeroCelsiusK }
-
-// KelvinToCelsius converts a kelvin temperature to Celsius.
-func KelvinToCelsius(k float64) float64 { return k - ZeroCelsiusK }
-
-// FormatEnergy renders an energy in J with an engineering prefix.
-func FormatEnergy(j float64) string { return formatEng(j, "J") }
-
-// FormatPower renders a power in W with an engineering prefix.
-func FormatPower(w float64) string { return formatEng(w, "W") }
-
-// FormatCapacitance renders a capacitance in F with an engineering prefix.
-func FormatCapacitance(f float64) string { return formatEng(f, "F") }
-
-func formatEng(v float64, unit string) string {
-	abs := v
-	if abs < 0 {
-		abs = -abs
-	}
-	type pref struct {
-		scale float64
-		name  string
-	}
-	prefixes := []pref{
-		{1, ""}, {1e-3, "m"}, {1e-6, "u"}, {1e-9, "n"},
-		{1e-12, "p"}, {1e-15, "f"}, {1e-18, "a"},
-	}
-	if abs == 0 { //nanolint:ignore floateq only an exactly zero value prints without a prefix
-		return "0 " + unit
-	}
-	for _, p := range prefixes {
-		if abs >= p.scale {
-			return fmt.Sprintf("%.4g %s%s", v/p.scale, p.name, unit)
-		}
-	}
-	return fmt.Sprintf("%.4g %s", v, unit)
-}
