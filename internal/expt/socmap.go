@@ -40,9 +40,6 @@ type SoCMapOptions struct {
 	// DisableBusCoupling severs the lateral thermal resistance — the
 	// isolation baseline for coupling A/B studies.
 	DisableBusCoupling bool
-	// BatchRows is the number of lockstep cycles per step request; zero
-	// means 8192.
-	BatchRows int
 }
 
 // SoCMapFrame is one sampling interval of the thermal movie.
@@ -150,17 +147,15 @@ func SoCMap(ctx context.Context, opts SoCMapOptions, open MapOpener) (*SoCMapRes
 	if node.Name == "" {
 		node = itrs.N130
 	}
-	batchRows := opts.BatchRows
-	if batchRows == 0 {
-		batchRows = 8192
-	}
-
 	slab, duty, err := captureSoCTraffic(opts.Benchmark, cycles)
 	if err != nil {
 		return nil, err
 	}
 
-	const k = len(SoCBusLabels)
+	const (
+		k         = len(SoCBusLabels)
+		batchRows = 8192 // lockstep cycles per step request
+	)
 	depth := -1
 	cfg := client.SessionConfig{
 		Node:               node.Name,
