@@ -343,14 +343,11 @@ func (s *HTTPSession) StepStream(ctx context.Context, body io.Reader, onSample f
 // BodyFromLines serialises step lines into an NDJSON reader for
 // StepStream.
 func BodyFromLines(lines []StepLine) (io.Reader, error) {
-	var body bytes.Buffer
-	enc := json.NewEncoder(&body)
-	for _, line := range lines {
-		if err := enc.Encode(line); err != nil {
-			return nil, err
-		}
+	body, err := encodeLines(lines)
+	if err != nil {
+		return nil, err
 	}
-	return &body, nil
+	return bytes.NewReader(body), nil
 }
 
 // Status fetches the session's live counters (retried under WithRetry:
