@@ -65,106 +65,6 @@ func adaptiveCfg(trigger float64, interval uint64) client.SessionConfig {
 	}
 }
 
-// TestAdaptiveCrossTransportConformance drives the same trace through an
-// adaptive session over HTTP and over NBWP and requires the encoder
-// switches to be identical: same switch cycles, same directions, same
-// bit-exact trigger temperatures, same per-sample encoder tags, and the
-// same occupancy split. This is the adaptive extension of the NBWP
-// fidelity guarantee.
-func TestAdaptiveCrossTransportConformance(t *testing.T) {
-	_, hc, addr := newNBWPService(t, server.Config{})
-	ctx := context.Background()
-	const interval = 1000
-	trace := hotTrace(8 * interval)
-	cfg := adaptiveCfg(probeTrigger(t, hc, trace, interval), interval)
-
-	hs, err := hc.CreateSession(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hs.Info.Encoding != "adaptive" || hs.Info.Adaptive == nil {
-		t.Fatalf("http session info = %q adaptive %v, want \"adaptive\" spec", hs.Info.Encoding, hs.Info.Adaptive)
-	}
-	if _, err := hs.StepBinary(ctx, trace); err != nil {
-		t.Fatal(err)
-	}
-	httpRes, err := hs.Result(ctx, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	nc := dialNBWP(t, addr)
-	var streamed []client.Sample
-	ns, err := nc.Open(ctx, cfg, func(s client.Sample) { streamed = append(streamed, s) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ns.Info.Encoding != "adaptive" || ns.Info.Adaptive == nil {
-		t.Fatalf("nbwp session info = %q adaptive %v, want \"adaptive\" spec", ns.Info.Encoding, ns.Info.Adaptive)
-	}
-	if _, err := ns.StepBinary(ctx, trace); err != nil {
-		t.Fatal(err)
-	}
-	nbwpRes, err := ns.Result(ctx, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if httpRes.Adaptive == nil || nbwpRes.Adaptive == nil {
-		t.Fatalf("adaptive result blocks missing: http %v nbwp %v", httpRes.Adaptive, nbwpRes.Adaptive)
-	}
-	if len(httpRes.Adaptive.Switches) == 0 {
-		t.Fatal("scenario produced no encoder switch; the conformance check would be vacuous")
-	}
-	if len(nbwpRes.Adaptive.Switches) != len(httpRes.Adaptive.Switches) {
-		t.Fatalf("switch count %d over nbwp, %d over http",
-			len(nbwpRes.Adaptive.Switches), len(httpRes.Adaptive.Switches))
-	}
-	for i, hsw := range httpRes.Adaptive.Switches {
-		nsw := nbwpRes.Adaptive.Switches[i]
-		if nsw.Cycle != hsw.Cycle || nsw.From != hsw.From || nsw.To != hsw.To ||
-			!bitsEq(nsw.TempK, hsw.TempK) {
-			t.Fatalf("switch %d differs across transports: nbwp %+v http %+v", i, nsw, hsw)
-		}
-	}
-	if nbwpRes.Adaptive.Active != httpRes.Adaptive.Active {
-		t.Fatalf("active encoder %q over nbwp, %q over http", nbwpRes.Adaptive.Active, httpRes.Adaptive.Active)
-	}
-	for i, ho := range httpRes.Adaptive.Occupancy {
-		if no := nbwpRes.Adaptive.Occupancy[i]; no != ho {
-			t.Fatalf("occupancy %d differs across transports: nbwp %+v http %+v", i, no, ho)
-		}
-	}
-	if len(nbwpRes.Samples) != len(httpRes.Samples) {
-		t.Fatalf("samples = %d over nbwp, %d over http", len(nbwpRes.Samples), len(httpRes.Samples))
-	}
-	for i, hsm := range httpRes.Samples {
-		nsm := nbwpRes.Samples[i]
-		if nsm.Encoder != hsm.Encoder || nsm.Switched != hsm.Switched ||
-			!bitsEq(nsm.MaxTempK, hsm.MaxTempK) || !bitsEq(nsm.EnergyJ, hsm.EnergyJ) {
-			t.Fatalf("sample %d differs across transports: nbwp %+v http %+v", i, nsm, hsm)
-		}
-	}
-	// The SAMPLE frames streamed mid-step carry the same encoder tags as
-	// the retained result samples.
-	if len(streamed) == 0 {
-		t.Fatal("nbwp stream produced no samples")
-	}
-	for i, ss := range streamed {
-		rs := nbwpRes.Samples[i]
-		if ss.Encoder != rs.Encoder || ss.Switched != rs.Switched || !bitsEq(ss.MaxTempK, rs.MaxTempK) {
-			t.Fatalf("streamed sample %d differs from result: %+v vs %+v", i, ss, rs)
-		}
-	}
-
-	if err := ns.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := hs.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestAdaptiveCheckpointResumeNBWP pins the NBCP v3 round trip over the
 // wire: checkpoint an adaptive session mid-run (after its switch),
 // delete it, resurrect it from the downloaded envelope on a fresh

@@ -330,7 +330,7 @@ func (s *HTTPSession) StepStream(ctx context.Context, body io.Reader, onSample f
 		case line.Summary != nil:
 			return *line.Summary, nil
 		case line.Error != nil:
-			return StepSummary{}, &APIError{StatusCode: http.StatusOK,
+			return StepSummary{}, &APIError{StatusCode: line.Error.Status,
 				Code: line.Error.Code, Message: line.Error.Error}
 		}
 	}

@@ -34,76 +34,6 @@ func words(seed uint32, n int) []uint32 {
 
 func bitsEq(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// TestRoundTripMatchesFacade drives one session through the client and the
-// same schedule through the public nanobus facade, and requires
-// bit-identical results — the client-visible form of the service's
-// fidelity guarantee.
-func TestRoundTripMatchesFacade(t *testing.T) {
-	c := newService(t)
-	ctx := context.Background()
-
-	sess, err := c.CreateSession(ctx, client.SessionConfig{
-		Node: "65nm", Encoding: "BI", IntervalCycles: 256,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := words(3, 700)
-	if _, err := sess.Step(ctx, data); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.StepIdle(ctx, 300); err != nil {
-		t.Fatal(err)
-	}
-	res, err := sess.Result(ctx, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	node, err := nanobus.ResolveNode("65nm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus, err := nanobus.New(node,
-		nanobus.WithEncoding("BI"),
-		nanobus.WithInterval(256),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bus.StepBatch(ctx, data); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bus.StepIdleBatch(ctx, 300); err != nil {
-		t.Fatal(err)
-	}
-	if err := bus.Finish(); err != nil {
-		t.Fatal(err)
-	}
-
-	tot := bus.TotalEnergy()
-	if res.Cycles != bus.Cycles() {
-		t.Fatalf("cycles: service %d, facade %d", res.Cycles, bus.Cycles())
-	}
-	if !bitsEq(res.Total.TotalJ, tot.Total()) || !bitsEq(res.Total.SelfJ, tot.Self) ||
-		!bitsEq(res.Total.CoupAdjJ, tot.CoupAdj) || !bitsEq(res.Total.CoupNonAdjJ, tot.CoupNonAdj) {
-		t.Fatalf("energy differs: service %+v, facade %+v", res.Total, tot)
-	}
-	if len(res.Samples) != len(bus.Samples()) {
-		t.Fatalf("samples: service %d, facade %d", len(res.Samples), len(bus.Samples()))
-	}
-	for i, ls := range bus.Samples() {
-		ss := res.Samples[i]
-		if ss.EndCycle != ls.EndCycle || !bitsEq(ss.EnergyJ, ls.Energy) ||
-			!bitsEq(ss.AvgTempK, ls.AvgTemp) || !bitsEq(ss.MaxTempK, ls.MaxTemp) {
-			t.Fatalf("sample %d differs: service %+v, facade %+v", i, ss, ls)
-		}
-	}
-}
-
 // TestBinaryMatchesNDJSON sends the same words over both wire formats and
 // expects identical summaries and results.
 func TestBinaryMatchesNDJSON(t *testing.T) {

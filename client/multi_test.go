@@ -52,151 +52,6 @@ func TestPackInterleaved(t *testing.T) {
 	}
 }
 
-// TestMultiBusHTTPvsNBWP drives the same interleaved trace through a
-// 4-bus session on each transport and requires bit-identical figures,
-// per-bus blocks included. Streamed samples must carry bus tags on both
-// wires and match the retained per-bus samples.
-func TestMultiBusHTTPvsNBWP(t *testing.T) {
-	_, hc, addr := newNBWPService(t, server.Config{})
-	ctx := context.Background()
-	slab := multiSlab(t, 1500)
-
-	hs, err := hc.CreateSession(ctx, multiCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hs.Info.Buses != 4 {
-		t.Fatalf("session info buses = %d, want 4", hs.Info.Buses)
-	}
-	var httpStreamed []client.Sample
-	body, err := client.BodyFromLines([]client.StepLine{{Words: slab}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hs.StepStream(ctx, body, func(s client.Sample) { httpStreamed = append(httpStreamed, s) }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hs.StepIdle(ctx, 100); err != nil {
-		t.Fatal(err)
-	}
-	httpRes, err := hs.Result(ctx, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	nc := dialNBWP(t, addr)
-	var nbwpStreamed []client.Sample
-	ns, err := nc.Open(ctx, multiCfg(), func(s client.Sample) { nbwpStreamed = append(nbwpStreamed, s) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := ns.StepBinary(ctx, slab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Words != uint64(len(slab)) {
-		t.Fatalf("step words = %d, want %d", sum.Words, len(slab))
-	}
-	if sum.Cycles != 1500 {
-		t.Fatalf("step cycles = %d, want 1500 (words/buses)", sum.Cycles)
-	}
-	if _, err := ns.StepIdle(ctx, 100); err != nil {
-		t.Fatal(err)
-	}
-	nbwpRes, err := ns.Result(ctx, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if httpRes.Buses != 4 || nbwpRes.Buses != 4 {
-		t.Fatalf("result buses = %d/%d, want 4", httpRes.Buses, nbwpRes.Buses)
-	}
-	if httpRes.Cycles != 1600 || nbwpRes.Cycles != httpRes.Cycles {
-		t.Fatalf("cycles = %d/%d, want 1600", httpRes.Cycles, nbwpRes.Cycles)
-	}
-	if !bitsEq(nbwpRes.Total.TotalJ, httpRes.Total.TotalJ) ||
-		!bitsEq(nbwpRes.MaxTempK, httpRes.MaxTempK) ||
-		nbwpRes.MaxBus != httpRes.MaxBus || nbwpRes.MaxWire != httpRes.MaxWire {
-		t.Fatalf("figures differ across transports:\nnbwp %+v\nhttp %+v", nbwpRes.Total, httpRes.Total)
-	}
-	if len(httpRes.PerBus) != 4 || len(nbwpRes.PerBus) != 4 {
-		t.Fatalf("per_bus lengths = %d/%d, want 4", len(httpRes.PerBus), len(nbwpRes.PerBus))
-	}
-	var sumJ float64
-	for k := range httpRes.PerBus {
-		hb, nb := httpRes.PerBus[k], nbwpRes.PerBus[k]
-		if hb.Bus != k || nb.Bus != k {
-			t.Fatalf("per_bus[%d] tagged %d/%d", k, hb.Bus, nb.Bus)
-		}
-		if !bitsEq(hb.Total.TotalJ, nb.Total.TotalJ) || !bitsEq(hb.MaxTempK, nb.MaxTempK) {
-			t.Fatalf("bus %d figures differ across transports", k)
-		}
-		sumJ += hb.Total.TotalJ
-		if len(hb.TempsK) != httpRes.Width {
-			t.Fatalf("bus %d temps len = %d, want width %d", k, len(hb.TempsK), httpRes.Width)
-		}
-	}
-	if relDiff(sumJ, httpRes.Total.TotalJ) > 1e-12 {
-		t.Fatalf("per-bus energies sum to %g, total is %g", sumJ, httpRes.Total.TotalJ)
-	}
-
-	// Streamed samples: every interval emits one sample per bus, tagged.
-	for name, streamed := range map[string][]client.Sample{"http": httpStreamed, "nbwp": nbwpStreamed} {
-		if len(streamed) == 0 || len(streamed)%4 != 0 {
-			t.Fatalf("%s streamed %d samples, want a positive multiple of 4", name, len(streamed))
-		}
-		for i, s := range streamed {
-			if s.Bus != i%4 {
-				t.Fatalf("%s sample %d tagged bus %d, want %d", name, i, s.Bus, i%4)
-			}
-		}
-	}
-	// HTTP streams only the intervals its streamed request closes; NBWP
-	// streams on every frame of the slot. Both must agree on the shared
-	// prefix, and each stream must be a prefix of the retained per-bus
-	// samples.
-	for i := range httpStreamed {
-		if !bitsEq(httpStreamed[i].EnergyJ, nbwpStreamed[i].EnergyJ) ||
-			httpStreamed[i].EndCycle != nbwpStreamed[i].EndCycle {
-			t.Fatalf("streamed sample %d differs across transports", i)
-		}
-	}
-	if len(nbwpStreamed) < len(httpStreamed) {
-		t.Fatalf("nbwp streamed %d samples, http %d", len(nbwpStreamed), len(httpStreamed))
-	}
-	for k, pb := range httpRes.PerBus {
-		got := 0
-		for _, s := range nbwpStreamed {
-			if s.Bus != k {
-				continue
-			}
-			ps := pb.Samples[got]
-			if ps.EndCycle != s.EndCycle || !bitsEq(ps.EnergyJ, s.EnergyJ) {
-				t.Fatalf("bus %d retained sample %d differs from streamed", k, got)
-			}
-			got++
-		}
-		if got == 0 || got > len(pb.Samples) {
-			t.Fatalf("bus %d streamed %d samples, retained %d", k, got, len(pb.Samples))
-		}
-	}
-}
-
-func relDiff(a, b float64) float64 {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	m := b
-	if m < 0 {
-		m = -m
-	}
-	if m == 0 {
-		return d
-	}
-	return d / m
-}
-
 // TestMultiBusMisalignedBatch pins the row-alignment 400 on both
 // transports: a batch that is not a whole number of K-word rows must be
 // rejected without stepping.

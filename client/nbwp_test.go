@@ -51,92 +51,6 @@ func dialNBWP(t *testing.T, addr string) *client.NBWPConn {
 	return nc
 }
 
-// TestNBWPMatchesHTTP drives the same trace through both transports and
-// requires bit-identical results — the fidelity guarantee that makes
-// NBWP a drop-in peer of the v1 surface. Streamed NBWP samples must also
-// match the retained samples of the result bit for bit.
-func TestNBWPMatchesHTTP(t *testing.T) {
-	_, hc, addr := newNBWPService(t, server.Config{})
-	ctx := context.Background()
-	cfg := client.SessionConfig{Node: "90nm", Encoding: "BI", IntervalCycles: 256, TrackWireTemps: true}
-	data := words(11, 2000)
-
-	hs, err := hc.CreateSession(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hs.StepBinary(ctx, data); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hs.StepIdle(ctx, 300); err != nil {
-		t.Fatal(err)
-	}
-	httpRes, err := hs.Result(ctx, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	nc := dialNBWP(t, addr)
-	var streamed []client.Sample
-	ns, err := nc.Open(ctx, cfg, func(s client.Sample) { streamed = append(streamed, s) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ns.Info.Width != httpRes.Width {
-		t.Fatalf("open width = %d, want %d", ns.Info.Width, httpRes.Width)
-	}
-	sum, err := ns.StepBinary(ctx, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Words != uint64(len(data)) {
-		t.Fatalf("step words = %d, want %d", sum.Words, len(data))
-	}
-	if _, err := ns.StepIdle(ctx, 300); err != nil {
-		t.Fatal(err)
-	}
-	nbwpRes, err := ns.Result(ctx, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if nbwpRes.Cycles != httpRes.Cycles || nbwpRes.Width != httpRes.Width {
-		t.Fatalf("cycles/width = %d/%d, want %d/%d", nbwpRes.Cycles, nbwpRes.Width, httpRes.Cycles, httpRes.Width)
-	}
-	if !bitsEq(nbwpRes.Total.TotalJ, httpRes.Total.TotalJ) ||
-		!bitsEq(nbwpRes.Total.SelfJ, httpRes.Total.SelfJ) ||
-		!bitsEq(nbwpRes.AvgTempK, httpRes.AvgTempK) ||
-		!bitsEq(nbwpRes.MaxTempK, httpRes.MaxTempK) {
-		t.Fatalf("figures differ across transports:\nnbwp %+v\nhttp %+v", nbwpRes.Total, httpRes.Total)
-	}
-	if len(nbwpRes.Samples) != len(httpRes.Samples) {
-		t.Fatalf("samples = %d, want %d", len(nbwpRes.Samples), len(httpRes.Samples))
-	}
-	// The SAMPLE frames streamed mid-step must be the pre-finish samples
-	// of the result, bit for bit (the final partial interval closes at
-	// Result time, after the stream).
-	if len(streamed) == 0 || len(streamed) > len(nbwpRes.Samples) {
-		t.Fatalf("streamed %d samples, result has %d", len(streamed), len(nbwpRes.Samples))
-	}
-	for i, ss := range streamed {
-		rs := nbwpRes.Samples[i]
-		if ss.EndCycle != rs.EndCycle || !bitsEq(ss.EnergyJ, rs.EnergyJ) ||
-			!bitsEq(ss.MaxTempK, rs.MaxTempK) || len(ss.WireTempsK) != len(rs.WireTempsK) {
-			t.Fatalf("streamed sample %d differs from result: %+v vs %+v", i, ss, rs)
-		}
-	}
-
-	if err := ns.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := hs.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := nc.Goodbye(ctx); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestNBWPPipelinedSeq streams a window of sequenced batches without
 // waiting, then verifies acks arrive in order, duplicates are
 // acknowledged idempotently, and gaps are rejected — the write-ahead
@@ -194,36 +108,6 @@ func TestNBWPPipelinedSeq(t *testing.T) {
 	next, err := ns.StepBinarySeq(ctx, batches+1, words(99, batchWords))
 	if err != nil || next.Duplicate {
 		t.Fatalf("post-gap step = %+v, %v", next, err)
-	}
-}
-
-// TestNBWPAttachAcrossTransports creates a session over HTTP, steps it
-// over NBWP, and reads the result back over HTTP — one session table,
-// two surfaces.
-func TestNBWPAttachAcrossTransports(t *testing.T) {
-	_, hc, addr := newNBWPService(t, server.Config{})
-	ctx := context.Background()
-	hs, err := hc.CreateSession(ctx, client.SessionConfig{Node: "45nm", IntervalCycles: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nc := dialNBWP(t, addr)
-	ns, err := nc.Attach(ctx, hs.Info.ID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ns.Info.ID != hs.Info.ID || ns.Info.Width == 0 {
-		t.Fatalf("attach info = %+v", ns.Info)
-	}
-	if _, err := ns.StepBinary(ctx, words(5, 500)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := hs.Result(ctx, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cycles != 500 {
-		t.Fatalf("cycles = %d, want 500", res.Cycles)
 	}
 }
 

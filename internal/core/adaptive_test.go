@@ -312,48 +312,6 @@ func TestAdaptiveDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestAdaptiveStepWordMatchesStepBatch pins the per-word and batch
-// pipelines to identical adaptive behaviour, switches included.
-func TestAdaptiveStepWordMatchesStepBatch(t *testing.T) {
-	const interval = 1000
-	words := hotWords(8 * interval)
-	probe := probeTrajectory(t, words, interval, thermal.NodeOptions{})
-	cfg := AdaptiveConfig{Base: "BI", Cool: "CoolSpread", CeilingK: probe[2].MaxTemp}
-
-	batch := newAdaptiveSim(t, interval, cfg)
-	if _, err := batch.StepBatch(context.Background(), words); err != nil {
-		t.Fatal(err)
-	}
-	if err := batch.Finish(); err != nil {
-		t.Fatal(err)
-	}
-
-	scalar := newAdaptiveSim(t, interval, cfg)
-	for _, w := range words {
-		scalar.StepWord(w)
-	}
-	if err := scalar.Finish(); err != nil {
-		t.Fatal(err)
-	}
-
-	be, se := batch.SwitchEvents(), scalar.SwitchEvents()
-	if len(be) != len(se) || len(be) == 0 {
-		t.Fatalf("events: batch %d vs scalar %d (want equal, nonzero)", len(be), len(se))
-	}
-	for i := range be {
-		if be[i] != se[i] {
-			t.Errorf("event %d: batch %+v vs scalar %+v", i, be[i], se[i])
-		}
-	}
-	bs, ss := batch.Samples(), scalar.Samples()
-	for i := range bs {
-		if math.Float64bits(bs[i].Energy) != math.Float64bits(ss[i].Energy) ||
-			math.Float64bits(bs[i].MaxTemp) != math.Float64bits(ss[i].MaxTemp) {
-			t.Errorf("sample %d: batch/scalar diverged", i)
-		}
-	}
-}
-
 // TestNonAdaptiveSampleFieldsEmpty guards the v1 JSON surface: static
 // sims must leave the adaptive tags at their zero values so omitempty
 // keeps the wire format unchanged.

@@ -28,78 +28,6 @@ func batchWords(n int) []uint32 {
 	return words
 }
 
-// TestStepBatchMatchesStepWordAllEncoders requires the chunked batch path
-// to be bit-identical to per-word stepping — samples included — for every
-// encoder (batch-encoded and per-word encoded alike) and across interval
-// boundaries that do not divide the batch size.
-func TestStepBatchMatchesStepWordAllEncoders(t *testing.T) {
-	words := batchWords(10_000)
-	for _, scheme := range encoding.AllSchemes() {
-		mk := func() *Simulator {
-			enc, err := encoding.New(scheme)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sim, err := New(Config{
-				Node:           itrs.N130,
-				Encoder:        enc,
-				CouplingDepth:  -1,
-				IntervalCycles: 997, // prime, so chunks straddle intervals
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return sim
-		}
-		ref, got := mk(), mk()
-		for _, w := range words {
-			ref.StepWord(w)
-		}
-		ref.StepIdle()
-		for i := 0; i < 2500; i++ {
-			ref.StepIdle()
-		}
-		ctx := context.Background()
-		if _, err := got.StepBatch(ctx, words); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := got.StepIdleBatch(ctx, 1); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := got.StepIdleBatch(ctx, 2500); err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		if err := got.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		if ref.Cycles() != got.Cycles() {
-			t.Fatalf("%s: cycles %d != %d", scheme, ref.Cycles(), got.Cycles())
-		}
-		if ref.TotalEnergy() != got.TotalEnergy() {
-			t.Fatalf("%s: total %+v != %+v", scheme, ref.TotalEnergy(), got.TotalEnergy())
-		}
-		rs, gs := ref.Samples(), got.Samples()
-		if len(rs) != len(gs) {
-			t.Fatalf("%s: %d samples != %d", scheme, len(rs), len(gs))
-		}
-		for i := range rs {
-			if rs[i].EndCycle != gs[i].EndCycle || rs[i].Energy != gs[i].Energy ||
-				rs[i].AvgTemp != gs[i].AvgTemp || rs[i].MaxTemp != gs[i].MaxTemp {
-				t.Fatalf("%s: sample %d differs: %+v != %+v", scheme, i, rs[i], gs[i])
-			}
-		}
-		rt, gt := ref.Temps(), got.Temps()
-		for i := range rt {
-			if rt[i] != gt[i] {
-				t.Fatalf("%s: wire %d temp %v != %v", scheme, i, rt[i], gt[i])
-			}
-		}
-	}
-}
-
 // TestPlayTapeMatchesRunSingle requires a compiled tape replay to be
 // bit-identical to the per-cycle run loop over the same source.
 func TestPlayTapeMatchesRunSingle(t *testing.T) {

@@ -30,50 +30,6 @@ func testWords(n int) []uint32 {
 	return words
 }
 
-// TestStepBatchMatchesStepWord pins the batch fast path bit-identical to
-// per-word stepping.
-func TestStepBatchMatchesStepWord(t *testing.T) {
-	const interval = 512
-	words := testWords(5 * interval / 2)
-
-	a := testSim(t, interval)
-	for _, w := range words {
-		a.StepWord(w)
-	}
-	if err := a.Finish(); err != nil {
-		t.Fatal(err)
-	}
-
-	b := testSim(t, interval)
-	n, err := b.StepBatch(context.Background(), words)
-	if err != nil || n != len(words) {
-		t.Fatalf("StepBatch: n=%d err=%v", n, err)
-	}
-	if err := b.Finish(); err != nil {
-		t.Fatal(err)
-	}
-
-	if a.Cycles() != b.Cycles() {
-		t.Fatalf("cycles %d != %d", a.Cycles(), b.Cycles())
-	}
-	if len(a.Samples()) != len(b.Samples()) {
-		t.Fatalf("samples %d != %d", len(a.Samples()), len(b.Samples()))
-	}
-	for i := range a.Samples() {
-		sa, sb := a.Samples()[i], b.Samples()[i]
-		if math.Float64bits(sa.Energy) != math.Float64bits(sb.Energy) ||
-			math.Float64bits(sa.MaxTemp) != math.Float64bits(sb.MaxTemp) {
-			t.Fatalf("sample %d differs: %+v vs %+v", i, sa, sb)
-		}
-	}
-	ta, tb := a.Temps(), b.Temps()
-	for i := range ta {
-		if math.Float64bits(ta[i]) != math.Float64bits(tb[i]) {
-			t.Fatalf("temp %d differs", i)
-		}
-	}
-}
-
 // TestStepBatchCancellation checks the one-sampling-interval cancellation
 // bound: a context cancelled by the first sample stops the batch before a
 // second interval completes.

@@ -18,9 +18,10 @@ import (
 // dozen sampling intervals at the fuzzed interval lengths.
 const replayCycles = 1500
 
-// replaySchemes are the static schemes FuzzReplay picks from; the
-// adaptive pairs follow them in the same index space.
-var replaySchemes = []string{"Unencoded", "BI", "OEBI", "CBI", "Gray", "T0", "CoolSpread", "CoolCap"}
+// replaySchemes are the static schemes FuzzReplay picks from: every
+// registered scheme, so a new one cannot escape it. The adaptive pairs
+// follow them in the same index space.
+var replaySchemes = encoding.AllSchemes()
 
 var replayAdaptive = [][2]string{{"BI", "CoolSpread"}, {"OEBI", "CoolCap"}, {"Gray", "CoolSpread"}}
 
@@ -42,7 +43,9 @@ type replayTraffic struct {
 // newReplayTraffic draws address-like traffic (strides, holds, far jumps
 // and, at a seed-chosen rate, uniformly random data words) with idle runs,
 // cut into runs of random length so batch calls start and end anywhere.
-func newReplayTraffic(rng *rand.Rand, buses int) *replayTraffic {
+// Half the idle runs may span up to three sampling intervals, so one
+// StepIdleBatch closes several.
+func newReplayTraffic(rng *rand.Rand, buses int, interval uint64) *replayTraffic {
 	tr := &replayTraffic{buses: buses, cols: make([][]uint32, buses)}
 	random := rng.Intn(9) // in ninths: 0 is pure address traffic
 	for k := range tr.cols {
@@ -64,9 +67,12 @@ func newReplayTraffic(rng *rand.Rand, buses int) *replayTraffic {
 	}
 	for c := 0; c < replayCycles; {
 		seg := replaySeg{start: c, idle: rng.Intn(4) == 0}
-		if seg.idle {
+		switch {
+		case seg.idle && rng.Intn(2) == 0:
+			seg.n = 1 + rng.Intn(3*int(interval))
+		case seg.idle:
 			seg.n = 1 + rng.Intn(40)
-		} else {
+		default:
 			seg.n = 1 + rng.Intn(300)
 		}
 		seg.n = min(seg.n, replayCycles-c)
@@ -95,8 +101,8 @@ func (tr *replayTraffic) drive(t *testing.T, sim batchStepper, bus, from, to int
 			continue
 		}
 		if s.idle {
-			if _, err := sim.StepIdleBatch(ctx, uint64(hi-lo)); err != nil {
-				t.Fatal(err)
+			if n, err := sim.StepIdleBatch(ctx, uint64(hi-lo)); err != nil || n != uint64(hi-lo) {
+				t.Fatalf("StepIdleBatch(%d) = %d, %v", hi-lo, n, err)
 			}
 			continue
 		}
@@ -110,8 +116,8 @@ func (tr *replayTraffic) drive(t *testing.T, sim batchStepper, bus, from, to int
 				row = append(row, tr.cols[k][c])
 			}
 		}
-		if _, err := sim.StepBatch(ctx, row); err != nil {
-			t.Fatal(err)
+		if n, err := sim.StepBatch(ctx, row); err != nil || n != hi-lo {
+			t.Fatalf("StepBatch of %d rows = %d, %v", hi-lo, n, err)
 		}
 	}
 }
@@ -224,7 +230,7 @@ func newReplayCase(t *testing.T, seed int64, scheme, shape, memo uint8, interval
 	} else {
 		pair := replayAdaptive[idx-len(replaySchemes)]
 		rc.buses = 1
-		rc.tr = newReplayTraffic(rng, 1)
+		rc.tr = newReplayTraffic(rng, 1, rc.cfg.IntervalCycles)
 		// The probe never switches; the run follows it up to the sample
 		// whose MaxTemp is the ceiling, and switches there.
 		rc.cfg.Adaptive = &AdaptiveConfig{Base: pair[0], Cool: pair[1], CeilingK: math.MaxFloat64}
@@ -241,7 +247,7 @@ func newReplayCase(t *testing.T, seed int64, scheme, shape, memo uint8, interval
 		}
 		return rc
 	}
-	rc.tr = newReplayTraffic(rng, rc.buses)
+	rc.tr = newReplayTraffic(rng, rc.buses, rc.cfg.IntervalCycles)
 	return rc
 }
 
@@ -259,7 +265,9 @@ func newReplayCase(t *testing.T, seed int64, scheme, shape, memo uint8, interval
 //   - each bus of a K > 1 run and a scalar Simulator on its column
 //     (energies only: the buses share one thermal grid).
 func FuzzReplay(f *testing.F) {
-	for i, seed := range []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11} {
+	// One seed per scheme and adaptive pair; each seed's traffic holds an
+	// idle run longer than two of its sampling intervals.
+	for i, seed := range []int64{1, 1, 2, 9, 1, 1, 6, 12, 1, 3, 3} {
 		f.Add(seed, uint8(i), uint8(i*7), uint8(i), uint16(100+i*53), uint16(i*211))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, scheme, shape, memo uint8, interval, cut uint16) {

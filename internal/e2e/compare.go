@@ -5,73 +5,133 @@ import (
 	"fmt"
 	"math"
 
-	"nanobus"
 	"nanobus/client"
+	"nanobus/internal/core"
+	"nanobus/internal/encoding"
+	"nanobus/internal/itrs"
 	"nanobus/internal/server"
 )
 
-// Reference runs a schedule through the in-process library — the run
-// every gate holds the daemon to: each batch through StepBatch, then idle
-// idle cycles, then Finish. cfg is the session's own configuration; only
-// its node, encoding and sampling interval have a library counterpart
-// here, and any other setting is refused rather than silently dropped.
-func Reference(ctx context.Context, cfg client.SessionConfig, batches [][]uint32, idle uint64) (*nanobus.Bus, error) {
+// Reference replays a step script through the library kernel and returns
+// the result the service would report for the same run: each line's words
+// through StepBatch, then its idle cycles through StepIdleBatch, in script
+// order, and then Finish. It is the run every gate holds the daemon to.
+// cfg is the session's own configuration. Its node, encoding, interval,
+// wire-temperature tracking, bus count and adaptive controller have a
+// library counterpart here; any other setting is refused rather than
+// silently dropped. Result.Memo carries the kernel's memo counters, which
+// a fresh session reports too.
+func Reference(ctx context.Context, cfg client.SessionConfig, script []client.StepLine) (*client.Result, error) {
 	other := cfg
-	other.Node, other.Encoding, other.IntervalCycles = "", "", 0
+	other.Node, other.Encoding, other.IntervalCycles, other.TrackWireTemps = "", "", 0, false
+	other.Buses, other.Adaptive = 0, nil
 	if other != (client.SessionConfig{}) {
-		return nil, fmt.Errorf("reference supports node, encoding and interval only: %+v", cfg)
+		return nil, fmt.Errorf("reference supports node, encoding, interval, wire temps, buses and adaptive only: %+v", cfg)
 	}
-	node, err := nanobus.ResolveNode(cfg.Node)
+	node, err := itrs.Resolve(cfg.Node)
 	if err != nil {
 		return nil, err
 	}
-	bus, err := nanobus.New(node, nanobus.WithEncoding(cfg.Encoding), nanobus.WithInterval(cfg.IntervalCycles))
-	if err != nil {
-		return nil, err
+	mc := core.MultiConfig{
+		Config: core.Config{
+			Node: node, CouplingDepth: -1,
+			IntervalCycles: cfg.IntervalCycles, TrackWireTemps: cfg.TrackWireTemps,
+		},
+		Buses: max(cfg.Buses, 1),
 	}
-	for _, b := range batches {
-		if _, err := bus.StepBatch(ctx, b); err != nil {
+	if a := cfg.Adaptive; a != nil {
+		if cfg.Encoding != "" {
+			return nil, fmt.Errorf("reference: adaptive and encoding are mutually exclusive")
+		}
+		mc.Adaptive = &core.AdaptiveConfig{
+			Base: a.Base, Cool: a.Cool, CeilingK: a.CeilingK, GuardK: a.GuardK, HysteresisK: a.HysteresisK,
+		}
+	} else {
+		name := cfg.Encoding
+		if name == "" {
+			name = "Unencoded"
+		}
+		if mc.Encoder, err = encoding.New(name); err != nil {
 			return nil, err
 		}
 	}
-	if _, err := bus.StepIdleBatch(ctx, idle); err != nil {
+	sim, err := core.NewMulti(mc)
+	if err != nil {
 		return nil, err
 	}
-	if err := bus.Finish(); err != nil {
+	for _, line := range script {
+		if _, err := sim.StepBatch(ctx, line.Words); err != nil {
+			return nil, err
+		}
+		if _, err := sim.StepIdleBatch(ctx, line.Idle); err != nil {
+			return nil, err
+		}
+	}
+	if err := sim.Finish(); err != nil {
 		return nil, err
 	}
-	return bus, nil
+	return libraryResult(sim, cfg.Adaptive), nil
+}
+
+// libraryResult assembles the result of a finished kernel run: a one-bus
+// run reports its figures at the top level, a K-bus run grid-wide
+// aggregates over one block per bus.
+func libraryResult(sim *core.MultiSim, spec *client.AdaptiveSpec) *client.Result {
+	st := sim.MemoStats()
+	res := &client.Result{
+		Cycles: sim.Cycles(),
+		Width:  sim.Width(),
+		Memo:   server.MemoStats{Hits: st.Hits, Misses: st.Misses, HitRate: st.HitRate()},
+	}
+	grid := sim.Grid()
+	per := make([]client.BusResult, sim.Buses())
+	for k := range per {
+		tot := sim.TotalEnergy(k)
+		b := &per[k]
+		b.Bus = k
+		b.Total = server.EnergySplit{TotalJ: tot.Total(), SelfJ: tot.Self, CoupAdjJ: tot.CoupAdj, CoupNonAdjJ: tot.CoupNonAdj}
+		b.AvgTempK = grid.BusAvgTemp(k)
+		b.MaxTempK, b.MaxWire = grid.BusMaxTemp(k)
+		b.TempsK = grid.BusTemps(k, nil)
+		for _, s := range sim.Samples(k) {
+			b.Samples = append(b.Samples, client.Sample{
+				EndCycle: s.EndCycle, EnergyJ: s.Energy,
+				SelfJ: s.Self, CoupAdjJ: s.CoupAdj, CoupNonAdjJ: s.CoupNonAdj,
+				AvgTempK: s.AvgTemp, MaxTempK: s.MaxTemp, MaxWire: s.MaxWire,
+				WireTempsK: s.WireTemps, Bus: k, Encoder: s.Encoder, Switched: s.Switched,
+			})
+		}
+		res.Total.TotalJ += b.Total.TotalJ
+		res.Total.SelfJ += b.Total.SelfJ
+		res.Total.CoupAdjJ += b.Total.CoupAdjJ
+		res.Total.CoupNonAdjJ += b.Total.CoupNonAdjJ
+	}
+	if len(per) == 1 {
+		b := per[0]
+		res.Total, res.AvgTempK, res.MaxTempK, res.MaxWire = b.Total, b.AvgTempK, b.MaxTempK, b.MaxWire
+		res.TempsK, res.Samples = b.TempsK, b.Samples
+		if spec != nil {
+			res.Adaptive = &client.AdaptiveResult{
+				Base: spec.Base, Cool: spec.Cool, CeilingK: spec.CeilingK,
+				Active: sim.ActiveEncoder(), Switches: sim.SwitchEvents(), Occupancy: sim.EncoderOccupancy(),
+			}
+		}
+		return res
+	}
+	res.TempsK = grid.Temps(nil)
+	for _, t := range res.TempsK {
+		res.AvgTempK += t
+	}
+	res.AvgTempK /= float64(len(res.TempsK))
+	res.MaxTempK, res.MaxBus, res.MaxWire = grid.MaxTemp()
+	res.Buses, res.PerBus = len(per), per
+	return res
 }
 
 // Bits is the float comparison that defines "bit-identical": equal
 // IEEE-754 bit patterns. It is the only one: every session, scalar or
 // multi-bus, restored or not, is held to it.
 func Bits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-
-// SameAsLibrary requires a scalar, non-adaptive session result to be
-// bit-identical to a finished library bus: the result the service would
-// have built from that bus, compared under SameResult.
-func SameAsLibrary(res *client.Result, bus *nanobus.Bus) error {
-	want := &client.Result{
-		Cycles:   bus.Cycles(),
-		Width:    bus.Width(),
-		AvgTempK: bus.Network().AvgTemp(),
-		TempsK:   bus.Temps(),
-	}
-	tot := bus.TotalEnergy()
-	want.Total.TotalJ, want.Total.SelfJ = tot.Total(), tot.Self
-	want.Total.CoupAdjJ, want.Total.CoupNonAdjJ = tot.CoupAdj, tot.CoupNonAdj
-	want.MaxTempK, want.MaxWire = bus.Network().MaxTemp()
-	for _, s := range bus.Samples() {
-		want.Samples = append(want.Samples, client.Sample{
-			EndCycle: s.EndCycle, EnergyJ: s.Energy,
-			SelfJ: s.Self, CoupAdjJ: s.CoupAdj, CoupNonAdjJ: s.CoupNonAdj,
-			AvgTempK: s.AvgTemp, MaxTempK: s.MaxTemp, MaxWire: s.MaxWire,
-			WireTempsK: s.WireTemps, Encoder: s.Encoder, Switched: s.Switched,
-		})
-	}
-	return SameResult(want, res)
-}
 
 // SameStream requires the SAMPLE frames streamed live for a session to be
 // a bit-identical prefix of its result's samples (the final partial

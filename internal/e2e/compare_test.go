@@ -139,38 +139,47 @@ func TestSameStream(t *testing.T) {
 }
 
 // TestSameAsLibrary runs one schedule through an in-process service and
-// through Reference: the result must be bit-identical to the library, and
-// perturbing any field of it must be reported by name.
+// through Reference, on one bus, on two and under the adaptive
+// controller: each result must be bit-identical to the library, and
+// perturbing any field of the first must be reported by name.
 func TestSameAsLibrary(t *testing.T) {
 	ctx := context.Background()
 	ts := httptest.NewServer(server.New(server.Config{}).Handler())
 	defer ts.Close()
-	cfg := client.SessionConfig{Node: "90nm", Encoding: "BI", IntervalCycles: 64}
 	words := make([]uint32, 300)
 	for i := range words {
 		words[i] = uint32(i) * 2654435761
 	}
-
-	sess, err := client.New(ts.URL, client.WithHTTPClient(ts.Client())).OpenSession(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.StepBinary(ctx, words); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.StepIdle(ctx, 100); err != nil {
-		t.Fatal(err)
-	}
-	res, err := sess.Result(ctx, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus, err := Reference(ctx, cfg, [][]uint32{words[:100], words[100:]}, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := SameAsLibrary(res, bus); err != nil {
-		t.Fatalf("service vs library: %v", err)
+	var res, ref *client.Result
+	for i, cfg := range []client.SessionConfig{
+		{Node: "90nm", Encoding: "BI", IntervalCycles: 64},
+		{Node: "90nm", Encoding: "BI", IntervalCycles: 64, Buses: 2, TrackWireTemps: true},
+		{Node: "90nm", IntervalCycles: 64, Adaptive: &client.AdaptiveSpec{Base: "BI", Cool: "CoolSpread", CeilingK: 318.1502, GuardK: 1e-4}},
+	} {
+		sess, err := client.New(ts.URL, client.WithHTTPClient(ts.Client())).OpenSession(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.StepBinary(ctx, words); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.StepIdle(ctx, 100); err != nil {
+			t.Fatal(err)
+		}
+		got, err := sess.Result(ctx, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Reference(ctx, cfg, []client.StepLine{{Words: words[:100]}, {Words: words[100:], Idle: 100}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := SameResult(want, got); err != nil {
+			t.Fatalf("%+v: service vs library: %v", cfg, err)
+		}
+		if i == 0 {
+			res, ref = got, want
+		}
 	}
 	if len(res.Samples) < 2 || len(res.TempsK) != 33 {
 		t.Fatalf("vacuous schedule: %d samples, %d temps", len(res.Samples), len(res.TempsK))
@@ -186,32 +195,40 @@ func TestSameAsLibrary(t *testing.T) {
 		t.Fatal(err)
 	}
 	forEachField(t, reflect.ValueOf(&got).Elem(), "", func(name string) {
-		requireNamed(t, name, SameAsLibrary(&got, bus))
+		requireNamed(t, name, SameResult(ref, &got))
 	})
 	got.Adaptive = &client.AdaptiveResult{}
-	requireNamed(t, "Adaptive present", SameAsLibrary(&got, bus))
+	requireNamed(t, "Adaptive present", SameResult(ref, &got))
 }
 
 func TestReferenceRefusesUnmappedSettings(t *testing.T) {
 	ctx := context.Background()
+	depth := 1
 	for _, cfg := range []client.SessionConfig{
-		{Node: "90nm", Encoding: "BI", IntervalCycles: 64, Buses: 4},
-		{Node: "90nm", Encoding: "BI", IntervalCycles: 64, TrackWireTemps: true},
-		{Node: "90nm", IntervalCycles: 64, Adaptive: &client.AdaptiveSpec{Base: "BI", Cool: "CoolSpread"}},
+		{Node: "90nm", Encoding: "BI", IntervalCycles: 64, LengthM: 0.005},
+		{Node: "90nm", Encoding: "BI", IntervalCycles: 64, CouplingDepth: &depth},
+		{Node: "90nm", Encoding: "BI", IntervalCycles: 64, DropSamples: true},
+		{Node: "90nm", Encoding: "BI", IntervalCycles: 64, Buses: 2, BusGapPitches: 3},
 	} {
-		if _, err := Reference(ctx, cfg, nil, 0); err == nil || !strings.Contains(err.Error(), "reference supports") {
+		if _, err := Reference(ctx, cfg, nil); err == nil || !strings.Contains(err.Error(), "reference supports") {
 			t.Errorf("%+v: err %v", cfg, err)
 		}
 	}
-	if _, err := Reference(ctx, client.SessionConfig{Node: "7nm", Encoding: "BI", IntervalCycles: 64}, nil, 0); err == nil {
-		t.Error("unknown node accepted")
-	}
-	if _, err := Reference(ctx, client.SessionConfig{Node: "90nm", Encoding: "nope", IntervalCycles: 64}, nil, 0); err == nil {
-		t.Error("unknown encoding accepted")
+	adaptive := &client.AdaptiveSpec{Base: "BI", Cool: "CoolSpread", CeilingK: 400, GuardK: 1}
+	for _, cfg := range []client.SessionConfig{
+		{Node: "7nm", Encoding: "BI", IntervalCycles: 64},
+		{Node: "90nm", Encoding: "nope", IntervalCycles: 64},
+		{Node: "90nm", Encoding: "BI", IntervalCycles: 64, Adaptive: adaptive},
+		{Node: "90nm", IntervalCycles: 64, Buses: 2, Adaptive: adaptive},
+	} {
+		if _, err := Reference(ctx, cfg, nil); err == nil {
+			t.Errorf("%+v accepted", cfg)
+		}
 	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := Reference(cancelled, client.SessionConfig{Node: "90nm", Encoding: "BI", IntervalCycles: 64}, [][]uint32{{1}}, 0); err == nil {
+	if _, err := Reference(cancelled, client.SessionConfig{Node: "90nm", Encoding: "BI", IntervalCycles: 64},
+		[]client.StepLine{{Words: []uint32{1}}}); err == nil {
 		t.Error("cancelled context accepted")
 	}
 }

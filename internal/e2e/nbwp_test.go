@@ -47,11 +47,11 @@ func TestStreamNBWP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bus, err := Reference(ctx, cfg, [][]uint32{words}, 0)
+	ref, err := Reference(ctx, cfg, []client.StepLine{{Words: words}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SameAsLibrary(res, bus); err != nil {
+	if err := SameResult(ref, res); err != nil {
 		t.Errorf("nbwp vs library: %v", err)
 	}
 	if len(streamed) == 0 {

@@ -38,6 +38,28 @@ func TestL2BusStudy(t *testing.T) {
 	}
 }
 
+// TestL2BusDrivesEveryAddress requires the L2 bus to drop no address the
+// hierarchy raises: every one is driven or still queued at the end. swim
+// raises two in one cycle during this window.
+func TestL2BusDrivesEveryAddress(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trace-driven study")
+	}
+	for _, bench := range []string{"swim", "crafty"} {
+		res, feed, err := l2Bus(L2BusOptions{Cycles: 400_000, Benchmark: bench})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if feed.driven+uint64(len(feed.queue)) != feed.raised || feed.raised == 0 {
+			t.Errorf("%s: %d addresses driven and %d queued, %d raised",
+				bench, feed.driven, len(feed.queue), feed.raised)
+		}
+		if res.Duty != float64(feed.driven)/400_000 {
+			t.Errorf("%s: duty %g for %d driven addresses", bench, res.Duty, feed.driven)
+		}
+	}
+}
+
 func TestL2BusUnknownBenchmark(t *testing.T) {
 	if _, err := L2Bus(L2BusOptions{Benchmark: "gcc", Cycles: 10}); err == nil {
 		t.Error("unknown benchmark accepted")

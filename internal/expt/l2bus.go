@@ -43,6 +43,39 @@ type L2BusOptions struct {
 // three bus simulators: the two processor-to-L1 address buses and the
 // L1-to-L2 address bus fed by the miss/writeback stream.
 func L2Bus(opts L2BusOptions) (*L2BusResult, error) {
+	res, _, err := l2Bus(opts)
+	return res, err
+}
+
+// l2Feed is the L1-to-L2 bus's FIFO of block addresses. The bus carries
+// at most one address per cycle, so the addresses of a multi-transfer
+// cycle drain on later cycles: a single-channel bus, like the paper's
+// setup.
+type l2Feed struct {
+	queue          []uint32
+	raised, driven uint64
+}
+
+// hook is the hierarchy's miss hook: it queues one block address.
+func (f *l2Feed) hook(blockAddr uint32, _ bool) {
+	f.queue = append(f.queue, blockAddr)
+	f.raised++
+}
+
+// step drives the oldest queued address onto sim, or idles it.
+func (f *l2Feed) step(sim *core.Simulator) {
+	if len(f.queue) == 0 {
+		sim.StepIdle()
+		return
+	}
+	sim.StepWord(f.queue[0])
+	f.queue = f.queue[1:]
+	f.driven++
+}
+
+// l2Bus is L2Bus, also returning the L2 bus's feed at the end of the
+// window.
+func l2Bus(opts L2BusOptions) (*L2BusResult, *l2Feed, error) {
 	cycles := opts.Cycles
 	if cycles == 0 {
 		cycles = 2_000_000
@@ -57,47 +90,41 @@ func L2Bus(opts L2BusOptions) (*L2BusResult, error) {
 	}
 	b, ok := workload.ByName(benchName)
 	if !ok {
-		return nil, fmt.Errorf("expt: unknown benchmark %q", benchName)
+		return nil, nil, fmt.Errorf("expt: unknown benchmark %q", benchName)
 	}
 	src, err := b.NewWarmSource(b.WarmupCycles)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	h, err := cache.NewPaperHierarchy()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	mk := func() (*core.Simulator, error) {
 		return core.New(core.Config{Node: node, CouplingDepth: -1, DropSamples: true})
 	}
 	ia, err := mk()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	da, err := mk()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	l2, err := mk()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
-	// Collect the L2-bound block addresses emitted during each cycle.
-	var pending []uint32
-	hook := func(blockAddr uint32, write bool) {
-		pending = append(pending, blockAddr)
-	}
-	h.IL1.MissHook = hook
-	h.DL1.MissHook = hook
+	var feed l2Feed
+	h.IL1.MissHook = feed.hook
+	h.DL1.MissHook = feed.hook
 
-	var driven uint64
 	for n := uint64(0); n < cycles; n++ {
 		c, ok := src.Next()
 		if !ok {
-			return nil, fmt.Errorf("expt: %s trace ended after %d cycles", benchName, n)
+			return nil, nil, fmt.Errorf("expt: %s trace ended after %d cycles", benchName, n)
 		}
-		pending = pending[:0]
 		if c.IValid {
 			ia.StepWord(c.IAddr)
 			h.Fetch(c.IAddr)
@@ -114,19 +141,11 @@ func L2Bus(opts L2BusOptions) (*L2BusResult, error) {
 		} else {
 			da.StepIdle()
 		}
-		// The L2 bus carries (at most) one address per cycle; queued
-		// block addresses from multi-transfer cycles drain on later idle
-		// cycles — a single-channel bus, like the paper's setup.
-		if len(pending) > 0 {
-			l2.StepWord(pending[0])
-			driven++
-		} else {
-			l2.StepIdle()
-		}
+		feed.step(l2)
 	}
 	for _, sim := range []*core.Simulator{ia, da, l2} {
 		if err := sim.Finish(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 
@@ -137,10 +156,10 @@ func L2Bus(opts L2BusOptions) (*L2BusResult, error) {
 		L2BusEnergy: l2.TotalEnergy().Total(),
 		DABusEnergy: da.TotalEnergy().Total(),
 		IABusEnergy: ia.TotalEnergy().Total(),
-		Duty:        float64(driven) / float64(cycles),
+		Duty:        float64(feed.driven) / float64(cycles),
 		DL1MissRate: h.DL1.Stats().MissRate(),
 		IL1MissRate: h.IL1.Stats().MissRate(),
-	}, nil
+	}, &feed, nil
 }
 
 // SubstrateResult is the combined substrate-variation extension (the

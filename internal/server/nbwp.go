@@ -366,9 +366,9 @@ func (nc *nbwpConn) handleOpen(h nbwp.Header, payload []byte) bool {
 // --- STEP / STEP_IDLE --------------------------------------------------------
 
 // handleStep is the hot path: parse one pipelined batch, step it through
-// the shared operation, and ack it. A STEP frame is one complete batch,
-// so its size and row alignment are checked up front; the failpoint and
-// the words themselves go through feed, after the write-ahead mark.
+// the shared operation, and ack it. A STEP frame is one complete batch.
+// Its size and row alignment, the failpoint and the words themselves go
+// through feed, after the closed and write-ahead checks, as on HTTP.
 func (nc *nbwpConn) handleStep(h nbwp.Header, payload []byte) bool {
 	sess, he := nc.slotSession(h)
 	if he != nil {
@@ -383,25 +383,24 @@ func (nc *nbwpConn) handleStep(h nbwp.Header, payload []byte) bool {
 	}
 	if h.Type == nbwp.TypeStep {
 		n := len(payload) / 4
-		switch {
-		case len(payload)%4 != 0:
+		if len(payload)%4 != 0 {
 			return nc.reply(h, http.StatusBadRequest, CodeBadRequest,
 				fmt.Sprintf("binary body length is not a multiple of 4 (%d trailing bytes)", len(payload)%4))
-		case n > nc.s.cfg.MaxBatchWords:
-			return nc.reply(h, http.StatusRequestEntityTooLarge, CodeBatchTooLarge,
-				fmt.Sprintf("batch of %d words exceeds the %d-word limit", n, nc.s.cfg.MaxBatchWords))
-		case n%sess.sim.Buses() != 0:
-			return nc.reply(h, http.StatusBadRequest, CodeBadRequest,
-				fmt.Sprintf("batch of %d words is not a multiple of the session's %d buses", n, sess.sim.Buses()))
 		}
 		req.feed = func(ctx context.Context, sum *StepSummary) error {
+			if n > nc.s.cfg.MaxBatchWords {
+				return herr(http.StatusRequestEntityTooLarge, CodeBatchTooLarge,
+					fmt.Sprintf("batch of %d words exceeds the %d-word limit", n, nc.s.cfg.MaxBatchWords))
+			}
+			// An empty batch has nothing to decode, as an empty HTTP
+			// binary body has no chunk.
+			if n == 0 {
+				return nil
+			}
 			// Chaos harnesses arm this to fail an ingest batch mid-stream —
 			// the same failpoint as the HTTP binary path.
 			if ferr := faultinject.Hit("server.ingest.decode"); ferr != nil {
 				return herr(http.StatusBadRequest, CodeBadRequest, "decode binary batch: "+ferr.Error())
-			}
-			if n == 0 {
-				return nil
 			}
 			if cap(nc.words) < n {
 				nc.words = make([]uint32, n)

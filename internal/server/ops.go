@@ -220,15 +220,17 @@ func (s *Server) sessionResult(ctx context.Context, sess *session, finish bool) 
 // store when one is configured. A download request works store-less and
 // hands the envelope back.
 func (s *Server) checkpointSession(ctx context.Context, sess *session, download bool) (CheckpointInfo, []byte, *httpErr) {
-	if s.cfg.Store == nil && !download {
-		return CheckpointInfo{}, nil, herr(http.StatusNotImplemented, CodeNoStore,
-			"no checkpoint store configured; download the envelope inline instead")
-	}
 	var (
 		info CheckpointInfo
 		data []byte
 	)
 	he := s.withSession(ctx, sess, func(ctx context.Context) *httpErr {
+		// After withSession's closed check, so a closed session is gone
+		// on an NBWP slot still bound to it as it is over HTTP.
+		if s.cfg.Store == nil && !download {
+			return herr(http.StatusNotImplemented, CodeNoStore,
+				"no checkpoint store configured; download the envelope inline instead")
+		}
 		var che *httpErr
 		info, data, che = s.checkpointLocked(ctx, sess)
 		return che

@@ -318,6 +318,10 @@ type ErrorResponse struct {
 	// Owner points at the cluster node that owns the session, set only
 	// with CodeNotOwner and CodeMoved.
 	Owner *OwnerInfo `json:"owner,omitempty"`
+	// Status is the HTTP status of an error that ends a ?stream=samples
+	// response, whose header went out as 200 before the failure; NBWP's
+	// ERROR frame carries the same status.
+	Status int `json:"status,omitempty"`
 }
 
 // Machine-readable error codes of the v1 API.

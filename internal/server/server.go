@@ -604,7 +604,7 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request, sess *sessio
 		// Headers are out; the summary or the failure is the last line.
 		line := StreamLine{Summary: &sum}
 		if he != nil {
-			line = StreamLine{Error: &ErrorResponse{Error: he.msg, Code: he.code}}
+			line = StreamLine{Error: &ErrorResponse{Error: he.msg, Code: he.code, Status: he.status}}
 		}
 		//nanolint:ignore droppederr a failed final write means the client is gone; no recovery path
 		_ = json.NewEncoder(w).Encode(line)

@@ -15,8 +15,6 @@ import (
 	"time"
 
 	"nanobus/client"
-	"nanobus/internal/core"
-	"nanobus/internal/e2e"
 	"nanobus/internal/encoding"
 	"nanobus/internal/itrs"
 	"nanobus/internal/server"
@@ -41,105 +39,7 @@ func testWords(seed uint32, n int) []uint32 {
 	return words
 }
 
-// coupling is a helper for CreateSessionRequest.CouplingDepth pointers.
-func coupling(d int) *int { return &d }
-
-// libraryRun replays the same word/idle schedule through the in-process
-// library and returns the finished simulator.
-func libraryRun(t *testing.T, cfg client.SessionConfig, lines []client.StepLine) *core.Simulator {
-	t.Helper()
-	node, err := itrs.Resolve(cfg.Node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encName := cfg.Encoding
-	if encName == "" {
-		encName = "Unencoded"
-	}
-	enc, err := encoding.New(encName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	depth := -1
-	if cfg.CouplingDepth != nil {
-		depth = *cfg.CouplingDepth
-	}
-	sim, err := core.New(core.Config{
-		Node:           node,
-		Length:         cfg.LengthM,
-		Encoder:        enc,
-		CouplingDepth:  depth,
-		IntervalCycles: cfg.IntervalCycles,
-		TrackWireTemps: cfg.TrackWireTemps,
-		MemoSizeLog2:   cfg.MemoSizeLog2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for _, line := range lines {
-		if len(line.Words) > 0 {
-			if _, err := sim.StepBatch(ctx, line.Words); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if line.Idle > 0 {
-			if _, err := sim.StepIdleBatch(ctx, line.Idle); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := sim.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	return sim
-}
-
 func bitsEq(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-
-func TestSessionBitIdenticalToLibrary(t *testing.T) {
-	_, c := newTestService(t, server.Config{})
-	ctx := context.Background()
-	cfg := client.SessionConfig{
-		Node:           "90nm",
-		Encoding:       "BI",
-		IntervalCycles: 1000,
-	}
-	lines := []client.StepLine{
-		{Words: testWords(0xBEEF, 1700)},
-		{Idle: 900},
-		{Words: testWords(0xF00D, 1500)},
-	}
-
-	sess, err := c.CreateSession(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sess.Info.Width != 33 { // 32 data lines + BI invert line
-		t.Fatalf("width %d", sess.Info.Width)
-	}
-	sum, err := sess.StepLines(ctx, lines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Words != 3200 || sum.Idle != 900 || sum.Cycles != 4100 {
-		t.Fatalf("summary %+v", sum)
-	}
-	res, err := sess.Result(ctx, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e2e.SameAsLibrary(res, libraryRun(t, cfg, lines)); err != nil {
-		t.Fatal(err)
-	}
-	// A fresh session's memo counters are the library simulator's.
-	if st := libraryRun(t, cfg, lines).MemoStats(); res.Memo.Hits != st.Hits || res.Memo.Misses != st.Misses {
-		t.Fatalf("session memo stats %+v, library %+v", res.Memo, st)
-	}
-	if err := sess.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestBinaryStepMatchesNDJSON(t *testing.T) {
 	_, c := newTestService(t, server.Config{})

@@ -29,9 +29,6 @@ type TimingAdapter struct {
 	h     *cache.Hierarchy
 	lat   Latencies
 	stall uint32
-	// stats
-	cycles uint64
-	stalls uint64
 	// l2Miss tracks whether the current access chain reached memory.
 	l2Miss bool
 }
@@ -59,15 +56,12 @@ func NewTimingAdapter(src Source, lat Latencies) (*TimingAdapter, error) {
 func (ta *TimingAdapter) Next() (Cycle, bool) {
 	if ta.stall > 0 {
 		ta.stall--
-		ta.stalls++
-		ta.cycles++
 		return Cycle{}, true
 	}
 	c, ok := ta.src.Next()
 	if !ok {
 		return Cycle{}, false
 	}
-	ta.cycles++
 	var addStall uint32
 	if c.IValid {
 		ta.l2Miss = false
@@ -100,14 +94,3 @@ func (ta *TimingAdapter) missCost() uint32 {
 	}
 	return ta.lat.L2Hit
 }
-
-// StallFraction reports the fraction of emitted cycles that were stalls.
-func (ta *TimingAdapter) StallFraction() float64 {
-	if ta.cycles == 0 {
-		return 0
-	}
-	return float64(ta.stalls) / float64(ta.cycles)
-}
-
-// Hierarchy exposes the underlying caches for statistics.
-func (ta *TimingAdapter) Hierarchy() *cache.Hierarchy { return ta.h }

@@ -44,7 +44,7 @@ func TestTimingAdapterInsertsStalls(t *testing.T) {
 	if idle != 2750 {
 		t.Errorf("stalls = %d, want 2750", idle)
 	}
-	if f := ta.StallFraction(); f < 0.9 {
+	if f := float64(idle) / float64(total); f < 0.9 {
 		t.Errorf("stall fraction = %.3f, want ~0.96 for a cold striding stream", f)
 	}
 }
@@ -70,16 +70,14 @@ func TestTimingAdapterHitsAreFree(t *testing.T) {
 			idle++
 		}
 	}
-	// One cold miss: memory latency (L2 also missed).
+	// One cold miss: memory latency (L2 also missed). Every further miss
+	// would add at least the L2-hit latency, so this is the one IL1 miss.
 	want := int(DefaultLatencies().Memory)
 	if idle != want {
 		t.Errorf("stalls = %d, want %d (single cold miss)", idle, want)
 	}
 	if total != 50+want {
 		t.Errorf("total = %d", total)
-	}
-	if ta.Hierarchy().IL1.Stats().ReadMisses != 1 {
-		t.Errorf("IL1 misses = %d, want 1", ta.Hierarchy().IL1.Stats().ReadMisses)
 	}
 }
 
@@ -119,9 +117,6 @@ func TestTimingAdapterEmptyStats(t *testing.T) {
 	ta, err := NewTimingAdapter(NewSliceSource(nil), DefaultLatencies())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ta.StallFraction() != 0 {
-		t.Error("empty adapter stall fraction != 0")
 	}
 	if _, ok := ta.Next(); ok {
 		t.Error("empty source yielded a cycle")

@@ -60,29 +60,6 @@ func (s *SliceSource) Next() (Cycle, bool) {
 // Reset rewinds the source to the beginning.
 func (s *SliceSource) Reset() { s.pos = 0 }
 
-// Limit caps an underlying source at n cycles.
-type Limit struct {
-	src  Source
-	left uint64
-}
-
-// NewLimit wraps src, stopping after n cycles.
-func NewLimit(src Source, n uint64) *Limit { return &Limit{src: src, left: n} }
-
-// Next implements Source.
-func (l *Limit) Next() (Cycle, bool) {
-	if l.left == 0 {
-		return Cycle{}, false
-	}
-	c, ok := l.src.Next()
-	if !ok {
-		l.left = 0
-		return Cycle{}, false
-	}
-	l.left--
-	return c, true
-}
-
 // Skip discards the first n cycles of src (the paper's warm-up skip of the
 // initial instructions) and then passes through.
 func Skip(src Source, n uint64) Source {

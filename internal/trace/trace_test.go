@@ -28,20 +28,6 @@ func TestSliceSource(t *testing.T) {
 	}
 }
 
-func TestLimit(t *testing.T) {
-	src := NewLimit(NewSynth(DefaultSynthConfig(1)), 10)
-	n := 0
-	for {
-		if _, ok := src.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 10 {
-		t.Errorf("Limit yielded %d cycles, want 10", n)
-	}
-}
-
 func TestSkip(t *testing.T) {
 	cycles := make([]Cycle, 5)
 	for i := range cycles {
@@ -187,7 +173,7 @@ func TestSynthDataDuty(t *testing.T) {
 	cfg := DefaultSynthConfig(7)
 	cfg.MemProb = 0.4
 	src := NewSynth(cfg)
-	_, da, cycles := CollectStats(NewLimit(src, 50000), 50000)
+	_, da, cycles := CollectStats(src, 50000)
 	if cycles != 50000 {
 		t.Fatalf("cycles = %d", cycles)
 	}
@@ -238,8 +224,7 @@ func TestFracAboveHalf(t *testing.T) {
 // addresses have very low Hamming distance, so BI-style schemes rarely
 // trigger. Verify the synthetic streams reproduce it.
 func TestSynthLowFetchHamming(t *testing.T) {
-	src := NewLimit(NewSynth(DefaultSynthConfig(3)), 100000)
-	ia, _, _ := CollectStats(src, 100000)
+	ia, _, _ := CollectStats(NewSynth(DefaultSynthConfig(3)), 100000)
 	if mh := ia.MeanHamming(); mh > 6 {
 		t.Errorf("IA mean Hamming = %.2f, want low (< 6)", mh)
 	}

@@ -26,7 +26,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"nanobus"
 	"nanobus/client"
 	"nanobus/internal/e2e"
 )
@@ -98,7 +97,7 @@ func replay(ctx context.Context, sess client.Session, from uint64) (int, error) 
 // the armed ingest failpoint, and require the final figures to match the
 // uninterrupted library run bit for bit. It returns the live handle so
 // the caller can close it over its own transport.
-func resume(ctx context.Context, tr client.Transport, ref *nanobus.Bus, id, label string) (client.Session, error) {
+func resume(ctx context.Context, tr client.Transport, ref *client.Result, id, label string) (client.Session, error) {
 	sess, res, err := tr.Resurrect(ctx, id, nil)
 	if err != nil {
 		return nil, fmt.Errorf("resurrect: %w", err)
@@ -127,7 +126,7 @@ func resume(ctx context.Context, tr client.Transport, ref *nanobus.Bus, id, labe
 	if err != nil {
 		return nil, fmt.Errorf("result: %w", err)
 	}
-	if err := e2e.SameAsLibrary(final, ref); err != nil {
+	if err := e2e.SameResult(ref, final); err != nil {
 		return nil, fmt.Errorf("after chaos: %w", err)
 	}
 	fmt.Printf("chaos: %s: %d batches survived kill -9 + injected ingest fault; %d samples bit-identical (total %.4g J)\n",
@@ -136,11 +135,11 @@ func resume(ctx context.Context, tr client.Transport, ref *nanobus.Bus, id, labe
 }
 
 func run(ctx context.Context, bin string) error {
-	batches := make([][]uint32, nBatches)
-	for i := range batches {
-		batches[i] = batch(uint64(i + 1))
+	script := make([]client.StepLine, nBatches)
+	for i := range script {
+		script[i].Words = batch(uint64(i + 1))
 	}
-	ref, err := e2e.Reference(ctx, cfg, batches, 0)
+	ref, err := e2e.Reference(ctx, cfg, script)
 	if err != nil {
 		return fmt.Errorf("reference run: %w", err)
 	}
@@ -168,7 +167,7 @@ func run(ctx context.Context, bin string) error {
 var failpoint = []string{"NANOBUS_FAILPOINTS=server.ingest.decode=error,nth=3"}
 
 // httpLeg is the original chaos scenario over the HTTP surface.
-func httpLeg(ctx context.Context, bin, ckptDir string, ref *nanobus.Bus) error {
+func httpLeg(ctx context.Context, bin, ckptDir string, ref *client.Result) error {
 	// Daemon #1: stream seq 1..7 (auto-checkpoints land every 2 batches
 	// at 150 words each), then die without warning. Seq 7 is past the
 	// last checkpoint: its ack will be lost and the batch replayed.
@@ -219,7 +218,7 @@ func httpLeg(ctx context.Context, bin, ckptDir string, ref *nanobus.Bus) error {
 // duplicate of the checkpointed frontier, replays the rest through the
 // injected fault, and must land on the same bits as the uninterrupted
 // library run.
-func nbwpLeg(ctx context.Context, bin, ckptDir string, ref *nanobus.Bus) error {
+func nbwpLeg(ctx context.Context, bin, ckptDir string, ref *client.Result) error {
 	d1, err := startDaemon(bin, ckptDir, nil)
 	if err != nil {
 		return err

@@ -279,15 +279,15 @@ func run(ctx context.Context, bin string, sessions int) error {
 		if errs[i] != nil {
 			return errs[i]
 		}
-		batches := make([][]uint32, nBatches)
-		for j := range batches {
-			batches[j] = batch(d.sid, uint64(j+1))
+		script := make([]client.StepLine, nBatches)
+		for j := range script {
+			script[j].Words = batch(d.sid, uint64(j+1))
 		}
-		ref, err := e2e.Reference(ctx, cfg, batches, 0)
+		ref, err := e2e.Reference(ctx, cfg, script)
 		if err != nil {
 			return fmt.Errorf("reference run %d: %w", d.sid, err)
 		}
-		if err := e2e.SameAsLibrary(finals[i], ref); err != nil {
+		if err := e2e.SameResult(ref, finals[i]); err != nil {
 			return fmt.Errorf("session %d after failover: %w", d.sid, err)
 		}
 		if d.recoveries > 0 {

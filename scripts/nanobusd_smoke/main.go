@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"time"
 
-	"nanobus"
 	"nanobus/client"
 	"nanobus/internal/e2e"
 )
@@ -29,7 +28,7 @@ import (
 func main() { e2e.Main("nanobusd_smoke", 60*time.Second, run) }
 
 func run(ctx context.Context, bin string) error {
-	ref, err := e2e.Reference(ctx, cfg, [][]uint32{schedule()}, nIdle)
+	ref, err := e2e.Reference(ctx, cfg, []client.StepLine{{Words: schedule(), Idle: nIdle}})
 	if err != nil {
 		return fmt.Errorf("reference run: %w", err)
 	}
@@ -75,7 +74,7 @@ func schedule() []uint32 {
 // the transport-agnostic interface and requires the result to be
 // bit-identical to the library reference. Both wire protocols go through
 // this exact code path; anything transport-specific stays in the legs.
-func runSchedule(ctx context.Context, sess client.Session, ref *nanobus.Bus) (*client.Result, error) {
+func runSchedule(ctx context.Context, sess client.Session, ref *client.Result) (*client.Result, error) {
 	if _, err := sess.StepBinary(ctx, schedule()); err != nil {
 		return nil, fmt.Errorf("step: %w", err)
 	}
@@ -89,14 +88,14 @@ func runSchedule(ctx context.Context, sess client.Session, ref *nanobus.Bus) (*c
 	if err := sess.Close(ctx); err != nil {
 		return nil, fmt.Errorf("close: %w", err)
 	}
-	if err := e2e.SameAsLibrary(res, ref); err != nil {
+	if err := e2e.SameResult(ref, res); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
 // driveSession runs one schedule over the HTTP transport.
-func driveSession(ctx context.Context, baseURL string, ref *nanobus.Bus) error {
+func driveSession(ctx context.Context, baseURL string, ref *client.Result) error {
 	c := client.New(baseURL)
 	if err := c.Healthz(ctx); err != nil {
 		return fmt.Errorf("healthz: %w", err)
@@ -119,7 +118,7 @@ func driveSession(ctx context.Context, baseURL string, ref *nanobus.Bus) error {
 // the Session interface — but the schedule itself runs through the same
 // runSchedule path as HTTP, and the streamed SAMPLE frames must carry the
 // same IEEE-754 bit patterns as the result document.
-func driveSessionNBWP(ctx context.Context, addr string, ref *nanobus.Bus) error {
+func driveSessionNBWP(ctx context.Context, addr string, ref *client.Result) error {
 	res, streamed, err := e2e.StreamNBWP(ctx, addr, cfg, func(sess client.Session) (*client.Result, error) {
 		return runSchedule(ctx, sess, ref)
 	})
