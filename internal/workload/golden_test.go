@@ -92,9 +92,10 @@ var benchmarkTraceGoldens = map[string]traceGolden{
 	},
 }
 
-// warmTraceGoldens pins the steady loops of the paper's eon/swim pair,
-// which the cold prefixes above barely reach (swim's FP loop starts after
-// its data initialisation).
+// warmTraceGoldens pins the steady loops of the paper's eight
+// benchmarks, which the cold prefixes above barely reach (swim's FP loop
+// starts after its data initialisation): each window starts after the
+// benchmark's own warm-up skip.
 var warmTraceGoldens = map[string]traceGolden{
 	"eon": {
 		sha:      "7c42802017567e0214b631249ba356a4f7c79342d1753696e827243983175239",
@@ -102,27 +103,63 @@ var warmTraceGoldens = map[string]traceGolden{
 		instret:  1262144,
 		pages:    20,
 	},
+	"crafty": {
+		sha:      "f89bfb1e83f7c072c215f2759dc53bd062d67f766a469433369aa0fc8767a254",
+		counters: cpu.Counters{Loads: 18753, Stores: 2197, Branches: 94789, Taken: 74862, Jumps: 18752, FPOps: 0},
+		instret:  762144,
+		pages:    3,
+	},
+	"twolf": {
+		sha:      "8c570f9a785aeb9236425657ca5bbe4337e3de40c90168374dc49a8aba68f8d1",
+		counters: cpu.Counters{Loads: 121172, Stores: 126332, Branches: 126122, Taken: 95723, Jumps: 60586, FPOps: 0},
+		instret:  1262144,
+		pages:    65,
+	},
+	"mcf": {
+		sha:      "1fd25d3323651bc1efacbea0faf2d0a7e17e22af6e66fbb50fc5008e990b07d7",
+		counters: cpu.Counters{Loads: 246610, Stores: 539701, Branches: 385448, Taken: 370034, Jumps: 123304, FPOps: 0},
+		instret:  3762144,
+		pages:    1025,
+	},
+	"applu": {
+		sha:      "9729b71ee177e7066342dd5bfb49e3c3d39e2d04d46ddb20caa33d25017421d7",
+		counters: cpu.Counters{Loads: 468378, Stores: 1204702, Branches: 1204701, Taken: 1204700, Jumps: 0, FPOps: 468378},
+		instret:  10262144,
+		pages:    1025,
+	},
 	"swim": {
 		sha:      "60c4813a15c4250d77ea1dd86817c44b2798bfa8d2f9be55202300def7c01f52",
 		counters: cpu.Counters{Loads: 161484, Stores: 578115, Branches: 315971, Taken: 315970, Jumps: 0, FPOps: 107656},
 		instret:  4262144,
 		pages:    566,
 	},
+	"art": {
+		sha:      "231c781df6b5c8e58a24cbbc905d1b7da08f0cc85537403b10147c2fe3097994",
+		counters: cpu.Counters{Loads: 282963, Stores: 266274, Branches: 407755, Taken: 407719, Jumps: 0, FPOps: 282997},
+		instret:  3262144,
+		pages:    262,
+	},
+	"ammp": {
+		sha:      "ad3003fa17b2d86314bf000f0437561a2d194c1466d53ce40c63305b0d8db4c9",
+		counters: cpu.Counters{Loads: 781038, Stores: 261695, Branches: 717298, Taken: 652206, Jumps: 3, FPOps: 520692},
+		instret:  4762144,
+		pages:    193,
+	},
 }
 
-// hashTrace skips the benchmark's first skip cycles, then pulls n cycles
-// and hashes IValid, IAddr, DValid, DAddr and DStore of each,
+// hashTrace takes a source from NewWarmSource(skip), so a warm window is
+// reached through the same skip every experiment takes, then pulls n
+// cycles and hashes IValid, IAddr, DValid, DAddr and DStore of each,
 // little-endian. It returns the digest and the CPU state left behind.
 func hashTrace(t *testing.T, b Benchmark, skip uint64, n int) traceGolden {
 	t.Helper()
-	src, err := b.NewSource()
+	warm, err := b.NewWarmSource(skip)
 	if err != nil {
 		t.Fatalf("%s: %v", b.Name, err)
 	}
-	for i := uint64(0); i < skip; i++ {
-		if _, ok := src.Next(); !ok {
-			t.Fatalf("%s: source ended in warm-up after %d cycles: %v", b.Name, i, src.Err())
-		}
+	src, ok := warm.(*cpu.TraceSource)
+	if !ok {
+		t.Fatalf("%s: NewWarmSource returned %T, want *cpu.TraceSource", b.Name, warm)
 	}
 	h := sha256.New()
 	var rec [11]byte
@@ -155,8 +192,8 @@ func b2byte(v bool) byte {
 
 // TestBenchmarkTracesGolden pins the trace generator: for every benchmark
 // the first 2^20 cycles hash to a recorded digest and leave the recorded
-// instruction mix, instruction count and page footprint behind. The paper
-// pair is also pinned over a window past its warm-up skip.
+// instruction mix, instruction count and page footprint behind. Each of
+// the paper's eight is also pinned over a window past its warm-up skip.
 func TestBenchmarkTracesGolden(t *testing.T) {
 	check := func(t *testing.T, b Benchmark, goldens map[string]traceGolden, skip uint64, n int) {
 		got := hashTrace(t, b, skip, n)
@@ -175,8 +212,7 @@ func TestBenchmarkTracesGolden(t *testing.T) {
 			check(t, b, benchmarkTraceGoldens, 0, goldenCycles)
 		})
 	}
-	eon, swim := PaperPair()
-	for _, b := range []Benchmark{eon, swim} {
+	for _, b := range All() {
 		b := b
 		t.Run(b.Name+"/warm", func(t *testing.T) {
 			t.Parallel()
