@@ -25,8 +25,17 @@ const (
 type pageTable [1 << tableBits]*page
 
 // noPage is a page number no 32-bit address maps to; it marks an empty
-// one-entry page cache.
+// data page cache.
 const noPage = ^uint32(0)
+
+// fetchTagMask keeps the page number and the two low bits of an address:
+// a fetch address masked by it equals the fetch cache's tag only when it
+// is word-aligned and on the cached page, so one compare checks both.
+const fetchTagMask = ^uint32(pageSize - 4)
+
+// noFetch is a tag no masked address equals (bit 2 is masked out); it
+// marks an empty fetch cache.
+const noFetch = 4
 
 // page is one materialised page: its bytes and, once anything on it has
 // been fetched, the decoded form of each of its words.
@@ -54,22 +63,29 @@ type decoded struct {
 // Pages are found through a two-level page table, whose tables also
 // materialise on first touch: two dependent loads instead of a hash-map
 // probe, which matters because the benchmarks' strided data accesses
-// change page on 12-100% of loads and stores. Two one-entry page caches
-// sit in front of it, one for instruction fetches and one for data
-// accesses; code and data pages alternate on every load and store, so a
-// single shared entry would miss on nearly every access. Pages are never
-// freed, so a cached pointer stays valid.
+// change page on 12-100% of loads and stores. Two one-entry caches sit
+// in front of it, one for instruction fetches and one for data accesses;
+// code and data pages alternate on every load and store, so a single
+// shared entry would miss on nearly every access. Pages are never freed,
+// so a cached pointer stays valid. The fetch cache holds the page's
+// decode array rather than the page, so a fetch hit is one compare and
+// one load.
 type Memory struct {
 	dir   [1 << dirBits]*pageTable
 	count int
 
-	fetchPN, dataPN     uint32
-	fetchPage, dataPage *page
+	// fetchTag is the base address of the page fetchDec decodes, or
+	// noFetch when the fetch cache is empty.
+	fetchTag uint32
+	fetchDec *[pageWords]decoded
+
+	dataPN   uint32
+	dataPage *page
 }
 
 // NewMemory returns an empty memory.
 func NewMemory() *Memory {
-	return &Memory{fetchPN: noPage, dataPN: noPage}
+	return &Memory{fetchTag: noFetch, dataPN: noPage}
 }
 
 // lookup returns page pn, materialising it on first touch.
@@ -95,23 +111,39 @@ func (m *Memory) page(addr uint32) *page {
 	return m.dataPage
 }
 
+// fetchHit is the fetch cache's hit path, small enough to inline into
+// the execution loop: the decoded instruction at addr when addr is
+// word-aligned, on the cached page and its word is decoded; otherwise nil,
+// and the caller falls back to fetch.
+//
+//nanolint:hotpath one probe per committed instruction
+func (m *Memory) fetchHit(addr uint32) *decoded {
+	if addr&fetchTagMask == m.fetchTag {
+		if d := &m.fetchDec[addr>>2&(pageWords-1)]; d.valid {
+			return d
+		}
+	}
+	return nil
+}
+
 // fetch returns the decoded instruction at addr, decoding the word on its
 // first fetch since it was last written. The entry lives in the page's
 // cache and is overwritten when the word is decoded again, so callers
-// copy what they need before executing the instruction.
-//
-//nanolint:hotpath one probe per committed instruction; after a page's first fetch it allocates nothing
+// copy what they need before executing the instruction. Past fetchHit, it
+// checks alignment, finds the page, allocates the page's decode array on
+// its first fetch and points the fetch cache at it.
 func (m *Memory) fetch(addr uint32) (*decoded, error) {
+	if d := m.fetchHit(addr); d != nil {
+		return d, nil
+	}
 	if addr&3 != 0 {
 		return nil, fmt.Errorf("cpu: unaligned word read at %#x", addr)
 	}
-	if pn := addr >> pageBits; pn != m.fetchPN {
-		m.fetchPN, m.fetchPage = pn, m.lookup(pn)
-	}
-	p := m.fetchPage
+	p := m.lookup(addr >> pageBits)
 	if p.dec == nil {
-		p.dec = new([pageWords]decoded) //nanolint:ignore hotalloc once per code page, on its first fetch; every later fetch from the page reuses it
+		p.dec = new([pageWords]decoded)
 	}
+	m.fetchTag, m.fetchDec = addr&fetchTagMask, p.dec
 	off := addr & (pageSize - 1)
 	d := &p.dec[off>>2]
 	if !d.valid {
@@ -139,8 +171,10 @@ func (m *Memory) LoadProgram(p *isa.Program) {
 }
 
 // WriteBytes copies b to addr, crossing pages as needed. It drops the
-// decoded instructions of every page it writes to.
+// decoded instructions of every page it writes to, and empties the fetch
+// cache, which may hold one of the dropped arrays.
 func (m *Memory) WriteBytes(addr uint32, b []byte) {
+	m.fetchTag, m.fetchDec = noFetch, nil
 	for len(b) > 0 {
 		p := m.page(addr)
 		p.dec = nil

@@ -61,8 +61,15 @@ func (s *SliceSource) Next() (Cycle, bool) {
 func (s *SliceSource) Reset() { s.pos = 0 }
 
 // Skip discards the first n cycles of src (the paper's warm-up skip of the
-// initial instructions) and then passes through.
+// initial instructions) and then passes through. A source with its own
+// Skip(n uint64) method, such as a CPU trace source, skips through it
+// instead of building every cycle; it must leave the source as n calls of
+// Next would.
 func Skip(src Source, n uint64) Source {
+	if s, ok := src.(interface{ Skip(n uint64) }); ok {
+		s.Skip(n)
+		return src
+	}
 	for i := uint64(0); i < n; i++ {
 		if _, ok := src.Next(); !ok {
 			break

@@ -95,11 +95,11 @@ func (b Benchmark) NewWarmSource(skip uint64) (trace.Source, error) {
 	if err != nil {
 		return nil, err
 	}
-	warmed := trace.Skip(src, skip)
+	src.Skip(skip)
 	if src.Err() != nil {
 		return nil, fmt.Errorf("workload %s: warm-up: %w", b.Name, src.Err())
 	}
-	return warmed, nil
+	return src, nil
 }
 
 var registry = map[string]Benchmark{}
