@@ -282,6 +282,14 @@ func TestWords(t *testing.T) {
 	if got := AppendWords(nil, want); !bytes.Equal(got, raw) {
 		t.Fatal("AppendWords does not invert Words")
 	}
+	// After a one-byte prefix the words start unaligned and take the
+	// per-word path.
+	if got := AppendWords([]byte{0xAB}, want); got[0] != 0xAB || !bytes.Equal(got[1:], raw) {
+		t.Fatal("AppendWords after an unaligned prefix does not invert Words")
+	}
+	if got := AppendWords(make([]byte, 4, 5), want[:3]); !bytes.Equal(got[4:], raw[:12]) {
+		t.Fatal("AppendWords after an aligned prefix does not invert Words")
+	}
 }
 
 // TestFrameCodecAllocs pins the STEP hot path at zero allocations per

@@ -2,6 +2,7 @@ package nbwp
 
 import (
 	"encoding/binary"
+	"slices"
 	"unsafe"
 )
 
@@ -37,12 +38,23 @@ func Words(dst []uint32, src []byte) []uint32 {
 }
 
 // AppendWords appends the wire encoding of words (little-endian uint32)
-// to dst — the client-side inverse of Words.
+// to dst — the client-side inverse of Words. It grows dst once. On
+// little-endian hosts, when the appended bytes start word-aligned, they
+// are viewed as uint32s and the words copied in one move; elsewhere each
+// word is stored in turn.
 //
 //nanolint:hotpath one encode per STEP frame; appends into the caller's reused buffer
 func AppendWords(dst []byte, words []uint32) []byte {
-	for _, w := range words {
-		dst = binary.LittleEndian.AppendUint32(dst, w)
+	n := len(dst)
+	dst = slices.Grow(dst, 4*len(words))[:n+4*len(words)]
+	out := dst[n:]
+	p := unsafe.SliceData(out)
+	if hostLittleEndian && uintptr(unsafe.Pointer(p))%unsafe.Alignof(uint32(0)) == 0 {
+		copy(unsafe.Slice((*uint32)(unsafe.Pointer(p)), len(words)), words)
+		return dst
+	}
+	for i, w := range words {
+		binary.LittleEndian.PutUint32(out[4*i:], w)
 	}
 	return dst
 }
