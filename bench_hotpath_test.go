@@ -351,7 +351,8 @@ func BenchmarkMultiStep(b *testing.B) {
 // cycle of trace.Skip on a fresh source: the warm-up itself, from the
 // benchmark's first instruction.
 func BenchmarkCapture(b *testing.B) {
-	eon, swim := workload.PaperPair()
+	eon, _ := workload.ByName("eon")
+	swim, _ := workload.ByName("swim")
 	for _, bench := range []workload.Benchmark{eon, swim} {
 		b.Run(bench.Name, func(b *testing.B) {
 			src, err := bench.NewWarmSource(bench.WarmupCycles)
@@ -391,7 +392,7 @@ func BenchmarkCapture(b *testing.B) {
 // address streams of swim, in chunks of the stream's length, one word
 // per op. The encoder keeps its held word across chunks.
 func BenchmarkEncodeBatch(b *testing.B) {
-	_, swim := workload.PaperPair()
+	swim, _ := workload.ByName("swim")
 	src, err := swim.NewWarmSource(swim.WarmupCycles)
 	if err != nil {
 		b.Fatal(err)

@@ -144,15 +144,15 @@ func TestReplicatedFanOutAndFallback(t *testing.T) {
 
 func TestReplicatedSurvivesDeadPeer(t *testing.T) {
 	ctx := context.Background()
-	local := NewMemStore()
-	r := NewReplicated(local, []Store{failingStore{}})
+	local, live := NewMemStore(), NewMemStore()
+	r := NewReplicated(local, []Store{failingStore{}, live})
 	// A dead peer must not fail the Put (the checkpoint is the durability
-	// the caller was promised) — only count it.
+	// the caller was promised), nor stop the fan-out to the next peer.
 	if err := r.Put(ctx, "deadbeef", []byte("env")); err != nil {
 		t.Fatalf("Put with dead peer = %v", err)
 	}
-	if r.PutErrors() != 1 {
-		t.Errorf("PutErrors = %d, want 1", r.PutErrors())
+	if got, err := live.Get(ctx, "deadbeef"); err != nil || string(got) != "env" {
+		t.Errorf("live peer after a dead one = %q, %v; want the replica", got, err)
 	}
 	if got, err := r.Get(ctx, "deadbeef"); err != nil || string(got) != "env" {
 		t.Fatalf("Get = %q, %v", got, err)

@@ -192,8 +192,6 @@ func TestFromExtraction(t *testing.T) {
 	if dec.At(1) != 1 {
 		t.Errorf("extraction decay at d=1 is %g, want 1", dec.At(1))
 	}
-	// FromExtraction on a small bus: symmetric, positive couplings.
-	// (Re-extract to get the raw result.)
 	m, err := FromNode(node, 5, dec)
 	if err != nil {
 		t.Fatal(err)

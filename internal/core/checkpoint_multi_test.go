@@ -203,21 +203,19 @@ func sameMultiRun(t *testing.T, label string, a, b *MultiSim) {
 	if a.Cycles() != b.Cycles() {
 		t.Fatalf("%s: cycles %d vs %d", label, a.Cycles(), b.Cycles())
 	}
-	la, lb := make([]energy.LineEnergy, a.Width()), make([]energy.LineEnergy, b.Width())
 	for k := 0; k < a.Buses(); k++ {
 		name := fmt.Sprintf("%s bus %d", label, k)
 		sameSamples(t, name, a.Samples(k), b.Samples(k))
 		if !sameEnergy(a.TotalEnergy(k), b.TotalEnergy(k)) {
 			t.Fatalf("%s: total energy %+v vs %+v", name, a.TotalEnergy(k), b.TotalEnergy(k))
 		}
-		a.LineEnergies(k, la)
-		b.LineEnergies(k, lb)
+		la, lb := busLines(a, k), busLines(b, k)
 		for i := range la {
 			if !sameEnergy(la[i], lb[i]) {
 				t.Fatalf("%s line %d: energy %+v vs %+v", name, i, la[i], lb[i])
 			}
 		}
-		ta, tb := a.BusTemps(k), b.BusTemps(k)
+		ta, tb := a.Grid().BusTemps(k, nil), b.Grid().BusTemps(k, nil)
 		for i := range ta {
 			if math.Float64bits(ta[i]) != math.Float64bits(tb[i]) {
 				t.Fatalf("%s wire %d: temp %.17g vs %.17g", name, i, ta[i], tb[i])

@@ -98,7 +98,7 @@ func TestMultiSimK1BitIdentical(t *testing.T) {
 				math.Float64bits(st.CoupNonAdj) != math.Float64bits(mt.CoupNonAdj) {
 				t.Fatalf("%s: total energy differs: %+v vs %+v", label, st, mt)
 			}
-			stemps, mtemps := sim.Temps(), msim.BusTemps(0)
+			stemps, mtemps := sim.Temps(), msim.Grid().BusTemps(0, nil)
 			for i := range stemps {
 				if math.Float64bits(stemps[i]) != math.Float64bits(mtemps[i]) {
 					t.Fatalf("%s: wire %d temp differs: %v vs %v", label, i, stemps[i], mtemps[i])
@@ -194,7 +194,7 @@ func TestMultiSimMatchesIndependentSims(t *testing.T) {
 			if mt, st := msim.TotalEnergy(k), sims[k].TotalEnergy(); !sameEnergy(mt, st) {
 				t.Fatalf("%s total energy: multi %+v scalar %+v", name, mt, st)
 			}
-			msim.LineEnergies(k, mlines)
+			copy(mlines, busLines(msim, k))
 			sims[k].LineEnergies(slines)
 			for i := range mlines {
 				if !sameEnergy(mlines[i], slines[i]) {
@@ -220,7 +220,7 @@ func TestMultiSimMatchesIndependentSims(t *testing.T) {
 					t.Fatalf("%s sample %d max temp: %v vs %v", name, i, x.MaxTemp, y.MaxTemp)
 				}
 			}
-			mtemp, stemp := msim.BusTemps(k), sims[k].Temps()
+			mtemp, stemp := msim.Grid().BusTemps(k, nil), sims[k].Temps()
 			for j := range stemp {
 				if !relClose(mtemp[j], stemp[j], 1e-9) {
 					t.Fatalf("%s wire %d temp: %v vs %v", name, j, mtemp[j], stemp[j])
@@ -354,7 +354,8 @@ type multiRun struct {
 // temperatures) while keeping the warm shared memo, so an identical
 // replay reproduces the first run bit for bit and hits the memo where
 // the first run missed. It also exercises the streaming callback,
-// LineEnergies, MemoStats, Err and IntervalCycles on the K > 1 path.
+// the per-line totals, MemoStats, Err and the sampling interval on the
+// K > 1 path.
 func TestMultiSimResetReplay(t *testing.T) {
 	const buses, rows, idle, interval = 4, 2300, 400, 1000
 	enc, err := encoding.New("BI")
@@ -368,10 +369,6 @@ func TestMultiSimResetReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewMulti: %v", err)
 	}
-	if msim.IntervalCycles() != interval {
-		t.Fatalf("IntervalCycles = %d, want %d", msim.IntervalCycles(), interval)
-	}
-
 	type tagged struct {
 		bus int
 		s   Sample
@@ -406,12 +403,10 @@ func TestMultiSimResetReplay(t *testing.T) {
 		}
 		out := make([]multiRun, buses)
 		for k := range out {
-			lines := make([]energy.LineEnergy, msim.Width())
-			msim.LineEnergies(k, lines)
 			out[k] = multiRun{
 				total:   msim.TotalEnergy(k),
-				lines:   lines,
-				temps:   msim.BusTemps(k),
+				lines:   busLines(msim, k),
+				temps:   msim.Grid().BusTemps(k, nil),
 				samples: append([]Sample(nil), msim.Samples(k)...),
 			}
 		}
@@ -421,6 +416,9 @@ func TestMultiSimResetReplay(t *testing.T) {
 	first := run()
 	if msim.Err() != nil {
 		t.Fatalf("Err after clean run: %v", msim.Err())
+	}
+	if got := first[0].samples[0].EndCycle; got != interval {
+		t.Fatalf("first sample ends at cycle %d, want the interval %d", got, interval)
 	}
 	st1 := msim.MemoStats()
 	if st1.Hits == 0 || st1.Misses == 0 || st1.Entries == 0 {
@@ -495,7 +493,8 @@ func TestMultiSimResetReplay(t *testing.T) {
 }
 
 // TestMultiSimK1Delegation covers the K == 1 accessors Reset, Err,
-// IntervalCycles, LineEnergies, MemoStats and SetOnBusSample against an
+// MemoStats and SetOnBusSample, the sampling interval and the per-line
+// totals against an
 // independently built Simulator on the same stream: every reading must
 // match it, samples must be tagged bus 0, and a replay after Reset is
 // bit-identical.
@@ -508,9 +507,6 @@ func TestMultiSimK1Delegation(t *testing.T) {
 	sim, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
-	}
-	if msim.IntervalCycles() != 500 {
-		t.Fatalf("IntervalCycles = %d", msim.IntervalCycles())
 	}
 	var buses []int
 	msim.SetOnBusSample(func(bus int, s Sample) { buses = append(buses, bus) })
@@ -535,9 +531,10 @@ func TestMultiSimK1Delegation(t *testing.T) {
 		if err := msim.Finish(); err != nil {
 			t.Fatalf("Finish: %v", err)
 		}
-		lines := make([]energy.LineEnergy, msim.Width())
-		msim.LineEnergies(0, lines)
-		return msim.TotalEnergy(0), lines
+		if got := msim.Samples(0)[0].EndCycle; got != 500 {
+			t.Fatalf("first sample ends at cycle %d, want the interval 500", got)
+		}
+		return msim.TotalEnergy(0), busLines(msim, 0)
 	}
 
 	tot1, lines1 := run()
@@ -597,4 +594,9 @@ func TestNewMultiRejectsOnSample(t *testing.T) {
 			t.Fatalf("K %d: NewMulti with Config.OnSample = %v, want an error naming OnBusSample", buses, err)
 		}
 	}
+}
+
+// busLines returns a copy of bus k's cumulative per-line energies.
+func busLines(m *MultiSim, k int) []energy.LineEnergy {
+	return append([]energy.LineEnergy(nil), m.lineTotals[k*m.width:(k+1)*m.width]...)
 }

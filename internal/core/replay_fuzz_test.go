@@ -372,8 +372,7 @@ func sameBusEnergies(t *testing.T, label string, m *MultiSim, k int, ref *Simula
 	if !sameEnergy(m.TotalEnergy(k), ref.TotalEnergy()) {
 		t.Fatalf("%s: total %+v, scalar %+v", label, m.TotalEnergy(k), ref.TotalEnergy())
 	}
-	ml, rl := make([]energy.LineEnergy, m.Width()), make([]energy.LineEnergy, ref.Width())
-	m.LineEnergies(k, ml)
+	ml, rl := busLines(m, k), make([]energy.LineEnergy, ref.Width())
 	ref.LineEnergies(rl)
 	for i := range ml {
 		if !sameEnergy(ml[i], rl[i]) {

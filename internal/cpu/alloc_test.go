@@ -10,7 +10,7 @@ import (
 // eon is past its warm-up, every page it fetches from has its decode
 // array, so a Step allocates nothing.
 func TestStepAllocs(t *testing.T) {
-	eon, _ := workload.PaperPair()
+	eon, _ := workload.ByName("eon")
 	src, err := eon.NewSource()
 	if err != nil {
 		t.Fatal(err)

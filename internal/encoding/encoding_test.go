@@ -136,8 +136,8 @@ func TestBIReducesSelfTransitions(t *testing.T) {
 		pu := un.Encode(w)
 		pb := bi.Encode(w)
 		if i > 0 {
-			totalU += selfCost(prevU, pu, un.Width())
-			totalB += selfCost(prevB, pb, bi.Width())
+			totalU += bits.OnesCount64(prevU ^ pu)
+			totalB += bits.OnesCount64(prevB ^ pb)
 		}
 		prevU, prevB = pu, pb
 	}

@@ -83,10 +83,10 @@ func TestActivityBaselineMissesCoupling(t *testing.T) {
 	cycles := uint64(200)
 	transitions := 0
 	prev := uint64(0x5555)
-	acc.Step(prev)
+	step(acc, prev)
 	for i := uint64(1); i < cycles; i++ {
 		cur := prev ^ 0xFFFF // full toggle, alternating pattern
-		acc.Step(cur)
+		step(acc, cur)
 		transitions += 16
 		prev = cur
 	}

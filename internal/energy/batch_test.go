@@ -20,6 +20,13 @@ func batchTestModel(t *testing.T) *Model {
 	return m
 }
 
+// step transmits one word: a one-word StepBatch, the path a per-word
+// caller takes.
+func step(a *Accumulator, word uint64) {
+	w := [1]uint64{word}
+	a.StepBatch(w[:])
+}
+
 // batchTestWords is an address-like stream with jumps, holds and repeats.
 func batchTestWords(n int) []uint64 {
 	words := make([]uint64, n)
@@ -38,8 +45,8 @@ func batchTestWords(n int) []uint64 {
 	return words
 }
 
-// TestStepBatchMatchesStep requires StepBatch to be bit-identical to the
-// per-word loop, with and without the memo, across batch split points.
+// TestStepBatchMatchesStep requires StepBatch to be bit-identical to
+// one-word batches, with and without the memo, across batch split points.
 func TestStepBatchMatchesStep(t *testing.T) {
 	m := batchTestModel(t)
 	words := batchTestWords(4096)
@@ -55,7 +62,7 @@ func TestStepBatchMatchesStep(t *testing.T) {
 			}
 		}
 		for _, w := range words {
-			ref.Step(w)
+			step(ref, w)
 		}
 		// Uneven split points exercise the first-word and mid-stream paths.
 		got.StepBatch(words[:1])
@@ -63,16 +70,17 @@ func TestStepBatchMatchesStep(t *testing.T) {
 		got.StepBatch(words[7:7]) // empty batch is a no-op
 		got.StepBatch(words[7:1033])
 		got.StepBatch(words[1033:])
-		if ref.Cycles() != got.Cycles() {
-			t.Fatalf("memo=%v: cycles %d != %d", memo, ref.Cycles(), got.Cycles())
+		rs, gs := ref.State(), got.State()
+		if rs.Cycles != gs.Cycles {
+			t.Fatalf("memo=%v: cycles %d != %d", memo, rs.Cycles, gs.Cycles)
 		}
 		if ref.Total() != got.Total() {
 			t.Fatalf("memo=%v: total %+v != %+v", memo, ref.Total(), got.Total())
 		}
-		if ref.Last() != got.Last() {
-			t.Fatalf("memo=%v: last %x != %x", memo, ref.Last(), got.Last())
+		if rs.Prev != gs.Prev {
+			t.Fatalf("memo=%v: last %x != %x", memo, rs.Prev, gs.Prev)
 		}
-		for i := 0; i < m.N(); i++ {
+		for i := 0; i < m.n; i++ {
 			if ref.Line(i) != got.Line(i) {
 				t.Fatalf("memo=%v: line %d: %+v != %+v", memo, i, ref.Line(i), got.Line(i))
 			}
@@ -80,23 +88,33 @@ func TestStepBatchMatchesStep(t *testing.T) {
 	}
 }
 
-// TestIdleNMatchesIdle checks the bulk idle counters.
+// TestIdleNMatchesIdle checks the bulk idle counters: idle runs split
+// any way count the same cycles as one run, and dissipate nothing.
 func TestIdleNMatchesIdle(t *testing.T) {
 	m := batchTestModel(t)
-	ref, got := NewAccumulator(m), NewAccumulator(m)
-	for i := 0; i < 137; i++ {
-		ref.Idle()
+	ref, err := NewMultiAccumulator(m, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
+	got, err := NewMultiAccumulator(m, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.IdleN(137)
 	got.IdleN(100)
 	got.IdleN(0)
 	got.IdleN(37)
-	if ref.Cycles() != got.Cycles() || ref.IdleCycles() != got.IdleCycles() {
-		t.Fatalf("cycles %d/%d != %d/%d", ref.Cycles(), ref.IdleCycles(), got.Cycles(), got.IdleCycles())
+	rs, gs := ref.BusState(1), got.BusState(1)
+	if rs.Cycles != gs.Cycles || rs.IdleCycles != gs.IdleCycles || gs.Cycles != 137 || gs.IdleCycles != 137 {
+		t.Fatalf("cycles %d/%d != %d/%d, want 137/137", rs.Cycles, rs.IdleCycles, gs.Cycles, gs.IdleCycles)
+	}
+	if e := got.BusLines(1, make([]LineEnergy, m.n)); e != (LineEnergy{}) {
+		t.Fatalf("idle cycles dissipated %+v", e)
 	}
 }
 
 // TestStepAllocs is the alloc regression gate for the per-word hot path:
-// steady-state Step must not allocate, memoized or direct. (The memo's
+// a steady-state one-word batch must not allocate, memoized or direct. (The memo's
 // miss path may allocate entry storage while warming; the gate measures
 // the warmed state.)
 func TestStepAllocs(t *testing.T) {
@@ -112,17 +130,17 @@ func TestStepAllocs(t *testing.T) {
 		acc.StepBatch(words) // warm the memo
 		i := 0
 		allocs := testing.AllocsPerRun(1000, func() {
-			acc.Step(words[i&(len(words)-1)])
+			step(acc, words[i&(len(words)-1)])
 			i++
 		})
 		if allocs != 0 {
-			t.Errorf("memo=%v: Step allocates %v/op in steady state, want 0", memo, allocs)
+			t.Errorf("memo=%v: a one-word StepBatch allocates %v/op in steady state, want 0", memo, allocs)
 		}
 	}
 }
 
 // TestStepBatchAllocs is the alloc regression gate for the batch path:
-// steady-state StepBatch and IdleN must not allocate at all.
+// steady-state StepBatch must not allocate at all.
 func TestStepBatchAllocs(t *testing.T) {
 	m := batchTestModel(t)
 	words := batchTestWords(1 << 10)
@@ -136,7 +154,6 @@ func TestStepBatchAllocs(t *testing.T) {
 		acc.StepBatch(words) // warm the memo
 		allocs := testing.AllocsPerRun(100, func() {
 			acc.StepBatch(words)
-			acc.IdleN(64)
 		})
 		if allocs != 0 {
 			t.Errorf("memo=%v: StepBatch allocates %v/op in steady state, want 0", memo, allocs)

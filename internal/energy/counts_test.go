@@ -196,8 +196,8 @@ func FuzzPairCounts(f *testing.F) {
 		}
 		scale[2] = scale[1]
 		check("total", acc.Total(), total, scale)
-		if want := uint64(len(words)); acc.Cycles() < want {
-			t.Fatalf("width %d: %d cycles for %d words", n, acc.Cycles(), want)
+		if want, got := uint64(len(words)), acc.State().Cycles; got < want {
+			t.Fatalf("width %d: %d cycles for %d words", n, got, want)
 		}
 		checkMultiRoute(t, m, rng, mix, words)
 	})
@@ -205,9 +205,10 @@ func FuzzPairCounts(f *testing.F) {
 
 // replayScalar steps words through an Accumulator with a memo of
 // 2^memo keys (0 the default, negative none) in random chunks split
-// across Step, StepBatch, idles, mid-window reads (which drain the memo
-// and fold a partial block) and State/SetState hand-offs to a fresh
-// accumulator with the same memo, and returns the last accumulator.
+// across one-word and longer StepBatch calls, mid-window reads (which
+// drain the memo and fold a partial block) and State/SetState hand-offs
+// to a fresh accumulator with the same memo, and returns the last
+// accumulator.
 func replayScalar(t *testing.T, m *Model, rng *rand.Rand, memo int, words []uint64) *Accumulator {
 	t.Helper()
 	fresh := func() *Accumulator {
@@ -226,13 +227,12 @@ func replayScalar(t *testing.T, m *Model, rng *rand.Rand, memo int, words []uint
 		switch rng.Intn(5) {
 		case 0:
 			for _, w := range chunk {
-				acc.Step(w)
+				step(acc, w)
 			}
 		case 1:
 			acc.StepBatch(chunk)
 		case 2:
 			acc.StepBatch(chunk)
-			acc.IdleN(uint64(rng.Intn(3)))
 			_ = acc.Total()
 		default:
 			acc.StepBatch(chunk)

@@ -25,16 +25,16 @@ func testModel(t *testing.T, n int, node itrs.Node) *Model {
 // bruteForce recomputes per-line energies directly from the paper's
 // formulas without any of the incremental-optimisation tricks.
 func bruteForce(m *Model, prev, cur uint64) []LineEnergy {
-	n := m.N()
+	n := m.n
 	v := make([]float64, n)
 	for i := 0; i < n; i++ {
 		pb := (prev >> uint(i)) & 1
 		cb := (cur >> uint(i)) & 1
 		switch {
 		case pb == 0 && cb == 1:
-			v[i] = m.Vdd()
+			v[i] = m.vdd
 		case pb == 1 && cb == 0:
-			v[i] = -m.Vdd()
+			v[i] = -m.vdd
 		}
 	}
 	out := make([]LineEnergy, n)
@@ -42,12 +42,12 @@ func bruteForce(m *Model, prev, cur uint64) []LineEnergy {
 		if v[i] == 0 {
 			continue
 		}
-		out[i].Self = 0.5 * m.SelfCap(i) * v[i] * v[i]
+		out[i].Self = 0.5 * m.selfCap[i] * v[i] * v[i]
 		for j := 0; j < n; j++ {
 			if j == i {
 				continue
 			}
-			e := 0.5 * m.CouplingCap(i, j) * (v[i]*v[i] - v[i]*v[j])
+			e := 0.5 * m.coup[i][j] * (v[i]*v[i] - v[i]*v[j])
 			if j == i-1 || j == i+1 {
 				out[i].CoupAdj += e
 			} else {
@@ -110,7 +110,7 @@ func TestMillerToggleDoubling(t *testing.T) {
 	// dissipate zero coupling energy in that pair.
 	m := testModel(t, 2, itrs.N130)
 	out := make([]LineEnergy, 2)
-	c := m.CouplingCap(0, 1)
+	c := m.coup[0][1]
 	v2 := itrs.N130.Vdd * itrs.N130.Vdd
 
 	// Toggle: 01 -> 10.
@@ -232,25 +232,21 @@ func TestNonAdjacentUnderestimation(t *testing.T) {
 func TestAccumulator(t *testing.T) {
 	m := testModel(t, 8, itrs.N130)
 	acc := NewAccumulator(m)
-	acc.Step(0x00) // first word: establishes state, no energy
+	step(acc, 0x00) // first word: establishes state, no energy
 	if acc.Total().Total() != 0 {
 		t.Errorf("first word dissipated %g", acc.Total().Total())
 	}
-	acc.Step(0xFF)
+	step(acc, 0xFF)
 	e1 := acc.Total().Total()
 	if e1 <= 0 {
 		t.Error("transition dissipated nothing")
 	}
-	acc.Idle()
-	if acc.Total().Total() != e1 {
-		t.Error("idle cycle dissipated energy")
-	}
-	acc.Step(0xFF) // same word: no energy
+	step(acc, 0xFF) // same word: no energy
 	if acc.Total().Total() != e1 {
 		t.Error("repeated word dissipated energy")
 	}
-	if acc.Cycles() != 4 || acc.IdleCycles() != 1 {
-		t.Errorf("cycles = %d idle = %d, want 4 and 1", acc.Cycles(), acc.IdleCycles())
+	if st := acc.State(); st.Cycles != 3 || st.IdleCycles != 0 {
+		t.Errorf("cycles = %d idle = %d, want 3 and 0", st.Cycles, st.IdleCycles)
 	}
 
 	// Per-line sum equals total.
@@ -263,10 +259,10 @@ func TestAccumulator(t *testing.T) {
 	}
 
 	acc.Reset()
-	if acc.Total().Total() != 0 || acc.Cycles() != 0 {
+	if acc.Total().Total() != 0 || acc.State().Cycles != 0 {
 		t.Error("Reset did not clear accumulation")
 	}
-	if acc.Last() != 0xFF {
+	if acc.State().Prev != 0xFF {
 		t.Error("Reset cleared the held bus word")
 	}
 }

@@ -107,8 +107,8 @@ func TestAccumulatorMemoBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, w := range addressStream(rng, 5000) {
-			plain.Step(w)
-			memod.Step(w)
+			step(plain, w)
+			step(memod, w)
 		}
 		if plain.Total() != memod.Total() {
 			t.Fatalf("width %d: totals diverge: %+v vs %+v", width, plain.Total(), memod.Total())
@@ -118,7 +118,7 @@ func TestAccumulatorMemoBitIdentical(t *testing.T) {
 				t.Fatalf("width %d line %d: %+v vs %+v", width, i, plain.Line(i), memod.Line(i))
 			}
 		}
-		if plain.Last() != memod.Last() || plain.Cycles() != memod.Cycles() {
+		if ps, ms := plain.State(), memod.State(); ps.Prev != ms.Prev || ps.Cycles != ms.Cycles {
 			t.Fatalf("width %d: bus state diverged", width)
 		}
 	}
@@ -190,18 +190,17 @@ func TestAccumulatorResetAll(t *testing.T) {
 	words := []uint64{0x10, 0x14, 0x18, 0x9999, 0x1C}
 	run := func() (LineEnergy, uint64) {
 		for _, w := range words {
-			acc.Step(w)
+			step(acc, w)
 		}
-		acc.Idle()
-		return acc.Total(), acc.Cycles()
+		return acc.Total(), acc.State().Cycles
 	}
 	tot1, cyc1 := run()
 	acc.ResetAll()
-	if acc.Total() != (LineEnergy{}) || acc.Cycles() != 0 || acc.IdleCycles() != 0 {
-		t.Fatalf("ResetAll left residue: total %+v cycles %d", acc.Total(), acc.Cycles())
+	if st := acc.State(); acc.Total() != (LineEnergy{}) || st.Cycles != 0 || st.IdleCycles != 0 {
+		t.Fatalf("ResetAll left residue: total %+v cycles %d", acc.Total(), st.Cycles)
 	}
-	if acc.Last() != 0 {
-		t.Fatalf("ResetAll kept held word %#x", acc.Last())
+	if st := acc.State(); st.Prev != 0 || !st.First {
+		t.Fatalf("ResetAll kept held word %#x", st.Prev)
 	}
 	tot2, cyc2 := run()
 	if tot1 != tot2 || cyc1 != cyc2 {
@@ -245,7 +244,7 @@ func TestMemoOverflowDrainK1(t *testing.T) {
 	}
 	plain.StepBatch(words)
 	memod.StepBatch(words)
-	if st := memod.Memo().Stats(); st.Misses != 2 || st.Hits != uint64(len(words)-3) {
+	if st := memod.memo.Stats(); st.Misses != 2 || st.Hits != uint64(len(words)-3) {
 		t.Fatalf("stats %+v, want 2 misses and %d hits", st, len(words)-3)
 	}
 	ps, ms := plain.State(), memod.State()

@@ -63,8 +63,8 @@ func TestMultiAccumulatorMatchesScalar(t *testing.T) {
 				t.Fatalf("round %d bus %d total: multi %+v scalar %+v", r, k, got, want)
 			}
 		}
-		if multi.Cycles() != scalars[0].Cycles() {
-			t.Fatalf("round %d cycles: multi %d scalar %d", r, multi.Cycles(), scalars[0].Cycles())
+		if mc, sc := multi.BusState(0).Cycles, scalars[0].State().Cycles; mc != sc {
+			t.Fatalf("round %d cycles: multi %d scalar %d", r, mc, sc)
 		}
 		// Reset windows on both sides (held words persist), as flush does.
 		multi.Reset()
@@ -92,8 +92,8 @@ func TestMultiAccumulatorIdleAndState(t *testing.T) {
 	}
 	a.AddCycles(uint64(len(words)))
 	a.IdleN(10)
-	if a.Cycles() != 15 || a.IdleCycles() != 10 {
-		t.Fatalf("cycles=%d idle=%d, want 15/10", a.Cycles(), a.IdleCycles())
+	if st := a.BusState(2); st.Cycles != 15 || st.IdleCycles != 10 {
+		t.Fatalf("cycles=%d idle=%d, want 15/10", st.Cycles, st.IdleCycles)
 	}
 
 	a.Drain()
@@ -128,7 +128,7 @@ func TestMultiAccumulatorIdleAndState(t *testing.T) {
 	}
 
 	a.ResetAll()
-	if a.Cycles() != 0 || a.BusLines(0, make([]LineEnergy, width)) != (LineEnergy{}) {
+	if a.BusState(0).Cycles != 0 || a.BusLines(0, make([]LineEnergy, width)) != (LineEnergy{}) {
 		t.Fatal("ResetAll left window state")
 	}
 	if st := a.BusState(0); !st.First {
@@ -152,8 +152,8 @@ func TestMultiAccumulatorValidation(t *testing.T) {
 	if err := a.EnableMemo(99); err == nil {
 		t.Fatal("oversized memo accepted")
 	}
-	if a.Buses() != 2 || a.Width() != 4 {
-		t.Fatalf("accessors: buses=%d width=%d, want 2/4", a.Buses(), a.Width())
+	if len(a.bus) != 2 || a.Width() != 4 {
+		t.Fatalf("accessors: buses=%d width=%d, want 2/4", len(a.bus), a.Width())
 	}
 	if a.Memo() != nil {
 		t.Fatal("memo present before a successful EnableMemo")

@@ -6,6 +6,7 @@ import (
 
 	"nanobus/internal/geometry"
 	"nanobus/internal/itrs"
+	"nanobus/internal/linalg"
 	"nanobus/internal/units"
 )
 
@@ -57,7 +58,7 @@ func TestMaxwellMatrixProperties(t *testing.T) {
 		t.Fatalf("ExtractBus: %v", err)
 	}
 	m := res.Maxwell
-	if !m.IsSymmetric(0.02) {
+	if !symmetric(m, 0.02) {
 		t.Error("Maxwell matrix is not symmetric within 2%")
 	}
 	for i := 0; i < m.Rows(); i++ {
@@ -228,4 +229,27 @@ func TestSymmetricBusSymmetricResult(t *testing.T) {
 	if rel := math.Abs(c01-c43) / c01; rel > 0.01 {
 		t.Errorf("mirrored couplings differ: %g vs %g", c01, c43)
 	}
+}
+
+// symmetric reports whether m is square and symmetric within tol,
+// relative to its largest absolute element (a Maxwell capacitance matrix
+// is symmetric by reciprocity).
+func symmetric(m *linalg.Matrix, tol float64) bool {
+	if m.Rows() != m.Cols() {
+		return false
+	}
+	scale := 0.0
+	for i := 0; i < m.Rows(); i++ {
+		for j := 0; j < m.Cols(); j++ {
+			scale = math.Max(scale, math.Abs(m.At(i, j)))
+		}
+	}
+	for i := 0; i < m.Rows(); i++ {
+		for j := i + 1; j < m.Cols(); j++ {
+			if math.Abs(m.At(i, j)-m.At(j, i)) > tol*scale {
+				return false
+			}
+		}
+	}
+	return true
 }

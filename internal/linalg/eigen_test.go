@@ -182,10 +182,7 @@ func TestSolveTridiagonalIntoMatchesAlloc(t *testing.T) {
 }
 
 func TestMulVecInto(t *testing.T) {
-	m, err := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := fromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
 	y := make([]float64, 3)
 	if err := m.MulVecInto([]float64{1, 1}, y); err != nil {
 		t.Fatal(err)

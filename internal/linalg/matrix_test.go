@@ -20,6 +20,17 @@ func mustM(m *Matrix, err error) *Matrix {
 	return m
 }
 
+// fromRows builds a matrix from equal-length row slices.
+func fromRows(rows [][]float64) *Matrix {
+	m := NewRect(len(rows), len(rows[0]))
+	for i, r := range rows {
+		for j, v := range r {
+			m.Set(i, j, v)
+		}
+	}
+	return m
+}
+
 // solveTridiagonal runs the Thomas kernel with freshly allocated scratch.
 func solveTridiagonal(sub, diag, sup, rhs []float64) ([]float64, error) {
 	n := len(diag)
@@ -71,8 +82,8 @@ func TestSetAtAdd(t *testing.T) {
 }
 
 func TestMulKnown(t *testing.T) {
-	a := mustM(NewMatrixFromRows([][]float64{{1, 2}, {3, 4}}))
-	b := mustM(NewMatrixFromRows([][]float64{{5, 6}, {7, 8}}))
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{5, 6}, {7, 8}})
 	c := mustM(NewMatrix(2, 2))
 	if err := a.MulInto(b, c); err != nil {
 		t.Fatalf("MulInto: %v", err)
@@ -88,7 +99,7 @@ func TestMulKnown(t *testing.T) {
 }
 
 func TestTranspose(t *testing.T) {
-	a := mustM(NewMatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}}))
+	a := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	tr := a.Transpose()
 	if tr.Rows() != 3 || tr.Cols() != 2 {
 		t.Fatalf("transpose dims %dx%d, want 3x2", tr.Rows(), tr.Cols())
@@ -103,22 +114,22 @@ func TestTranspose(t *testing.T) {
 }
 
 func TestIsSymmetric(t *testing.T) {
-	s := mustM(NewMatrixFromRows([][]float64{{2, 1}, {1, 3}}))
+	s := fromRows([][]float64{{2, 1}, {1, 3}})
 	if !s.IsSymmetric(1e-12) {
 		t.Error("symmetric matrix reported asymmetric")
 	}
-	a := mustM(NewMatrixFromRows([][]float64{{2, 1}, {0, 3}}))
+	a := fromRows([][]float64{{2, 1}, {0, 3}})
 	if a.IsSymmetric(1e-12) {
 		t.Error("asymmetric matrix reported symmetric")
 	}
-	r := mustM(NewMatrixFromRows([][]float64{{2, 1, 1}, {1, 3, 1}}))
+	r := fromRows([][]float64{{2, 1, 1}, {1, 3, 1}})
 	if r.IsSymmetric(1e-12) {
 		t.Error("non-square matrix reported symmetric")
 	}
 }
 
 func TestCloneIndependent(t *testing.T) {
-	a := mustM(NewMatrixFromRows([][]float64{{1, 2}, {3, 4}}))
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
 	c := a.Clone()
 	c.Set(0, 0, 99)
 	if a.At(0, 0) != 1 {
@@ -127,11 +138,11 @@ func TestCloneIndependent(t *testing.T) {
 }
 
 func TestLUSolveKnown(t *testing.T) {
-	a := mustM(NewMatrixFromRows([][]float64{
+	a := fromRows([][]float64{
 		{2, 1, -1},
 		{-3, -1, 2},
 		{-2, 1, 2},
-	}))
+	})
 	b := []float64{8, -11, -3}
 	x, err := SolveLU(a, b)
 	if err != nil {
@@ -146,7 +157,7 @@ func TestLUSolveKnown(t *testing.T) {
 }
 
 func TestLUSingular(t *testing.T) {
-	a := mustM(NewMatrixFromRows([][]float64{{1, 2}, {2, 4}}))
+	a := fromRows([][]float64{{1, 2}, {2, 4}})
 	if _, err := FactorLU(a); err == nil {
 		t.Error("FactorLU of singular matrix returned nil error")
 	}

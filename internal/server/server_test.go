@@ -360,8 +360,11 @@ func TestGracefulDrain(t *testing.T) {
 	}
 
 	srv.Drain()
-	if !srv.Draining() {
-		t.Fatal("Draining() false after Drain()")
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	var health server.HealthResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &health); err != nil || !health.Draining {
+		t.Fatalf("/healthz after Drain() = %s (%v), want draining", rec.Body, err)
 	}
 	// New sessions are refused with the draining code.
 	_, err = c.CreateSession(ctx, client.SessionConfig{Node: "90nm"})

@@ -34,10 +34,6 @@ func TestRegistryAndOrder(t *testing.T) {
 	if _, ok := ByName("gcc"); ok {
 		t.Error("unknown benchmark resolved")
 	}
-	e, s := PaperPair()
-	if e.Name != "eon" || s.Name != "swim" {
-		t.Errorf("PaperPair = %s, %s", e.Name, s.Name)
-	}
 }
 
 // runCycles pulls n cycles and returns the collected stats.
