@@ -162,23 +162,6 @@ func FromNode(node itrs.Node, n int, decay DecayModel) (*Matrix, error) {
 	return m, nil
 }
 
-// FromExtraction builds a capacitance matrix directly from a BEM result,
-// using absolute extracted values (F/m). Useful for custom (non-ITRS)
-// geometries.
-func FromExtraction(res *extract.Result) *Matrix {
-	n := len(res.Names)
-	m := newMatrix(n)
-	for i := 0; i < n; i++ {
-		m.self[i] = res.SelfToGround(i)
-		for j := 0; j < n; j++ {
-			if i != j {
-				m.coupling[i][j] = res.Coupling(i, j)
-			}
-		}
-	}
-	return m
-}
-
 // CalibrateDecay runs the extractor on a wires-wide bus with the node's
 // geometry and returns the measured decay model up to maxDist.
 func CalibrateDecay(node itrs.Node, wires, maxDist int, opts extract.Options) (DecayModel, error) {

@@ -68,9 +68,6 @@ func NewMulti(cfg MultiConfig) (*MultiSim, error) {
 // Buses returns K.
 func (m *MultiSim) Buses() int { return m.buses }
 
-// IntervalCycles returns the sampling interval length in cycles.
-func (m *MultiSim) IntervalCycles() uint64 { return m.interval }
-
 // Grid exposes the banded thermal grid of all K buses.
 func (m *MultiSim) Grid() *thermal.Grid { return &m.net.Grid }
 
@@ -84,12 +81,3 @@ func (m *MultiSim) Samples(k int) []Sample { return m.samples[k] }
 // TotalEnergy returns bus k's cumulative energy split by component
 // (flushed intervals only; call Finish first for exact totals).
 func (m *MultiSim) TotalEnergy(k int) energy.LineEnergy { return m.totalEnergy[k] }
-
-// LineEnergies copies bus k's cumulative per-line energies into dst
-// (length Width()).
-func (m *MultiSim) LineEnergies(k int, dst []energy.LineEnergy) {
-	copy(dst, m.lineTotals[k*m.width:(k+1)*m.width])
-}
-
-// BusTemps returns bus k's current per-wire temperatures.
-func (m *MultiSim) BusTemps(k int) []float64 { return m.net.BusTemps(k, nil) }

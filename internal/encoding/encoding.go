@@ -14,7 +14,6 @@ package encoding
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 )
 
 // Encoder maps 32-bit data words onto physical bus words.
@@ -48,12 +47,6 @@ func dir(prev, cur uint64, i int) int {
 	p := int((prev >> uint(i)) & 1)
 	c := int((cur >> uint(i)) & 1)
 	return c - p
-}
-
-// selfCost returns the number of switching lines (self-transition count).
-func selfCost(prev, cur uint64, width int) int {
-	mask := uint64(1)<<uint(width) - 1
-	return bits.OnesCount64((prev ^ cur) & mask)
 }
 
 // --- Unencoded -----------------------------------------------------------

@@ -5,14 +5,13 @@
 // uint16 count in the transition-key table (memo.go), or with the memo
 // off goes straight into the counts; a wider one is parked in the bus's
 // mask block (counts.go). Counts are integers, so the window is the same
-// whatever the batching, the table size or the drain schedule. IdleN
-// collapses runs of idle cycles into two counter additions.
+// whatever the batching, the table size or the drain schedule.
 package energy
 
 import "math/bits"
 
-// StepBatch transmits every word in words, one per cycle, exactly like
-// calling Step(word) for each: same state updates and the same counts. It
+// StepBatch transmits every word in words, one per cycle: the same state
+// updates and counts however the stream is split into batches. It
 // allocates nothing.
 func (a *Accumulator) StepBatch(words []uint64) {
 	a.cycles += uint64(len(words))
@@ -117,11 +116,4 @@ func (a *Accumulator) stepWords(words []uint64) {
 		}
 	}
 	a.prev = prev
-}
-
-// IdleN advances n cycles with the bus holding its value — equivalent to n
-// Idle calls (idle cycles dissipate nothing, so only the counters move).
-func (a *Accumulator) IdleN(n uint64) {
-	a.cycles += n
-	a.idleCycles += n
 }

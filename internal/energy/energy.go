@@ -87,20 +87,6 @@ func New(cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// N returns the bus width in wires.
-func (m *Model) N() int { return m.n }
-
-// Vdd returns the supply voltage.
-func (m *Model) Vdd() float64 { return m.vdd }
-
-// SelfCap returns wire i's absolute self capacitance (including repeaters)
-// in farads.
-func (m *Model) SelfCap(i int) float64 { return m.selfCap[i] }
-
-// CouplingCap returns the absolute coupling capacitance between wires i and
-// j in farads.
-func (m *Model) CouplingCap(i, j int) float64 { return m.coup[i][j] }
-
 // LineEnergy is one wire's energy for a transition or an accumulation
 // window, split by component (joules).
 type LineEnergy struct {
@@ -229,13 +215,14 @@ func (m *Model) transitionSparse(diff, rising uint64, idx []int, les []LineEnerg
 
 // Accumulator drives a Model over a word stream, accumulating per-line
 // energies. It tracks the previously transmitted word, so callers just push
-// the new word each cycle (or call Idle for cycles in which the bus holds
-// its value, which dissipate nothing — the paper's idle assumption).
+// the new words (idle cycles, in which the bus holds its value, dissipate
+// nothing — the paper's idle assumption — so only MultiAccumulator.IdleN
+// counts them).
 //
 // The window is kept as exact integer pair-pattern counts (see counts.go)
 // and turned into energies only when it is read, so a window's energy is a
 // pure function of the transitions in it, whatever the order or batching
-// of the Step, StepBatch and State/SetState calls that fed them. With a
+// of the StepBatch and State/SetState calls that fed them. With a
 // memo (EnableMemo, or a MultiAccumulator's shared one) narrow
 // transitions wait in the memo as pending counts; every read drains them
 // into the window first, and every reset or restore drops them with it.
@@ -275,9 +262,6 @@ func NewAccumulator(m *Model) *Accumulator {
 	}
 }
 
-// Model returns the underlying energy model.
-func (a *Accumulator) Model() *Model { return a.model }
-
 // EnableMemo attaches a transition-key memo of 2^sizeLog2 entries
 // (0 = DefaultMemoSizeLog2), replacing any previous one after draining
 // it. The memo changes speed only, never a count.
@@ -291,35 +275,12 @@ func (a *Accumulator) EnableMemo(sizeLog2 int) error {
 	return nil
 }
 
-// Memo returns the attached transition memo, or nil.
-func (a *Accumulator) Memo() *Memo { return a.memo }
-
 // drain moves the memo's pending counts into the windows.
 func (a *Accumulator) drain() {
 	if a.memo != nil {
 		a.memo.drain()
 	}
 }
-
-// Step transmits word on the bus for one cycle and accrues the transition
-// against the previously transmitted word: StepBatch of one word.
-func (a *Accumulator) Step(word uint64) {
-	w := [1]uint64{word}
-	a.StepBatch(w[:])
-}
-
-// Idle advances one cycle with the bus holding its previous value; no
-// energy is dissipated.
-func (a *Accumulator) Idle() {
-	a.cycles++
-	a.idleCycles++
-}
-
-// Cycles returns the number of bus cycles stepped (including idles).
-func (a *Accumulator) Cycles() uint64 { return a.cycles }
-
-// IdleCycles returns how many cycles were idle.
-func (a *Accumulator) IdleCycles() uint64 { return a.idleCycles }
 
 // Line returns the accumulated energy of wire i.
 func (a *Accumulator) Line(i int) LineEnergy {
@@ -357,9 +318,6 @@ func (a *Accumulator) Total() LineEnergy {
 	}
 	return tot
 }
-
-// Last returns the word currently held on the bus.
-func (a *Accumulator) Last() uint64 { return a.prev }
 
 // Reset zeroes the accumulated energies and cycle counts, pending memo
 // counts included, but keeps the bus state (the held word) and the warm

@@ -63,9 +63,6 @@ func (a *MultiAccumulator) EnableMemo(sizeLog2 int) error {
 // Memo returns the attached transition memo, or nil.
 func (a *MultiAccumulator) Memo() *Memo { return a.bus[0].memo }
 
-// Buses returns K.
-func (a *MultiAccumulator) Buses() int { return len(a.bus) }
-
 // Width returns the per-bus line count W.
 func (a *MultiAccumulator) Width() int { return a.model.n }
 
@@ -98,12 +95,6 @@ func (a *MultiAccumulator) Drain() { a.bus[0].drain() }
 func (a *MultiAccumulator) BusLines(k int, dst []LineEnergy) LineEnergy {
 	return a.bus[k].Lines(dst)
 }
-
-// Cycles returns the shared window cycle count.
-func (a *MultiAccumulator) Cycles() uint64 { return a.cycles }
-
-// IdleCycles returns the shared window idle-cycle count.
-func (a *MultiAccumulator) IdleCycles() uint64 { return a.idleCycles }
 
 // Reset clears the windows (counts, pending memo counts and counters)
 // for the next sampling interval, keeping the held words and the memo.

@@ -6,7 +6,6 @@ package linalg
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -52,21 +51,6 @@ func NewRect(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("linalg: NewRect(%d, %d)", rows, cols))
 	}
 	return newMatrix(rows, cols)
-}
-
-// NewMatrixFromRows builds a matrix from row slices, which must be equal length.
-func NewMatrixFromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, fmt.Errorf("linalg: NewMatrixFromRows of empty rows")
-	}
-	m := newMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.cols {
-			return nil, fmt.Errorf("linalg: ragged rows: row %d has %d cols, want %d", i, len(r), m.cols)
-		}
-		copy(m.data[i*m.cols:(i+1)*m.cols], r)
-	}
-	return m, nil
 }
 
 // Rows returns the number of rows.
@@ -167,31 +151,6 @@ func (m *Matrix) MulInto(b, out *Matrix) error {
 		}
 	}
 	return nil
-}
-
-// IsSymmetric reports whether the matrix is square and symmetric within tol
-// (relative to the largest absolute element).
-func (m *Matrix) IsSymmetric(tol float64) bool {
-	if m.rows != m.cols {
-		return false
-	}
-	maxAbs := 0.0
-	for _, v := range m.data {
-		if a := math.Abs(v); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	if maxAbs == 0 { //nanolint:ignore floateq an exactly zero matrix has no scale for the relative tolerance and is trivially symmetric
-		return true
-	}
-	for i := 0; i < m.rows; i++ {
-		for j := i + 1; j < m.cols; j++ {
-			if math.Abs(m.At(i, j)-m.At(j, i)) > tol*maxAbs {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // String renders the matrix for debugging.

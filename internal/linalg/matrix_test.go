@@ -63,15 +63,6 @@ func TestNewMatrixInvalidDims(t *testing.T) {
 	}
 }
 
-func TestNewMatrixFromRowsRagged(t *testing.T) {
-	if _, err := NewMatrixFromRows([][]float64{{1, 2}, {3}}); err == nil {
-		t.Error("ragged rows returned nil error")
-	}
-	if _, err := NewMatrixFromRows(nil); err == nil {
-		t.Error("empty rows returned nil error")
-	}
-}
-
 func TestSetAtAdd(t *testing.T) {
 	m := mustM(NewMatrix(2, 2))
 	m.Set(0, 1, 5)
@@ -110,21 +101,6 @@ func TestTranspose(t *testing.T) {
 				t.Errorf("transpose mismatch at (%d,%d)", i, j)
 			}
 		}
-	}
-}
-
-func TestIsSymmetric(t *testing.T) {
-	s := fromRows([][]float64{{2, 1}, {1, 3}})
-	if !s.IsSymmetric(1e-12) {
-		t.Error("symmetric matrix reported asymmetric")
-	}
-	a := fromRows([][]float64{{2, 1}, {0, 3}})
-	if a.IsSymmetric(1e-12) {
-		t.Error("asymmetric matrix reported symmetric")
-	}
-	r := fromRows([][]float64{{2, 1, 1}, {1, 3, 1}})
-	if r.IsSymmetric(1e-12) {
-		t.Error("non-square matrix reported symmetric")
 	}
 }
 

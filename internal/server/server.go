@@ -213,9 +213,6 @@ func (s *Server) Drain() {
 	s.drainNBWP()
 }
 
-// Draining reports whether Drain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // SessionsActive returns the number of open sessions.
 func (s *Server) SessionsActive() int64 { return s.active.Load() }
 

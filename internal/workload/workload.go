@@ -169,14 +169,6 @@ func Names() []string {
 	return names
 }
 
-// PaperPair returns the two benchmarks the paper plots in Figs. 4-5: eon
-// (integer) and swim (floating-point).
-func PaperPair() (eon, swim Benchmark) {
-	e, _ := ByName("eon")
-	s, _ := ByName("swim")
-	return e, s
-}
-
 // Memory region bases shared by the programs. Code sits low, heap arrays
 // in the 0x10000000 range, and the stack high — so region switches flip
 // high-order address bits, the behaviour the paper calls out for OEBI/CBI.
