@@ -113,7 +113,7 @@ func TestAdaptiveCheckpointResumeNBWP(t *testing.T) {
 	// The session is gone; the envelope alone must rebuild it —
 	// controller tuning, mode, both encoder states and all.
 	nc2 := dialNBWP(t, addr)
-	resumed, resp, err := nc2.RestoreSession(ctx, id, env)
+	resumed, resp, err := nc2.RestoreSession(ctx, id, env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -605,12 +605,17 @@ func (s *NBWPSession) RestoreFrom(ctx context.Context, envelope []byte) (Restore
 // RestoreSession resurrects a session by id onto a fresh slot of this
 // connection — the reconnect-after-crash path: the server rebuilds the
 // session from its stored checkpoint (or the inline envelope) and binds
-// it, so sequenced steps resume from the response's Seq+1.
-func (nc *NBWPConn) RestoreSession(ctx context.Context, id string, envelope []byte) (*NBWPSession, RestoreResponse, error) {
+// it, so sequenced steps resume from the response's Seq+1. onSample,
+// when non-nil, receives the slot's streamed SAMPLE frames, as with Open
+// and Attach.
+func (nc *NBWPConn) RestoreSession(ctx context.Context, id string, envelope []byte, onSample func(Sample)) (*NBWPSession, RestoreResponse, error) {
 	slot, err := nc.allocSlot()
 	if err != nil {
 		return nil, RestoreResponse{}, err
 	}
+	nc.wmu.Lock()
+	nc.onSample[slot] = onSample
+	nc.wmu.Unlock()
 	resp, err := nc.restore(ctx, slot, id, envelope)
 	if err != nil {
 		nc.freeSlot(slot)
@@ -619,13 +624,21 @@ func (nc *NBWPConn) RestoreSession(ctx context.Context, id string, envelope []by
 	return &NBWPSession{nc: nc, slot: slot, Info: SessionInfo{ID: id}}, resp, nil
 }
 
+// restore sends a RESTORE binding slot, asking for SAMPLE frames when
+// the slot has a sample callback.
 func (nc *NBWPConn) restore(ctx context.Context, slot uint8, id string, envelope []byte) (RestoreResponse, error) {
 	payload, err := nbwp.AppendRestore(nil, nbwp.Restore{ID: id, Envelope: envelope})
 	if err != nil {
 		return RestoreResponse{}, err
 	}
+	var flags uint8
+	nc.wmu.Lock()
+	if nc.onSample[slot] != nil {
+		flags = nbwp.FlagStream
+	}
+	nc.wmu.Unlock()
 	var resp RestoreResponse
-	p, err := nc.send(nbwp.Header{Type: nbwp.TypeRestore, Slot: slot}, payload, decodeJSON(&resp))
+	p, err := nc.send(nbwp.Header{Type: nbwp.TypeRestore, Flags: flags, Slot: slot}, payload, decodeJSON(&resp))
 	if err == nil {
 		err = nc.wait(ctx, p)
 	}
@@ -646,6 +659,12 @@ func (s *NBWPSession) Close(ctx context.Context) error {
 	return err
 }
 
-// Detach frees the session's slot without closing the server-side
-// session (which stays addressable for reattach).
-func (s *NBWPSession) Detach() { s.nc.freeSlot(s.slot) }
+// Detach drops the handle without closing the server-side session,
+// which stays addressable for reattach. The server keeps the slot bound,
+// so the slot stays reserved on this connection and is never reissued:
+// only its sample callback is dropped.
+func (s *NBWPSession) Detach() {
+	s.nc.wmu.Lock()
+	s.nc.onSample[s.slot] = nil
+	s.nc.wmu.Unlock()
+}

@@ -102,7 +102,7 @@ func TestRestoreSessionRejectsOversizedID(t *testing.T) {
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, _, err := nc.RestoreSession(ctx, strings.Repeat("a", 65536), nil); !errors.Is(err, nbwp.ErrBadPayload) {
+	if _, _, err := nc.RestoreSession(ctx, strings.Repeat("a", 65536), nil, nil); !errors.Is(err, nbwp.ErrBadPayload) {
 		t.Fatalf("RestoreSession with a 65,536-byte id: err = %v, want ErrBadPayload", err)
 	}
 	if err := nc.Goodbye(ctx); err != nil {

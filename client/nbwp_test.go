@@ -165,7 +165,7 @@ func TestNBWPReconnectReplay(t *testing.T) {
 	// acked — and duplicates are impossible because the restore rewound
 	// the acknowledged frontier with the state.
 	nc2 := dialNBWP(t, addr)
-	ns2, resp, err := nc2.RestoreSession(ctx, id, nil)
+	ns2, resp, err := nc2.RestoreSession(ctx, id, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,6 +356,82 @@ func TestConcurrentNBWPSessions(t *testing.T) {
 	for err := range errc {
 		if err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestNBWPDetachKeepsSlotReserved opens and attaches on a connection
+// after a Detach. The server keeps a detached slot bound, so the client
+// must never reissue its number; reusing it would be refused with 409
+// "slot N is already bound".
+func TestNBWPDetachKeepsSlotReserved(t *testing.T) {
+	_, _, addr := newNBWPService(t, server.Config{})
+	ctx := context.Background()
+	cfg := client.SessionConfig{Node: "90nm", IntervalCycles: 64}
+	for _, next := range []string{"open", "attach"} {
+		t.Run(next, func(t *testing.T) {
+			nc := dialNBWP(t, addr)
+			ns, err := nc.Open(ctx, cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ns.Detach()
+			var got *client.NBWPSession
+			if next == "open" {
+				got, err = nc.Open(ctx, cfg, nil)
+			} else {
+				got, err = nc.Attach(ctx, ns.Info.ID, nil)
+			}
+			if err != nil {
+				t.Fatalf("%s after Detach on one connection: %v", next, err)
+			}
+			if _, err := got.StepBinary(ctx, words(3, 256)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestNBWPRestoreSessionStreams resurrects a session by id with a sample
+// callback: the slot RestoreSession binds must stream SAMPLE frames as
+// an opened or attached one does.
+func TestNBWPRestoreSessionStreams(t *testing.T) {
+	_, _, addr := newNBWPService(t, server.Config{Store: blob.NewMemStore()})
+	ctx := context.Background()
+	nc := dialNBWP(t, addr)
+	ns, err := nc.Open(ctx, client.SessionConfig{Node: "90nm", IntervalCycles: 64}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ns.Checkpoint(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu      sync.Mutex
+		samples []client.Sample
+	)
+	rs, _, err := dialNBWP(t, addr).RestoreSession(ctx, ns.Info.ID, nil, func(s client.Sample) {
+		mu.Lock()
+		samples = append(samples, s)
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := rs.StepBinary(ctx, words(5, 256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// SAMPLE frames precede the batch's ack on the connection, so every
+	// one has been delivered by the time StepBinary returns.
+	mu.Lock()
+	defer mu.Unlock()
+	if sum.Samples != 4 || len(samples) != 4 {
+		t.Fatalf("ack counts %d samples, callback received %d; want 4 and 4", sum.Samples, len(samples))
+	}
+	for i, s := range samples {
+		if want := uint64(64 * (i + 1)); s.EndCycle != want {
+			t.Fatalf("sample %d ends at cycle %d, want %d", i, s.EndCycle, want)
 		}
 	}
 }

@@ -134,7 +134,7 @@ func (nc *NBWPConn) AttachSession(ctx context.Context, id string) (Session, erro
 
 // Resurrect implements Transport over NBWP; see RestoreSession.
 func (nc *NBWPConn) Resurrect(ctx context.Context, id string, envelope []byte) (Session, RestoreResponse, error) {
-	s, resp, err := nc.RestoreSession(ctx, id, envelope)
+	s, resp, err := nc.RestoreSession(ctx, id, envelope, nil)
 	if err != nil {
 		return nil, RestoreResponse{}, err
 	}

@@ -752,9 +752,8 @@ func (r *fuzzRun) restore(what string, mode byte, byID bool, b, c byte) {
 	r.m.lastSum, r.m.restored = client.StepSummary{}, true
 }
 
-// resurrect restores a session by id through the side's transport. An
-// NBWP resurrection binds a slot that streams no samples, so the side
-// attaches a second slot that does.
+// resurrect restores a session by id through the side's transport; an
+// NBWP resurrection binds a slot that streams the side's samples.
 func (r *fuzzRun) resurrect(s *fuzzSide, env []byte) (client.RestoreResponse, error) {
 	if s.http {
 		sess, resp, err := r.hc.Resurrect(r.ctx, s.id, env)
@@ -763,9 +762,9 @@ func (r *fuzzRun) resurrect(s *fuzzSide, env []byte) (client.RestoreResponse, er
 		}
 		return resp, err
 	}
-	_, resp, err := r.nc.RestoreSession(r.ctx, s.id, env)
+	ns, resp, err := r.nc.RestoreSession(r.ctx, s.id, env, s.onSample)
 	if err == nil {
-		s.ns, err = r.nc.Attach(r.ctx, s.id, s.onSample)
+		s.ns = ns
 	}
 	return resp, err
 }

@@ -88,7 +88,8 @@ const (
 	// TypeRestore rewinds or resurrects a session and binds it to the
 	// header slot. Payload: Restore — a session id (empty to target the
 	// slot's bound session) plus an optional checkpoint envelope (absent
-	// to load from the server store). Ack payload: RestoreResponse JSON.
+	// to load from the server store). Under FlagStream the slot streams
+	// SAMPLE frames, as after an OPEN. Ack payload: RestoreResponse JSON.
 	TypeRestore Type = 0x08
 	// TypeError (server→client) answers the oldest unacknowledged frame
 	// in place of an ACK. Payload: WireError.
@@ -115,7 +116,8 @@ const (
 	FlagSeq uint8 = 1 << 0
 	// FlagAttach marks an OPEN whose payload is an existing session id.
 	FlagAttach uint8 = 1 << 1
-	// FlagStream marks an OPEN requesting SAMPLE frames for the slot.
+	// FlagStream marks an OPEN or RESTORE requesting SAMPLE frames for
+	// the slot it binds.
 	FlagStream uint8 = 1 << 2
 	// FlagDuplicate marks a STEP ack for a batch that was already
 	// applied: nothing re-stepped, the ack is idempotent.

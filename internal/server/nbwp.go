@@ -510,15 +510,13 @@ func (nc *nbwpConn) handleRestore(h nbwp.Header, payload []byte) bool {
 		id = bound.id
 	}
 	resp, he := nc.s.restoreSession(nc.ctx, restoreReq{id: id, envelope: rr.Envelope})
-	if he != nil {
-		return nc.replyErr(h, he)
-	}
 	// Bind (or rebind) the slot to the restored session so the stream
 	// resumes on this connection without a separate OPEN.
-	if sess, ok := nc.s.find(id); ok {
+	if sess, ok := nc.s.find(id); ok && he == nil {
 		nc.slots[h.Slot] = sess
+		nc.stream[h.Slot] = h.Flags&nbwp.FlagStream != 0
 	}
-	return nc.ackJSON(h, resp)
+	return nc.answer(h, resp, he)
 }
 
 // --- GOODBYE -----------------------------------------------------------------

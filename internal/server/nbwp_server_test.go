@@ -375,7 +375,7 @@ func TestNBWPResurrectionAcrossServers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc2.Close()
-	sess2, res, err := nc2.RestoreSession(ctx, id, nil)
+	sess2, res, err := nc2.RestoreSession(ctx, id, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
