@@ -8,9 +8,11 @@
 # It also checks the arm64 build of the energy kernel for fused
 # multiply-adds (scripts/fma_guard.sh), that the energy kernel's hold
 # test sits inside one 32-byte window (scripts/layout_guard.sh), that
-# internal/ode stays a test-only package (scripts/ode_guard.sh), and that
+# internal/ode stays a test-only package (scripts/ode_guard.sh), that
 # the perfbench module still builds and passes its self-test against
-# this checkout.
+# this checkout, that no function is left unlinked outside the allowlist
+# (scripts/linkcheck), and that the sub-second results/ rows regenerate
+# byte for byte (scripts/results_check).
 #
 # CI-safe by construction: no interactive input, no TTY assumptions, and
 # every stage's exit status stops the run. Benchmark output goes through
@@ -45,6 +47,17 @@ echo "==> layout guard"
 # The energy kernel's hold-test loop must sit inside one 32-byte window
 # of its function, or soc_lockstep loses 10-15% (see the script).
 sh scripts/layout_guard.sh
+echo "==> linkcheck"
+# Every function some program links, or scripts/linkcheck/allowlist.txt
+# names it with a reason; a row that is linked now or names no function
+# fails too (see the script).
+go run ./scripts/linkcheck
+echo "==> results check"
+# The sub-second rows of results/MANIFEST must regenerate byte for byte;
+# the nightly workflow runs every row.
+go run ./scripts/results_check table1.txt sec33.txt dtheta.txt l2bus.txt \
+    baselines.txt delaytemp.txt reliability.txt repsweep.txt \
+    encstats_da.txt encstats_ia.txt
 echo "==> nanolint"
 # Any unsuppressed finding fails the run: a finding is accepted only by a
 # //nanolint:ignore <rule> <reason> directive in the source. The SARIF
