@@ -72,7 +72,7 @@ func NewLoader(moduleDir string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	modPath, err := modulePathOf(abs)
+	modPath, err := ModulePath(abs)
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +106,8 @@ func FindModuleRoot(dir string) (string, error) {
 	}
 }
 
-func modulePathOf(dir string) (string, error) {
+// ModulePath returns the module path declared in dir/go.mod.
+func ModulePath(dir string) (string, error) {
 	data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
 	if err != nil {
 		return "", fmt.Errorf("analysis: %w", err)

@@ -31,14 +31,12 @@
 // Each allowlist row is "<symbol>  <class>  <why>", where class is one
 // of perfbench-frozen, generic, test oracle, chaos hook or fixture.
 //
-//	go run ./scripts/linkcheck            # from the module root
-//	go run ./scripts/linkcheck -v         # also print every unlinked row
+//	go run ./scripts/linkcheck
 package main
 
 import (
 	"bufio"
 	"bytes"
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -61,18 +59,18 @@ var classes = []string{"perfbench-frozen", "generic", "test oracle", "chaos hook
 // links.
 var apiPackages = []string{"", "client"}
 
+// allowlistPath is the allowlist, relative to the module root.
+const allowlistPath = "scripts/linkcheck/allowlist.txt"
+
 func main() {
-	allow := flag.String("allowlist", "scripts/linkcheck/allowlist.txt", "allowlist `file`, relative to the module root")
-	verbose := flag.Bool("v", false, "print every unlinked function")
-	flag.Parse()
-	if err := run(*allow, *verbose); err != nil {
+	if err := run(); err != nil {
 		fmt.Fprintf(os.Stderr, "linkcheck: FAIL: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Println("linkcheck: PASS")
 }
 
-func run(allowPath string, verbose bool) error {
+func run() error {
 	wd, err := os.Getwd()
 	if err != nil {
 		return err
@@ -81,7 +79,7 @@ func run(allowPath string, verbose bool) error {
 	if err != nil {
 		return err
 	}
-	allowed, err := readAllowlist(filepath.Join(root, allowPath))
+	allowed, err := readAllowlist(filepath.Join(root, allowlistPath))
 	if err != nil {
 		return err
 	}
@@ -94,11 +92,6 @@ func run(allowPath string, verbose bool) error {
 		return err
 	}
 	unlinked := unlinkedFuncs(decls, linked)
-	if verbose {
-		for _, f := range unlinked {
-			fmt.Printf("%s\t%s\n", f.sym, f.pos)
-		}
-	}
 	fmt.Printf("linkcheck: %d functions declared, %d unlinked, %d allowlisted\n",
 		len(decls), len(unlinked), len(allowed))
 	if problems := compare(decls, unlinked, allowed); len(problems) > 0 {
@@ -187,7 +180,7 @@ func readAllowlist(path string) (map[string]string, error) {
 // the module outside perfbench/, testdata/ and directories the go tool
 // ignores.
 func declaredFuncs(root string) ([]funcDecl, error) {
-	modPath, err := modulePath(root)
+	modPath, err := analysis.ModulePath(root)
 	if err != nil {
 		return nil, err
 	}
@@ -347,7 +340,7 @@ func apiMain(root string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	modPath, err := modulePath(root)
+	modPath, err := analysis.ModulePath(root)
 	if err != nil {
 		return nil, err
 	}
@@ -392,17 +385,4 @@ func apiMain(root string) ([]byte, error) {
 	}
 	b.WriteString("}\n\nfunc main() { println(len(keep)) }\n")
 	return b.Bytes(), nil
-}
-
-func modulePath(root string) (string, error) {
-	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return "", err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
-			return strings.TrimSpace(rest), nil
-		}
-	}
-	return "", fmt.Errorf("no module directive in %s/go.mod", root)
 }

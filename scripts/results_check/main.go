@@ -6,13 +6,11 @@
 //
 //	go run ./scripts/results_check                       # every row
 //	go run ./scripts/results_check table1.txt sec33.txt  # the named rows
-//	go run ./scripts/results_check -update fig5.txt      # rewrite them
 package main
 
 import (
 	"bufio"
 	"bytes"
-	"flag"
 	"fmt"
 	"os"
 	"os/exec"
@@ -21,11 +19,11 @@ import (
 	"time"
 )
 
+// manifest lists the results files, which sit beside it.
+const manifest = "results/MANIFEST"
+
 func main() {
-	manifest := flag.String("manifest", "results/MANIFEST", "manifest `file`; results files sit beside it")
-	update := flag.Bool("update", false, "rewrite the results files instead of comparing them")
-	flag.Parse()
-	if err := run(*manifest, flag.Args(), *update); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintf(os.Stderr, "results_check: FAIL: %v\n", err)
 		os.Exit(1)
 	}
@@ -39,7 +37,7 @@ type row struct {
 	args []string
 }
 
-func run(manifest string, only []string, update bool) error {
+func run(only []string) error {
 	rows, err := readManifest(manifest)
 	if err != nil {
 		return err
@@ -68,16 +66,12 @@ func run(manifest string, only []string, update bool) error {
 		if err != nil {
 			return fmt.Errorf("nanobus %s: %w", strings.Join(r.args, " "), err)
 		}
-		path := filepath.Join(dir, r.file)
-		status := "ok"
-		if update {
-			if err := os.WriteFile(path, got, 0o644); err != nil {
-				return err
-			}
-			status = "written"
-		} else if want, err := os.ReadFile(path); err != nil {
+		want, err := os.ReadFile(filepath.Join(dir, r.file))
+		if err != nil {
 			return err
-		} else if d := firstDiff(want, got); d != "" {
+		}
+		status := "ok"
+		if d := firstDiff(want, got); d != "" {
 			status = "DIFFERS: " + d
 			failed = append(failed, r.file)
 		}
